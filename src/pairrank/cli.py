@@ -470,12 +470,14 @@ def _cmd_skew_sweep(args: argparse.Namespace) -> int:
         replicates=args.replicates,
         base_seed=args.base_seed,
     )
+    if args.total_n < 2:
+        raise UsageError("--total-n must be at least 2 so that both classes are non-empty")
     cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
     rows: list[ResultRow] = []
     cell_seed = plan.base_seed
     for rho in plan.rho_grid:
-        n1 = max(1, round(rho * args.total_n))
-        n0 = max(1, args.total_n - n1)
+        n1 = min(max(1, round(rho * args.total_n)), args.total_n - 1)
+        n0 = args.total_n - n1
         for replicate in range(plan.replicates):
             spec = random_gmm_spec(
                 args.dim, args.k, args.sigma, derived_seed(cell_seed, ROLE_SPEC)

@@ -9,10 +9,12 @@ ACCEPTANCE line per criterion at the end of the run.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 
 from pairrank import Dataset
+from pairrank.io import _parse_line
 
 _ACCEPTANCE_LABELS = {
     1: "moments oracle equivalence",
@@ -57,6 +59,35 @@ def integer_dataset(
         rng.integers(low, high, size=(n1, dim)).astype(float),
         rng.integers(low, high, size=(n0, dim)).astype(float),
     )
+
+
+def parse_libsvm_reference(source, dim_hint=None) -> Dataset:
+    """parse_libsvm done line by line with its per-line reference parser.
+
+    Reads the input the way parse_libsvm does, splits it on "\\n" and
+    densifies row by row; the vectorised parser must match it bit for bit.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="ascii") as handle:
+            text = handle.read()
+    else:
+        text = source.read()
+    parsed = [
+        row
+        for line_number, line in enumerate(text.split("\n"), start=1)
+        if (row := _parse_line(line, line_number)) is not None
+    ]
+    dim = max([features[-1][0] for _, features in parsed if features] + [dim_hint or 0])
+    n1 = sum(label for label, _ in parsed)
+    pos = np.zeros((n1, dim), dtype=np.float64)
+    neg = np.zeros((len(parsed) - n1, dim), dtype=np.float64)
+    cursors = [0, 0]
+    for label, features in parsed:
+        target = pos if label == 1 else neg
+        for index, value in features:
+            target[cursors[label], index - 1] = value
+        cursors[label] += 1
+    return Dataset(positives=pos, negatives=neg, dim=dim)
 
 
 def _criterion_number(nodeid: str) -> int | None:

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+import pairrank.cli as cli
+from conftest import parse_libsvm_reference, random_dataset
 from pairrank import (
     RESULT_CSV_HEADER,
     BoundInputs,
@@ -256,6 +257,29 @@ class TestTrainCommand:
         assert code == 0
         assert model.exists()
 
+    def test_outputs_match_per_line_reference_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(443)
+        train_path, test_path = tmp_path / "train.txt", tmp_path / "test.txt"
+        write_libsvm(random_dataset(rng, dim=6, n1=25, n0=35, scale=3.0), train_path)
+        write_libsvm(random_dataset(rng, dim=5, n1=15, n0=20, scale=3.0), test_path)
+        wall_time = RESULT_CSV_HEADER.index("wall_time_seconds")
+
+        def outputs(tag):
+            result = {}
+            for algorithm, flags in (("bbr", []), ("lcbr", ["--pairs", "300", "--sample-ratio", "0.7"])):
+                model, out = tmp_path / f"{tag}-{algorithm}.bin", tmp_path / f"{tag}-{algorithm}.csv"
+                argv = ["train", algorithm, str(train_path), *flags, "--test", str(test_path),
+                        "--x-star", "1", "--seed", "9", "--model-out", str(model), "--csv-out", str(out)]
+                assert main(argv) == 0
+                header, rows = _read_csv(out)
+                result[algorithm] = (model.read_bytes(), header,
+                                     [row[:wall_time] + row[wall_time + 1:] for row in rows])
+            return result
+
+        vectorised = outputs("vectorised")
+        monkeypatch.setattr(cli, "parse_libsvm", parse_libsvm_reference)
+        assert outputs("reference") == vectorised
+
 
 class TestExitCodes:
     def test_lcbr_without_pairs_is_usage_error(self, toy_file, capsys):
@@ -379,6 +403,30 @@ class TestSkewSweep:
         assert [int(row[6]) for row in rows[::2]] == [7, 8, 9, 10]
         assert int(rows[1][6]) == derived_seed(7, ROLE_PAIRS)
         assert _extra_dict(rows[0][10])["rho"] == "0.25"
+
+    def test_class_sizes_add_up_to_total_n(self, tmp_path):
+        out = tmp_path / "tiny.csv"
+        code = main(
+            [
+                "skew-sweep",
+                "--out", str(out),
+                "--rho-grid", "0.05,0.95",
+                "--total-n", "10",
+                "--pairs", "20",
+                "--replicates", "1",
+                "--dim", "2",
+                "--test-per-class", "20",
+            ]
+        )
+        assert code == 0
+        _, rows = _read_csv(out)
+        assert [(int(row[3]), int(row[4])) for row in rows] == [(1, 9)] * 2 + [(9, 1)] * 2
+
+    def test_total_n_below_two_is_usage_error(self, tmp_path, capsys):
+        code = main(["skew-sweep", "--out", str(tmp_path / "one.csv"), "--total-n", "1"])
+        assert code == 1
+        assert "--total-n" in capsys.readouterr().err
+        assert not (tmp_path / "one.csv").exists()
 
 
 class TestBoundsTable:

@@ -7,19 +7,37 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import integer_dataset, random_dataset
+from conftest import integer_dataset, parse_libsvm_reference, random_dataset
 from pairrank import (
     RESULT_CSV_HEADER,
     Dataset,
     LibsvmLabelError,
     LibsvmParseError,
+    PairRankError,
     ResultRow,
     parse_libsvm,
     subsample_ratio_split,
     write_libsvm,
     write_results_csv,
 )
+
+MALFORMED_LINES = [
+    "+1 1",
+    "+1 :5",
+    "+1 a:1",
+    "+1 1:",
+    "+1 1:abc",
+    "+1 0:1",
+    "+1 -2:1",
+    "+1 2:1 2:3",
+    "+1 3:1 2:5",
+    "abc 1:1",
+    "+1 1:nan",
+    "+1 1:1e400",
+]
 
 
 def _parse(text, dim_hint=None):
@@ -51,23 +69,7 @@ class TestParseLibsvm:
         assert excinfo.value.line_number == 2
         assert isinstance(excinfo.value, LibsvmParseError)
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "+1 1",
-            "+1 :5",
-            "+1 a:1",
-            "+1 1:",
-            "+1 1:abc",
-            "+1 0:1",
-            "+1 -2:1",
-            "+1 2:1 2:3",
-            "+1 3:1 2:5",
-            "abc 1:1",
-            "+1 1:nan",
-            "+1 1:1e400",
-        ],
-    )
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
     def test_malformed_line_raises_with_line_number(self, line):
         with pytest.raises(LibsvmParseError) as excinfo:
             _parse(line + "\n")
@@ -106,6 +108,107 @@ class TestParseLibsvm:
         with pytest.warns(UserWarning, match="5001"):
             data = _parse("+1 5001:1\n")
         assert data.dim == 5001
+
+    def test_index_past_int64_fails_at_allocation_with_exact_width(self):
+        with pytest.warns(UserWarning, match="densifying 9223372036854775813 columns"):
+            with pytest.raises(ValueError, match="dimension"):
+                _parse("+1 1:1\n-1 9223372036854775813:1\n")
+
+    def test_wide_data_warning_points_at_caller(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("+1 5001:1\n", encoding="ascii")
+        for source in (path, io.StringIO("+1 5001:1\n")):
+            with pytest.warns(UserWarning, match="5001") as record:
+                parse_libsvm(source)
+            assert [warning.filename for warning in record] == [__file__]
+
+
+_LABELS = ("+1", "1", "1.0", "+1.", "1e0", "01", "-1", "-1.0", "-1E0", "0", "0.0", "-0", "00")
+_SPECIAL_VALUES = (
+    "1_0", ".5", "-.5", "5.", "+3", "007.25", "1e-400", "4.9e-324", "2.5e-320",
+    "1E+05", "1.e3", "-0", "0", "123456789012345678901234567890",
+)
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6e}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(_SPECIAL_VALUES),
+)
+_SEPARATORS = (" ", "\t", "  ", " \x0c", "\x0b", "\x1f ", " \t ")
+_NON_ASCII_SEPARATORS = ("\u00a0", " \u2003")
+_BLANK_LINES = ("", "   ", "\t", "\x0c")
+_MALFORMED_SPELLINGS = [
+    "2 1:1", "-3", "+0.5 2:1", "1:1 2:1", "+1 1:.", "+1 1:e5", "+1 1:1e", "-1 1:+-1", "+1 1:1:2",
+]
+
+
+def _index_spellings(index):
+    text = str(index)
+    spellings = [text, "0" + text, "+" + text]
+    if len(text) > 1:
+        spellings.append(text[0] + "_" + text[1:])
+    return st.sampled_from(spellings)
+
+
+@st.composite
+def _valid_lines(draw, separators):
+    tokens = [draw(st.sampled_from(_LABELS))]
+    for index in sorted(draw(st.sets(st.integers(1, 40), max_size=6))):
+        tokens.append(f"{draw(_index_spellings(index))}:{draw(_VALUES)}")
+    line = tokens[0]
+    for token in tokens[1:]:
+        line += draw(st.sampled_from(separators)) + token
+    margin = st.sampled_from(("",) + separators)
+    return draw(margin) + line + draw(margin)
+
+
+@st.composite
+def _documents(draw, ascii_only=True):
+    """LIBSVM text: valid and blank lines, plus zero to two malformed ones."""
+    separators = _SEPARATORS if ascii_only else _SEPARATORS + _NON_ASCII_SEPARATORS
+    lines = draw(
+        st.lists(st.one_of(_valid_lines(separators), st.sampled_from(_BLANK_LINES)), max_size=10)
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bad = draw(st.sampled_from(MALFORMED_LINES + _MALFORMED_SPELLINGS))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    text = "".join(line + draw(st.sampled_from(("\n", "\r\n"))) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _outcome(parse, source, dim_hint):
+    try:
+        data = parse(source, dim_hint=dim_hint)
+    except (PairRankError, ValueError) as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    return data.dim, data.positives.shape, data.positives.tobytes(), data.negatives.tobytes()
+
+
+class TestParseMatchesPerLineReference:
+    """The vectorised parser against the per-line reference, bit for bit."""
+
+    @given(text=_documents(ascii_only=False), dim_hint=st.none() | st.integers(0, 45))
+    @settings(max_examples=300, deadline=None)
+    def test_stream_input(self, text, dim_hint):
+        expected = _outcome(parse_libsvm_reference, io.StringIO(text), dim_hint)
+        assert _outcome(parse_libsvm, io.StringIO(text), dim_hint) == expected
+
+    @given(text=_documents(), dim_hint=st.none() | st.integers(0, 45))
+    @settings(max_examples=150, deadline=None)
+    def test_path_input(self, tmp_path_factory, text, dim_hint):
+        path = tmp_path_factory.getbasetemp() / "differential.txt"
+        path.write_bytes(text.encode("ascii"))
+        expected = _outcome(parse_libsvm_reference, path, dim_hint)
+        assert _outcome(parse_libsvm, path, dim_hint) == expected
+
+    def test_first_bad_line_is_reported(self):
+        text = "+1 1:1\n-1 1:.5 3:1_0\n+1 2:1 2:1\n-1 0:1\n"
+        with pytest.raises(LibsvmParseError) as excinfo:
+            _parse(text)
+        assert excinfo.value.line_number == 3
+        assert str(excinfo.value) == "line 3: feature index 2 does not increase (previous was 2)"
 
 
 class TestWriteLibsvm:
