@@ -11,6 +11,12 @@ Subcommands:
 * ``bounds-table``: tabulate the guarantee calculators over a grid.
 * ``timing``: wall-clock comparison of the moment-accumulation routes.
 
+Every command that trains goes through :func:`_fit` (pair moments,
+then the ball-constrained solve, timed) and :func:`_row` (evaluation and
+the CSV row); the two sweeps share :func:`_mixture_rows`.  ``train
+--x-star`` scales the training set with :func:`~pairrank.core.scale_to_ball`
+and the ``--test`` set by the same factor.
+
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset), 3 numerical failure (solver
 non-convergence, invalid moments).
@@ -33,14 +39,12 @@ relative output paths (model files and CSVs).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import struct
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -53,16 +57,17 @@ from .core import (
     ProblemConfig,
     RankerWeights,
     SolverConvergenceError,
+    scale_to_ball,
 )
 from .evaluation import evaluate_ranker, expected_phi_risk
-from .io import ResultRow, parse_libsvm, subsample_ratio_split, write_results_csv
+from .io import ResultRow, parse_libsvm, subsample_ratio_split, write_csv, write_results_csv
 from .moments import (
     SubsampleConfig,
     batch_moments_fast,
     batch_moments_naive,
     subsample_moments,
 )
-from .solver import SolverConfig, solve_erm
+from .solver import SolveDiagnostics, solve_erm
 from .synth import (
     analytic_pair_moments,
     optimal_phi_ranker,
@@ -71,7 +76,6 @@ from .synth import (
 )
 
 __all__ = [
-    "ExperimentPlan",
     "UsageError",
     "save_weights",
     "load_weights",
@@ -91,44 +95,9 @@ ROLE_PAIRS = 3
 ROLE_SGD = 4
 ROLE_SPLIT = 5
 
-_PLAN_KINDS = ("synthetic-sweep", "libsvm-compare", "skew-sweep", "bounds-table")
-
 
 class UsageError(PairRankError):
     """Flag combinations argparse cannot express; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    """A sweep's grids, replicate count, and base seed.
-
-    Only the grids a given kind consumes need to be nonempty; the
-    others may be left empty.
-    """
-
-    kind: str
-    k_grid: tuple[int, ...] = ()
-    sigma_grid: tuple[float, ...] = ()
-    pairs_grid: tuple[int, ...] = ()
-    rho_grid: tuple[float, ...] = ()
-    sample_ratio_grid: tuple[float, ...] = ()
-    replicates: int = 1
-    base_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PLAN_KINDS:
-            raise ValueError(f"kind must be one of {_PLAN_KINDS}, got {self.kind!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        required = {
-            "synthetic-sweep": ("k_grid", "sigma_grid", "pairs_grid"),
-            "skew-sweep": ("rho_grid", "pairs_grid"),
-            "libsvm-compare": ("sample_ratio_grid",),
-            "bounds-table": (),
-        }[self.kind]
-        for name in required:
-            if not getattr(self, name):
-                raise ValueError(f"{self.kind} needs a nonempty {name}")
 
 
 def derived_seed(base: int, *role: int) -> int:
@@ -189,24 +158,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _positive_float(text: str) -> float:
@@ -243,33 +209,71 @@ def _grid(item_type: Callable[[str], object]) -> Callable[[str], tuple]:
     return parse
 
 
-def _scores_scale_factor(data: Dataset, x_star: float) -> float:
-    """Common shrink factor putting every training vector inside the cap."""
-    norms = [
-        float(np.max(np.linalg.norm(m, axis=1)))
-        for m in (data.positives, data.negatives)
-        if m.shape[0]
-    ]
-    max_norm = max(norms) if norms else 0.0
-    if max_norm <= x_star:
-        return 1.0
-    return x_star / max_norm
+# ---------------------------------------------------------------------------
+# fit -> evaluate -> row, shared by every command that trains
 
 
-def _apply_factor(data: Dataset, factor: float) -> Dataset:
-    if factor == 1.0:
-        return data
-    return Dataset(
-        positives=data.positives * factor,
-        negatives=data.negatives * factor,
-        dim=data.dim,
+class _Fit(NamedTuple):
+    """Solved weights, the solver's certificate, and the two stage times."""
+
+    weights: RankerWeights
+    diagnostics: SolveDiagnostics
+    moment_seconds: float
+    solve_seconds: float
+
+
+def _fit(train: Dataset, cfg: ProblemConfig, s: int, seed: int, naive: bool = False) -> _Fit:
+    """Pair moments of `train`, then the ball-constrained solve, timed.
+
+    `s == 0` uses all n1 * n0 pairs (the literal accumulation when
+    `naive`); otherwise s pairs are drawn with `seed`.
+    """
+    started = time.perf_counter()
+    if s == 0:
+        moments = (batch_moments_naive if naive else batch_moments_fast)(train)
+    else:
+        moments = subsample_moments(train, SubsampleConfig(s=s, seed=seed))
+    built = time.perf_counter()
+    weights, diagnostics = solve_erm(moments, cfg)
+    return _Fit(weights, diagnostics, built - started, time.perf_counter() - built)
+
+
+def _row(
+    experiment: str,
+    algorithm: str,
+    dataset: str,
+    train: Dataset,
+    s: int,
+    seed: int,
+    weights: RankerWeights,
+    evaluate_on: Dataset,
+    seconds: float,
+    extra: dict[str, str],
+) -> ResultRow:
+    """Evaluate `weights` (zero-padded if need be) on `evaluate_on`; n1/n0 come from `train`."""
+    if weights.dim < evaluate_on.dim:
+        weights = RankerWeights(np.pad(weights.w, (0, evaluate_on.dim - weights.dim)))
+    report = evaluate_ranker(evaluate_on, weights)
+    return ResultRow(
+        experiment_id=experiment,
+        algorithm=algorithm,
+        dataset=dataset,
+        n1=train.n1,
+        n0=train.n0,
+        s=s,
+        seed=seed,
+        phi_risk=report.phi_risk,
+        auc=report.auc,
+        wall_time_seconds=seconds,
+        extra=extra,
     )
 
 
-def _pad_weights(weights: RankerWeights, dim: int) -> RankerWeights:
-    if weights.dim == dim:
-        return weights
-    return RankerWeights(np.pad(weights.w, (0, dim - weights.dim)))
+def _write_rows(rows: list[ResultRow], out: str) -> int:
+    path = _resolve_out(out)
+    write_results_csv(rows, path)
+    print(f"wrote {len(rows)} rows to {path}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -288,259 +292,135 @@ def _cmd_train(args: argparse.Namespace) -> int:
             data, args.sample_ratio, derived_seed(args.seed, ROLE_SPLIT)
         )
     data.require_trainable()
-
     factor = 1.0
     if args.x_star is not None:
-        factor = _scores_scale_factor(data, args.x_star)
-        data = _apply_factor(data, factor)
+        data, factor = scale_to_ball(data, args.x_star)
 
-    cfg = ProblemConfig(x_star=args.x_star if args.x_star is not None else 1.0,
-                        w_star=args.w_star)
-    started = time.perf_counter()
-    if args.algorithm == "bbr":
-        build = batch_moments_naive if args.naive else batch_moments_fast
-        moments = build(data)
-        pairs_used = 0
-        algorithm_name = "bbr-naive" if args.naive else "bbr"
-    else:
-        moments = subsample_moments(
-            data, SubsampleConfig(s=args.pairs, seed=derived_seed(args.seed, ROLE_PAIRS))
-        )
-        pairs_used = args.pairs
-        algorithm_name = "lcbr"
-    weights, diagnostics = solve_erm(moments, cfg)
-    wall_time = time.perf_counter() - started
+    cfg = ProblemConfig(x_star=args.x_star or 1.0, w_star=args.w_star)
+    s = args.pairs if args.algorithm == "lcbr" else 0
+    fit = _fit(data, cfg, s, derived_seed(args.seed, ROLE_PAIRS), args.naive)
+    seconds = fit.moment_seconds + fit.solve_seconds
 
+    evaluate_on, eval_name = data, "train"
     if args.test is not None:
-        eval_data = parse_libsvm(args.test, dim_hint=data.dim)
-        eval_data = _apply_factor(eval_data, factor)
-        eval_weights = _pad_weights(weights, eval_data.dim)
+        evaluate_on = parse_libsvm(args.test, dim_hint=data.dim).scaled(factor)
         eval_name = "test"
-    else:
-        eval_data, eval_weights, eval_name = data, weights, "train"
-    report = evaluate_ranker(eval_data, eval_weights)
+    extra = {"eval_on": eval_name, "multiplier": f"{fit.diagnostics.multiplier:.17g}"}
+    if args.sample_ratio is not None:
+        extra["sample_ratio"] = f"{args.sample_ratio:.17g}"
+    algorithm = "bbr-naive" if args.naive else args.algorithm
+    row = _row("train", algorithm, Path(args.data).name, data, s, args.seed,
+               fit.weights, evaluate_on, seconds, extra)
 
     if args.model_out is not None:
-        save_weights(_resolve_out(args.model_out), weights, args.w_star)
+        save_weights(_resolve_out(args.model_out), fit.weights, args.w_star)
     if args.csv_out is not None:
-        extra = {"eval_on": eval_name, "multiplier": f"{diagnostics.multiplier:.17g}"}
-        if args.sample_ratio is not None:
-            extra["sample_ratio"] = f"{args.sample_ratio:.17g}"
-        row = ResultRow(
-            experiment_id="train",
-            algorithm=algorithm_name,
-            dataset=Path(args.data).name,
-            n1=data.n1,
-            n0=data.n0,
-            s=pairs_used,
-            seed=args.seed,
-            phi_risk=report.phi_risk,
-            auc=report.auc,
-            wall_time_seconds=wall_time,
-            extra=extra,
-        )
         write_results_csv([row], _resolve_out(args.csv_out))
 
     print(
-        f"{algorithm_name}: n1={data.n1} n0={data.n0} dim={data.dim} "
-        f"{eval_name}_auc={report.auc:.6f} {eval_name}_phi_risk={report.phi_risk:.6f} "
-        f"constrained={diagnostics.constrained_active} seconds={wall_time:.3f}"
+        f"{algorithm}: n1={data.n1} n0={data.n0} dim={data.dim} "
+        f"{eval_name}_auc={row.auc:.6f} {eval_name}_phi_risk={row.phi_risk:.6f} "
+        f"constrained={fit.diagnostics.constrained_active} seconds={seconds:.3f}"
     )
     return 0
 
 
 # ---------------------------------------------------------------------------
-# synth-sweep
+# synth-sweep and skew-sweep
 
 
-def _cmd_synth_sweep(args: argparse.Namespace) -> int:
-    plan = ExperimentPlan(
-        kind="synthetic-sweep",
-        k_grid=args.k_grid,
-        sigma_grid=args.sigma_grid,
-        pairs_grid=args.pairs_grid,
-        replicates=args.replicates,
-        base_seed=args.base_seed,
-    )
-    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
-    rows: list[ResultRow] = []
-    cell_seed = plan.base_seed
-    for k in plan.k_grid:
-        for sigma in plan.sigma_grid:
-            for replicate in range(plan.replicates):
-                rows.extend(
-                    _synth_replicate_rows(
-                        args, cfg, k, sigma, replicate, cell_seed, plan.pairs_grid
-                    )
-                )
-                cell_seed += 1
-    write_results_csv(rows, _resolve_out(args.out))
-    print(f"wrote {len(rows)} rows to {_resolve_out(args.out)}")
-    return 0
-
-
-def _synth_replicate_rows(
+def _mixture_rows(
     args: argparse.Namespace,
-    cfg: ProblemConfig,
+    experiment: str,
     k: int,
     sigma: float,
-    replicate: int,
-    replicate_seed: int,
-    pairs_grid: tuple[int, ...],
+    n1: int,
+    n0: int,
+    seed: int,
+    pair_draws: list[tuple[int, int]],
+    extra: dict[str, str],
+    with_optimum: bool = False,
+    sgd: SgdConfig | None = None,
 ) -> list[ResultRow]:
-    """All rows of one replicate: one batch row, one row per pair budget."""
-    spec = random_gmm_spec(args.dim, k, sigma, derived_seed(replicate_seed, ROLE_SPEC))
-    train = sample_dataset(spec, args.n1, args.n0, derived_seed(replicate_seed, ROLE_TRAIN))
+    """One mixture replicate: spec -> train -> test, then its rows.
+
+    A bbr row (seeded `seed`), then one lcbr row per (s, pair seed) in
+    `pair_draws`, then a pairwise-SGD row when `sgd` is given.  With
+    `with_optimum`, every row also records the population-optimal risk.
+    """
+    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
+    spec = random_gmm_spec(args.dim, k, sigma, derived_seed(seed, ROLE_SPEC))
+    train = sample_dataset(spec, n1, n0, derived_seed(seed, ROLE_TRAIN))
     test = sample_dataset(
-        spec,
-        args.test_per_class,
-        args.test_per_class,
-        derived_seed(replicate_seed, ROLE_TEST),
+        spec, args.test_per_class, args.test_per_class, derived_seed(seed, ROLE_TEST)
     )
-    reference = optimal_phi_ranker(spec, cfg)
-    population = analytic_pair_moments(spec)
-    optimal_risk = expected_phi_risk(population.sigma, population.mu, reference)
-
-    experiment = f"synth-k{k}-sigma{sigma:g}-rep{replicate}"
-    shared_extra = {
-        "k": str(k),
-        "sigma": f"{sigma:.17g}",
-        "replicate": str(replicate),
-        "optimal_phi_risk": f"{optimal_risk:.17g}",
-    }
-
-    def make_row(algorithm: str, s: int, seed: int, weights, wall_time: float) -> ResultRow:
-        report = evaluate_ranker(test, weights)
-        return ResultRow(
-            experiment_id=experiment,
-            algorithm=algorithm,
-            dataset="gmm",
-            n1=args.n1,
-            n0=args.n0,
-            s=s,
-            seed=seed,
-            phi_risk=report.phi_risk,
-            auc=report.auc,
-            wall_time_seconds=wall_time,
-            extra=shared_extra,
-        )
+    if with_optimum:
+        population = analytic_pair_moments(spec)
+        optimum = expected_phi_risk(population.sigma, population.mu, optimal_phi_ranker(spec, cfg))
+        extra = {**extra, "optimal_phi_risk": f"{optimum:.17g}"}
 
     rows: list[ResultRow] = []
-    started = time.perf_counter()
-    batch_weights, _ = solve_erm(batch_moments_fast(train), cfg)
-    rows.append(
-        make_row("bbr", 0, replicate_seed, batch_weights, time.perf_counter() - started)
-    )
-    for s_index, s in enumerate(pairs_grid):
-        pair_seed = derived_seed(replicate_seed, ROLE_PAIRS, s_index)
+    for s, row_seed in [(0, seed), *pair_draws]:
+        fit = _fit(train, cfg, s, row_seed)
+        rows.append(_row(experiment, "lcbr" if s else "bbr", "gmm", train, s, row_seed,
+                         fit.weights, test, fit.moment_seconds + fit.solve_seconds, extra))
+    if sgd is not None:
         started = time.perf_counter()
-        moments = subsample_moments(train, SubsampleConfig(s=s, seed=pair_seed))
-        weights, _ = solve_erm(moments, cfg)
-        rows.append(make_row("lcbr", s, pair_seed, weights, time.perf_counter() - started))
-    if args.sgd_step_size is not None:
-        sgd_cfg = SgdConfig(
-            step_size=args.sgd_step_size,
-            pair_budget=args.sgd_budget,
-            seed=derived_seed(replicate_seed, ROLE_SGD),
-            w_star=cfg.w_star,
-        )
-        started = time.perf_counter()
-        weights = train_pairwise_sgd(train, sgd_cfg)
-        rows.append(
-            make_row(
-                "pairwise-sgd",
-                args.sgd_budget,
-                sgd_cfg.seed,
-                weights,
-                time.perf_counter() - started,
-            )
-        )
+        weights = train_pairwise_sgd(train, sgd)
+        rows.append(_row(experiment, "pairwise-sgd", "gmm", train, sgd.pair_budget, sgd.seed,
+                         weights, test, time.perf_counter() - started, extra))
     return rows
 
 
-# ---------------------------------------------------------------------------
-# skew-sweep
+def _cmd_synth_sweep(args: argparse.Namespace) -> int:
+    rows: list[ResultRow] = []
+    seed = args.base_seed
+    for k in args.k_grid:
+        for sigma in args.sigma_grid:
+            for replicate in range(args.replicates):
+                pair_draws = [
+                    (s, derived_seed(seed, ROLE_PAIRS, s_index))
+                    for s_index, s in enumerate(args.pairs_grid)
+                ]
+                sgd = None
+                if args.sgd_step_size is not None:
+                    sgd = SgdConfig(
+                        step_size=args.sgd_step_size,
+                        pair_budget=args.sgd_budget,
+                        seed=derived_seed(seed, ROLE_SGD),
+                        w_star=args.w_star,
+                    )
+                extra = {"k": str(k), "sigma": f"{sigma:.17g}", "replicate": str(replicate)}
+                rows.extend(
+                    _mixture_rows(args, f"synth-k{k}-sigma{sigma:g}-rep{replicate}", k, sigma,
+                                  args.n1, args.n0, seed, pair_draws, extra,
+                                  with_optimum=True, sgd=sgd)
+                )
+                seed += 1
+    return _write_rows(rows, args.out)
 
 
 def _cmd_skew_sweep(args: argparse.Namespace) -> int:
-    plan = ExperimentPlan(
-        kind="skew-sweep",
-        rho_grid=args.rho_grid,
-        pairs_grid=(args.pairs,),
-        replicates=args.replicates,
-        base_seed=args.base_seed,
-    )
     if args.total_n < 2:
         raise UsageError("--total-n must be at least 2 so that both classes are non-empty")
-    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
     rows: list[ResultRow] = []
-    cell_seed = plan.base_seed
-    for rho in plan.rho_grid:
+    seed = args.base_seed
+    for rho in args.rho_grid:
         n1 = min(max(1, round(rho * args.total_n)), args.total_n - 1)
-        n0 = args.total_n - n1
-        for replicate in range(plan.replicates):
-            spec = random_gmm_spec(
-                args.dim, args.k, args.sigma, derived_seed(cell_seed, ROLE_SPEC)
-            )
-            train = sample_dataset(spec, n1, n0, derived_seed(cell_seed, ROLE_TRAIN))
-            test = sample_dataset(
-                spec,
-                args.test_per_class,
-                args.test_per_class,
-                derived_seed(cell_seed, ROLE_TEST),
-            )
+        for replicate in range(args.replicates):
             extra = {
                 "rho": f"{rho:.17g}",
                 "k": str(args.k),
                 "sigma": f"{args.sigma:.17g}",
                 "replicate": str(replicate),
             }
-
-            experiment = f"skew-rho{rho:g}-rep{replicate}"
-            started = time.perf_counter()
-            batch_weights, _ = solve_erm(batch_moments_fast(train), cfg)
-            batch_time = time.perf_counter() - started
-            batch_report = evaluate_ranker(test, batch_weights)
-            rows.append(
-                ResultRow(
-                    experiment_id=experiment,
-                    algorithm="bbr",
-                    dataset="gmm",
-                    n1=n1,
-                    n0=n0,
-                    s=0,
-                    seed=cell_seed,
-                    phi_risk=batch_report.phi_risk,
-                    auc=batch_report.auc,
-                    wall_time_seconds=batch_time,
-                    extra=extra,
-                )
+            pair_draws = [(args.pairs, derived_seed(seed, ROLE_PAIRS))]
+            rows.extend(
+                _mixture_rows(args, f"skew-rho{rho:g}-rep{replicate}", args.k, args.sigma,
+                              n1, args.total_n - n1, seed, pair_draws, extra)
             )
-            pair_seed = derived_seed(cell_seed, ROLE_PAIRS)
-            started = time.perf_counter()
-            moments = subsample_moments(train, SubsampleConfig(s=args.pairs, seed=pair_seed))
-            sub_weights, _ = solve_erm(moments, cfg)
-            sub_time = time.perf_counter() - started
-            sub_report = evaluate_ranker(test, sub_weights)
-            rows.append(
-                ResultRow(
-                    experiment_id=experiment,
-                    algorithm="lcbr",
-                    dataset="gmm",
-                    n1=n1,
-                    n0=n0,
-                    s=args.pairs,
-                    seed=pair_seed,
-                    phi_risk=sub_report.phi_risk,
-                    auc=sub_report.auc,
-                    wall_time_seconds=sub_time,
-                    extra=extra,
-                )
-            )
-            cell_seed += 1
-    write_results_csv(rows, _resolve_out(args.out))
-    print(f"wrote {len(rows)} rows to {_resolve_out(args.out)}")
-    return 0
+            seed += 1
+    return _write_rows(rows, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -548,31 +428,26 @@ def _cmd_skew_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds_table(args: argparse.Namespace) -> int:
-    reports: list[BoundReport] = []
-    for rho in args.rho_grid:
-        for n in args.n_grid:
-            for epsilon in args.epsilon_grid:
-                reports.append(
-                    evaluate_bounds(
-                        BoundInputs(
-                            dim=args.dim,
-                            x_star=args.x_star,
-                            w_star=args.w_star,
-                            rho=rho,
-                            n=n,
-                            sigma_n_opnorm=args.sigma_opnorm,
-                            epsilon=epsilon,
-                            delta=args.delta,
-                        )
-                    )
-                )
+    rows = [
+        evaluate_bounds(
+            BoundInputs(
+                dim=args.dim,
+                x_star=args.x_star,
+                w_star=args.w_star,
+                rho=rho,
+                n=n,
+                sigma_n_opnorm=args.sigma_opnorm,
+                epsilon=epsilon,
+                delta=args.delta,
+            )
+        ).csv_row()
+        for rho in args.rho_grid
+        for n in args.n_grid
+        for epsilon in args.epsilon_grid
+    ]
     out = _resolve_out(args.out)
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(BoundReport.csv_header())
-        for report in reports:
-            writer.writerow(report.csv_row())
-    print(f"wrote {len(reports)} rows to {out}")
+    write_csv(out, BoundReport.csv_header(), rows)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -580,64 +455,27 @@ def _cmd_bounds_table(args: argparse.Namespace) -> int:
 # timing
 
 
-def _best_of(repeats: int, fn: Callable[[], object]) -> tuple[float, object]:
-    """Minimum wall time over `repeats` calls of fn, plus fn's last result."""
-    best = float("inf")
-    result: object = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-    return best, result
-
-
 def _cmd_timing(args: argparse.Namespace) -> int:
+    """Best-of-repeats moment and solve times per route, evaluated on the training set."""
     spec = random_gmm_spec(args.dim, args.k, args.sigma, derived_seed(args.base_seed, ROLE_SPEC))
     data = sample_dataset(spec, args.n1, args.n0, derived_seed(args.base_seed, ROLE_TRAIN))
     cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
-
+    routes = [("bbr-naive", 0, args.base_seed), ("bbr", 0, args.base_seed)] + [
+        ("lcbr", s, derived_seed(args.base_seed, ROLE_PAIRS, s_index))
+        for s_index, s in enumerate(args.pairs_grid)
+    ]
     rows: list[ResultRow] = []
+    for algorithm, s, seed in routes:
+        fits = [_fit(data, cfg, s, seed, algorithm == "bbr-naive") for _ in range(args.repeats)]
+        extra = {
+            "solve_seconds": f"{min(fit.solve_seconds for fit in fits):.17g}",
+            "repeats": str(args.repeats),
+        }
+        rows.append(_row(f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}", algorithm, "gmm", data,
+                         s, seed, fits[-1].weights, data,
+                         min(fit.moment_seconds for fit in fits), extra))
+    return _write_rows(rows, args.out)
 
-    def record(algorithm: str, s: int, seed: int, accumulate_seconds: float, moments) -> None:
-        solve_seconds, solved = _best_of(args.repeats, lambda: solve_erm(moments, cfg))
-        weights = solved[0]
-        report = evaluate_ranker(data, weights)
-        rows.append(
-            ResultRow(
-                experiment_id=f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}",
-                algorithm=algorithm,
-                dataset="gmm",
-                n1=args.n1,
-                n0=args.n0,
-                s=s,
-                seed=seed,
-                phi_risk=report.phi_risk,
-                auc=report.auc,
-                wall_time_seconds=accumulate_seconds,
-                extra={
-                    "solve_seconds": f"{solve_seconds:.17g}",
-                    "repeats": str(args.repeats),
-                },
-            )
-        )
-
-    naive_seconds, naive_moments = _best_of(args.repeats, lambda: batch_moments_naive(data))
-    record("bbr-naive", 0, args.base_seed, naive_seconds, naive_moments)
-    fast_seconds, fast_moments = _best_of(args.repeats, lambda: batch_moments_fast(data))
-    record("bbr", 0, args.base_seed, fast_seconds, fast_moments)
-    for s_index, s in enumerate(args.pairs_grid):
-        pair_seed = derived_seed(args.base_seed, ROLE_PAIRS, s_index)
-        sub_cfg = SubsampleConfig(s=s, seed=pair_seed)
-        sub_seconds, sub_moments = _best_of(
-            args.repeats, lambda: subsample_moments(data, sub_cfg)
-        )
-        record("lcbr", s, pair_seed, sub_seconds, sub_moments)
-
-    write_results_csv(rows, _resolve_out(args.out))
-    print(f"wrote {len(rows)} rows to {_resolve_out(args.out)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +503,8 @@ def _build_parser() -> _Parser:
     train.add_argument("--w-star", type=_positive_float, default=1.0,
                        help="weight-ball radius (default 1.0)")
     train.add_argument("--x-star", type=_positive_float, default=None,
-                       help="when set, rescale features so every norm is <= this")
+                       help="when set, scale the training features by one common factor "
+                            "so every norm is <= this; --test is scaled by the same factor")
     train.add_argument("--sample-ratio", type=_ratio, default=None,
                        help="keep this fraction of examples before training")
     train.add_argument("--test", default=None,
@@ -674,73 +513,64 @@ def _build_parser() -> _Parser:
     train.add_argument("--csv-out", default=None, help="write one metrics CSV row here")
     train.set_defaults(handler=_cmd_train)
 
-    sweep = commands.add_parser(
-        "synth-sweep", help="mixture-data grid: batch vs subsampled vs optimal"
+    def add_csv_command(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
+        """A subcommand writing one CSV, with the --out, --dim and --w-star flags all share."""
+        command = commands.add_parser(name, help=help_text)
+        command.add_argument("--out", required=True, help="output CSV path")
+        command.add_argument("--dim", type=_positive_int, default=10)
+        command.add_argument("--w-star", type=_positive_float, default=1.0)
+        command.set_defaults(handler=handler)
+        return command
+
+    sweep = add_csv_command(
+        "synth-sweep", _cmd_synth_sweep, "mixture-data grid: batch vs subsampled vs optimal"
     )
-    sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--k-grid", type=_grid(_positive_int), default=(1, 2, 3))
     sweep.add_argument("--sigma-grid", type=_grid(_positive_float), default=(2.0, 3.0, 4.0))
     sweep.add_argument("--pairs-grid", type=_grid(_positive_int),
                        default=(500, 1000, 3000, 5000))
     sweep.add_argument("--replicates", type=_positive_int, default=50)
-    sweep.add_argument("--dim", type=_positive_int, default=10)
     sweep.add_argument("--n1", type=_positive_int, default=1000)
     sweep.add_argument("--n0", type=_positive_int, default=1000)
     sweep.add_argument("--test-per-class", type=_positive_int, default=10000)
-    sweep.add_argument("--w-star", type=_positive_float, default=1.0)
     sweep.add_argument("--base-seed", type=_nonnegative_int, default=0)
     sweep.add_argument("--sgd-step-size", type=_positive_float, default=None,
                        help="also run the projected-SGD comparator at this step size")
     sweep.add_argument("--sgd-budget", type=_positive_int, default=5000,
                        help="pair budget for the SGD comparator")
-    sweep.set_defaults(handler=_cmd_synth_sweep)
 
-    skew = commands.add_parser(
-        "skew-sweep", help="class-imbalance sweep at fixed total sample count"
+    skew = add_csv_command(
+        "skew-sweep", _cmd_skew_sweep, "class-imbalance sweep at fixed total sample count"
     )
-    skew.add_argument("--out", required=True)
     skew.add_argument("--rho-grid", type=_grid(_open_unit),
                       default=(0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95))
     skew.add_argument("--total-n", type=_positive_int, default=2000)
     skew.add_argument("--pairs", type=_positive_int, default=5000)
     skew.add_argument("--replicates", type=_positive_int, default=20)
-    skew.add_argument("--dim", type=_positive_int, default=10)
     skew.add_argument("--k", type=_positive_int, default=1)
     skew.add_argument("--sigma", type=_positive_float, default=2.0)
     skew.add_argument("--test-per-class", type=_positive_int, default=10000)
-    skew.add_argument("--w-star", type=_positive_float, default=1.0)
     skew.add_argument("--base-seed", type=_nonnegative_int, default=0)
-    skew.set_defaults(handler=_cmd_skew_sweep)
 
-    bounds = commands.add_parser(
-        "bounds-table", help="tabulate the guarantee calculators over a grid"
+    bounds = add_csv_command(
+        "bounds-table", _cmd_bounds_table, "tabulate the guarantee calculators over a grid"
     )
-    bounds.add_argument("--out", required=True)
-    bounds.add_argument("--dim", type=_positive_int, default=10)
     bounds.add_argument("--x-star", type=_positive_float, default=1.0)
-    bounds.add_argument("--w-star", type=_positive_float, default=1.0)
     bounds.add_argument("--rho-grid", type=_grid(_open_unit), default=(0.05, 0.25, 0.5))
     bounds.add_argument("--n-grid", type=_grid(_positive_int), default=(1000, 10000, 100000))
     bounds.add_argument("--epsilon-grid", type=_grid(_positive_float), default=(0.1, 0.3, 0.5))
     bounds.add_argument("--delta", type=_open_unit, default=0.05)
     bounds.add_argument("--sigma-opnorm", type=_positive_float, default=4.0)
-    bounds.set_defaults(handler=_cmd_bounds_table)
 
-    timing = commands.add_parser(
-        "timing", help="wall-clock comparison of the accumulation routes"
-    )
-    timing.add_argument("--out", required=True)
+    timing = add_csv_command("timing", _cmd_timing, "wall-clock comparison of the accumulation routes")
     timing.add_argument("--n1", type=_positive_int, default=1000)
     timing.add_argument("--n0", type=_positive_int, default=1000)
-    timing.add_argument("--dim", type=_positive_int, default=10)
     timing.add_argument("--k", type=_positive_int, default=1)
     timing.add_argument("--sigma", type=_positive_float, default=2.0)
     timing.add_argument("--pairs-grid", type=_grid(_positive_int),
                         default=(500, 1000, 3000, 5000))
     timing.add_argument("--repeats", type=_positive_int, default=3)
-    timing.add_argument("--w-star", type=_positive_float, default=1.0)
     timing.add_argument("--base-seed", type=_nonnegative_int, default=0)
-    timing.set_defaults(handler=_cmd_timing)
 
     return parser
 

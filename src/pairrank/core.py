@@ -46,6 +46,9 @@ _PSD_REL_TOL = 1e-9
 # Norm-cap violations smaller than this relative slack are ignored by the
 # validator so that scale_to_ball output always validates cleanly.
 _NORM_REL_TOL = 1e-9
+# Rows per block when scale_to_ball measures norms, so no n-by-d temporary
+# sits next to the dataset; each row's norm is the same either way.
+_NORM_BLOCK = 4096
 
 
 class PairRankError(Exception):
@@ -203,6 +206,16 @@ class Dataset:
             return float("nan")
         return self.n1 / self.n
 
+    def scaled(self, factor: float) -> "Dataset":
+        """Both classes multiplied by one common factor (self when it is 1)."""
+        if factor == 1.0:
+            return self
+        return Dataset(
+            positives=self.positives * factor,
+            negatives=self.negatives * factor,
+            dim=self.dim,
+        )
+
     def require_trainable(self) -> None:
         """Raise unless both classes are non-empty (so at least one pair exists)."""
         if self.n1 == 0 or self.n0 == 0:
@@ -245,7 +258,14 @@ class BatchProvenance:
 
 @dataclass(frozen=True, slots=True)
 class SubsampleProvenance:
-    """Moments built from s pairs drawn uniformly with replacement."""
+    """Moments built from s pairs drawn uniformly with replacement.
+
+    The same validated (s, seed) pair is the configuration of
+    :func:`~pairrank.moments.subsample_moments`, which exports it as
+    ``SubsampleConfig`` and stores its argument as the provenance.  The
+    seed is a single unsigned 64-bit word; it keys the counter-based
+    generator described in :func:`~pairrank.moments.draw_pair_indices`.
+    """
 
     s: int
     seed: int
@@ -393,37 +413,38 @@ def validate_dataset(data: Dataset, cfg: ProblemConfig) -> ValidationReport:
     )
 
 
-def scale_to_ball(data: Dataset, x_star: float) -> Dataset:
+def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
+    """Largest Euclidean norm among the rows of ``rows * factor``; 0 if none."""
+    largest = 0.0
+    for start in range(0, rows.shape[0], _NORM_BLOCK):
+        block = rows[start : start + _NORM_BLOCK] * factor
+        largest = max(largest, float(np.max(np.linalg.norm(block, axis=1))))
+    return largest
+
+
+def scale_to_ball(data: Dataset, x_star: float) -> tuple[Dataset, float]:
     """Rescale all features by one common factor so every norm is <= x_star.
 
-    The factor is x_star divided by the largest norm across both classes,
-    applied only when that largest norm exceeds x_star; datasets already
-    inside the ball (and all-zero or empty datasets) are returned as-is.
-    A single shared factor preserves the ranking geometry: orderings by
-    any fixed weight vector are unchanged.
+    Returns the scaled dataset and the factor applied to it, so other
+    data (a held-out set) can be scaled the same way with
+    :meth:`Dataset.scaled`.  The factor starts at x_star divided by the
+    largest norm across both classes and is stepped down one ulp at a
+    time while any scaled row still rounds above x_star, so the
+    inequality holds exactly for ``data.scaled(factor)``.  Datasets
+    already inside the ball (and all-zero or empty datasets) are
+    returned as-is with factor 1.0.  A single shared factor preserves
+    the ranking geometry: orderings by any fixed weight vector are
+    unchanged.
     """
     if not (np.isfinite(x_star) and x_star > 0.0):
         raise ValueError(f"x_star must be finite and > 0, got {x_star!r}")
     if not (np.all(np.isfinite(data.positives)) and np.all(np.isfinite(data.negatives))):
         raise PairRankError("scale_to_ball requires finite features; validate first")
-    norms = [
-        np.linalg.norm(m, axis=1) for m in (data.positives, data.negatives) if m.shape[0]
-    ]
-    if not norms:
-        return data
-    max_norm = float(max(np.max(v) for v in norms))
+    classes = (data.positives, data.negatives)
+    max_norm = max(_max_row_norm(m) for m in classes)
     if max_norm <= x_star:
-        return data
+        return data, 1.0
     factor = x_star / max_norm
-    pos = data.positives * factor
-    neg = data.negatives * factor
-    # One rounding-level correction pass: the product can land a few ulp
-    # above the cap, and the post-condition is a hard inequality.
-    worst = max(
-        float(np.max(np.linalg.norm(m, axis=1))) for m in (pos, neg) if m.shape[0]
-    )
-    if worst > x_star:
-        shrink = x_star / worst
-        pos = pos * shrink
-        neg = neg * shrink
-    return Dataset(positives=pos, negatives=neg, dim=data.dim)
+    while max(_max_row_norm(m, factor) for m in classes) > x_star:
+        factor = float(np.nextafter(factor, 0.0))
+    return data.scaled(factor), factor

@@ -29,7 +29,7 @@ import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "RESULT_CSV_HEADER",
     "parse_libsvm",
     "write_libsvm",
+    "write_csv",
     "write_results_csv",
     "subsample_ratio_split",
 ]
@@ -393,13 +394,17 @@ def write_libsvm(data: Dataset, path: str | Path) -> None:
                 handle.write(f"{label} {cells}".rstrip() + "\n")
 
 
-def write_results_csv(rows: Iterable[ResultRow], path: str | Path) -> None:
-    """Write header plus one line per row, RFC-4180 quoting."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header line plus one line per row of cells, RFC-4180 quoting."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(RESULT_CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.csv_cells())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(rows: Iterable[ResultRow], path: str | Path) -> None:
+    """Write RESULT_CSV_HEADER plus one line per row."""
+    write_csv(path, RESULT_CSV_HEADER, (row.csv_cells() for row in rows))
 
 
 def subsample_ratio_split(data: Dataset, ratio: float, seed: int) -> Dataset:

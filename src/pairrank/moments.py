@@ -21,8 +21,6 @@ BLAS vendor or thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -44,22 +42,9 @@ __all__ = [
 _CHUNK = 512
 
 
-@dataclass(frozen=True, slots=True)
-class SubsampleConfig:
-    """How many pairs to draw and with what seed.
-
-    The seed is a single unsigned 64-bit word; it keys the counter-based
-    generator described in :func:`draw_pair_indices`.
-    """
-
-    s: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError(f"subsample size must be >= 1, got {self.s}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
+# How many pairs to draw and with what seed; the same class is the
+# provenance of the moments it produces.
+SubsampleConfig = SubsampleProvenance
 
 
 def _neumaier_over_rows(rows: np.ndarray) -> np.ndarray:
@@ -194,6 +179,4 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     diffs = data.positives[i_idx] - data.negatives[j_idx]
     mu = _neumaier_over_rows(diffs) / cfg.s
     sigma = _second_moment(diffs) / cfg.s
-    return PairMoments(
-        mu=mu, sigma=sigma, provenance=SubsampleProvenance(s=cfg.s, seed=cfg.seed)
-    )
+    return PairMoments(mu=mu, sigma=sigma, provenance=cfg)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _PSD_REL_TOL,
     DimensionMismatchError,
     InvalidMomentsError,
     PairMoments,
@@ -46,8 +47,6 @@ __all__ = [
 # Eigenvalues below this fraction of the largest are treated as zero
 # when splitting range from null space.
 _NULL_REL_TOL = 1e-13
-# PSD rejection threshold, matching the PairMoments constructor.
-_PSD_REL_TOL = 1e-9
 # Null-space mass of mu below this fraction of ||mu|| is attributed to
 # eigendecomposition rounding (observed level ~1e-14 relative), so the
 # problem is treated as stationary-solvable; above it the linear term

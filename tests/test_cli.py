@@ -11,6 +11,7 @@ from conftest import parse_libsvm_reference, random_dataset
 from pairrank import (
     RESULT_CSV_HEADER,
     BoundInputs,
+    Dataset,
     PairRankError,
     ProblemConfig,
     RankerWeights,
@@ -18,6 +19,7 @@ from pairrank import (
     batch_moments_fast,
     evaluate_ranker,
     parse_libsvm,
+    scale_to_ball,
     solve_erm,
     write_libsvm,
 )
@@ -30,7 +32,6 @@ from pairrank.cli import (
     ROLE_SPLIT,
     ROLE_TEST,
     ROLE_TRAIN,
-    ExperimentPlan,
     derived_seed,
     load_weights,
     main,
@@ -78,29 +79,6 @@ class TestDerivedSeed:
         second = derived_seed(5, ROLE_PAIRS, 1)
         flat = derived_seed(5, ROLE_PAIRS)
         assert len({first, second, flat}) == 3
-
-
-class TestExperimentPlan:
-    def test_valid_plans(self):
-        ExperimentPlan(kind="synthetic-sweep", k_grid=(1,), sigma_grid=(2.0,), pairs_grid=(10,))
-        ExperimentPlan(kind="skew-sweep", rho_grid=(0.5,), pairs_grid=(10,))
-        ExperimentPlan(kind="libsvm-compare", sample_ratio_grid=(0.5,))
-        ExperimentPlan(kind="bounds-table")
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kind": "unknown-kind"},
-            {"kind": "synthetic-sweep", "k_grid": (1,), "sigma_grid": (2.0,)},
-            {"kind": "synthetic-sweep", "sigma_grid": (2.0,), "pairs_grid": (10,)},
-            {"kind": "skew-sweep", "rho_grid": (0.5,)},
-            {"kind": "libsvm-compare"},
-            {"kind": "bounds-table", "replicates": 0},
-        ],
-    )
-    def test_invalid_plans_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ExperimentPlan(**kwargs)
 
 
 class TestModelFile:
@@ -257,6 +235,61 @@ class TestTrainCommand:
         assert code == 0
         assert model.exists()
 
+    @staticmethod
+    def _spy_training_sets(monkeypatch):
+        """Record every dataset the all-pairs moment builder is given."""
+        seen = []
+
+        def spy(data):
+            seen.append(data)
+            return batch_moments_fast(data)
+
+        monkeypatch.setattr(cli, "batch_moments_fast", spy)
+        return seen
+
+    @pytest.mark.parametrize("shape", ["92-ones", "gaussian"])
+    def test_x_star_caps_every_training_norm(self, shape, tmp_path, monkeypatch):
+        # Scaling by x_star / (largest norm) alone leaves one row at norm
+        # 1 + 2.2e-16 in both files: the row of 92 ones, and one row of
+        # this Gaussian draw.
+        rng = np.random.default_rng(1)
+        if shape == "92-ones":
+            data = Dataset.from_arrays(np.ones((1, 92)), rng.uniform(0.0, 0.5, (3, 92)))
+        else:
+            data = random_dataset(rng, dim=5, n1=20, n0=20, scale=3.0)
+        path = tmp_path / "capped.txt"
+        write_libsvm(data, path)
+        seen = self._spy_training_sets(monkeypatch)
+        assert main(["train", "bbr", str(path), "--x-star", "1"]) == 0
+        (trained,) = seen
+        for rows in (trained.positives, trained.negatives):
+            assert np.linalg.norm(rows, axis=1).max() <= 1.0
+
+    def test_x_star_scales_test_set_by_the_training_factor(self, toy_file, tmp_path, monkeypatch):
+        rng = np.random.default_rng(444)
+        held = random_dataset(rng, dim=3, n1=6, n0=7, scale=4.0)
+        held_path = tmp_path / "held.txt"
+        write_libsvm(held, held_path)
+        seen = self._spy_training_sets(monkeypatch)
+        evaluated = []
+
+        def evaluate_spy(data, weights):
+            evaluated.append(data)
+            return evaluate_ranker(data, weights)
+
+        monkeypatch.setattr(cli, "evaluate_ranker", evaluate_spy)
+        argv = ["train", "bbr", str(toy_file), "--x-star", "0.5", "--test", str(held_path)]
+        assert main(argv) == 0
+        (trained,), (tested,) = seen, evaluated
+        raw = parse_libsvm(toy_file)
+        _, factor = scale_to_ball(raw, 0.5)
+        assert factor < 1.0
+        np.testing.assert_array_equal(trained.positives, raw.positives * factor)
+        np.testing.assert_array_equal(trained.negatives, raw.negatives * factor)
+        held_raw = parse_libsvm(held_path)
+        np.testing.assert_array_equal(tested.positives, held_raw.positives * factor)
+        np.testing.assert_array_equal(tested.negatives, held_raw.negatives * factor)
+
     def test_outputs_match_per_line_reference_parser(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(443)
         train_path, test_path = tmp_path / "train.txt", tmp_path / "test.txt"
@@ -310,6 +343,22 @@ class TestExitCodes:
     def test_bad_flag_value_is_usage_error(self, toy_file, capsys):
         assert main(["train", "lcbr", str(toy_file), "--pairs", "0"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth-sweep", "--k-grid", ","],
+            ["synth-sweep", "--pairs-grid", ""],
+            ["synth-sweep", "--replicates", "0"],
+            ["skew-sweep", "--rho-grid", "1.0"],
+        ],
+        ids=["empty-k-grid", "empty-pairs-grid", "zero-replicates", "rho-of-one"],
+    )
+    def test_bad_sweep_grid_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -200,12 +200,13 @@ class TestValidateDataset:
 class TestScaleToBall:
     def test_inside_ball_returned_unchanged(self):
         data = Dataset.from_arrays([[0.1, 0.1]], [[0.2, 0.0]])
-        assert scale_to_ball(data, 1.0) is data
+        assert scale_to_ball(data, 1.0) == (data, 1.0)
+        assert scale_to_ball(data, 1.0)[0] is data
 
     def test_common_factor_caps_every_norm(self):
         rng = np.random.default_rng(11)
         data = random_dataset(rng, 4, 20, 30, scale=5.0)
-        scaled = scale_to_ball(data, 1.0)
+        scaled, _ = scale_to_ball(data, 1.0)
         worst = max(
             np.linalg.norm(scaled.positives, axis=1).max(),
             np.linalg.norm(scaled.negatives, axis=1).max(),
@@ -215,7 +216,7 @@ class TestScaleToBall:
     def test_scaling_preserves_pair_orderings(self):
         rng = np.random.default_rng(12)
         data = random_dataset(rng, 3, 10, 10, scale=7.0)
-        scaled = scale_to_ball(data, 2.0)
+        scaled, _ = scale_to_ball(data, 2.0)
         w = rng.standard_normal(3)
         before = np.sign(data.positives @ w[:, None] - (data.negatives @ w)[None, :])
         after = np.sign(
@@ -235,4 +236,5 @@ class TestScaleToBall:
 
     def test_all_zero_dataset_unchanged(self):
         data = Dataset.from_arrays([[0.0, 0.0]], [[0.0, 0.0]])
-        assert scale_to_ball(data, 0.5) is data
+        assert scale_to_ball(data, 0.5) == (data, 1.0)
+        assert scale_to_ball(data, 0.5)[0] is data
