@@ -15,6 +15,7 @@ and across test fixtures without defensive copies.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -331,6 +332,16 @@ class PairMoments:
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
+
+    @functools.cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``np.linalg.eigh(sigma)``, computed on first use only.
+
+        Every solve of these moments shares the one decomposition, so a
+        path of k radii costs one O(d^3) eigendecomposition, not k.
+        """
+        eigs, basis = np.linalg.eigh(self.sigma)
+        return _freeze(eigs), _freeze(basis)
 
 
 @dataclass(frozen=True)

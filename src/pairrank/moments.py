@@ -13,13 +13,19 @@ Three routes to the same object, a :class:`~pairrank.core.PairMoments`:
   the drawn index sequence is a pure function of (seed, s, n1, n0).
 
 Numerical policy, chosen for run-to-run determinism: mean vectors are
-accumulated with a chunked Neumaier compensated sum; second-moment
-matrices are accumulated in plain index order via einsum with
-optimization disabled, which fixes the reduction order regardless of
-BLAS vendor or thread count.
+accumulated with a chunked Neumaier compensated sum.  Each second-moment
+entry is the plain row-order sum of x_si * x_sj, computed by einsum with
+optimization disabled, never by BLAS.  Matrices wider than one tile are
+computed as square output tiles of the upper triangle, mirrored into the
+lower one, on one thread per usable CPU; every entry is still the same
+row-order sum as a single einsum over the whole matrix gives, so the
+result is independent of BLAS vendor, BLAS thread count and pool size.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,6 +46,10 @@ __all__ = [
 
 # Rows per partial sum in the compensated mean accumulator.
 _CHUNK = 512
+# Width of the square output tiles of the second-moment kernel.
+_TILE = 64
+# Pairs whose differences are formed per gather in subsample_moments.
+_GATHER_ROWS = 4096
 
 
 # How many pairs to draw and with what seed; the same class is the
@@ -68,9 +78,43 @@ def _neumaier_over_rows(rows: np.ndarray) -> np.ndarray:
     return total + comp
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _second_moment(rows: np.ndarray) -> np.ndarray:
-    """Plain index-order sum of row outer products (not BLAS-reordered)."""
-    return np.einsum("si,sj->ij", rows, rows, optimize=False)
+    """Plain row-order sum of row outer products (not BLAS-reordered).
+
+    Up to _TILE columns this is one einsum call.  Wider inputs are cut
+    into _TILE-wide column blocks; each upper-triangle block pair is one
+    einsum over the column slices (which releases the GIL), written to
+    its own output tile and mirrored below the diagonal.  An entry's sum
+    runs over the same rows in the same order either way, and tiles
+    write disjoint slices, so neither the tiling nor the worker count
+    nor the completion order changes a bit.
+    """
+    dim = rows.shape[1]
+    if dim <= _TILE:
+        return np.einsum("si,sj->ij", rows, rows, optimize=False)
+    out = np.empty((dim, dim), dtype=np.float64)
+    starts = range(0, dim, _TILE)
+
+    def fill(tile: tuple[int, int]) -> None:
+        a, c = tile
+        block = np.einsum(
+            "si,sj->ij", rows[:, a : a + _TILE], rows[:, c : c + _TILE], optimize=False
+        )
+        out[a : a + _TILE, c : c + _TILE] = block
+        out[c : c + _TILE, a : a + _TILE] = block.T
+
+    tiles = [(a, c) for a in starts for c in starts if c >= a]
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        # Reading every result re-raises any worker's exception here.
+        list(pool.map(fill, tiles))
+    return out
 
 
 def batch_moments_naive(data: Dataset) -> PairMoments:
@@ -172,11 +216,17 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     Each of the s draws picks one positive and one negative index
     independently and uniformly, so the expectation of the returned
     moments under the seed equals the all-pairs moments.  Cost is
-    Theta(s * d^2) time and Theta(d^2) memory.
+    Theta(s * d^2) time.  Memory is the s x d matrix of pair differences,
+    filled _GATHER_ROWS pairs at a time so no gathered copy of either
+    class is held whole, plus Theta(s) indices and Theta(d^2) for sigma.
     """
     data.require_trainable()
     i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
-    diffs = data.positives[i_idx] - data.negatives[j_idx]
+    pos, neg = data.positives, data.negatives
+    diffs = np.empty((cfg.s, data.dim), dtype=np.float64)
+    for start in range(0, cfg.s, _GATHER_ROWS):
+        block = slice(start, start + _GATHER_ROWS)
+        np.subtract(pos[i_idx[block]], neg[j_idx[block]], out=diffs[block])
     mu = _neumaier_over_rows(diffs) / cfg.s
     sigma = _second_moment(diffs) / cfg.s
     return PairMoments(mu=mu, sigma=sigma, provenance=cfg)

@@ -9,10 +9,11 @@ Because sigma is PSD this is a convex problem whose solution is fully
 characterized by one scalar: the Lagrange multiplier lam >= 0 of the
 ball constraint.  In the eigenbasis of sigma the stationarity condition
 (sigma + lam I) w = mu becomes diagonal, so the solver diagonalizes
-once, decides interior versus boundary from the minimum-norm stationary
-point, and if the constraint is active finds lam as the root of a
-one-dimensional secular equation by a Newton iteration safeguarded by
-bisection on the bracket [0, ||mu|| / radius].
+once (the decomposition is cached on the moments, so every solve of
+them shares it), decides interior versus boundary from the minimum-norm
+stationary point, and if the constraint is active finds lam as the root
+of a one-dimensional secular equation by a Newton iteration safeguarded
+by bisection on the bracket [0, ||mu|| / radius].
 
 Among minimizers (non-unique when sigma is singular) the solver returns
 the one of minimum Euclidean norm, equivalently the minimum-lam KKT
@@ -140,7 +141,7 @@ def solve_erm(
     indicates tolerances tighter than the arithmetic supports.
     """
     radius = cfg.w_star
-    eigs, basis = np.linalg.eigh(moments.sigma)
+    eigs, basis = moments.eigh
     opnorm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if eigs.size and eigs[0] < -_PSD_REL_TOL * max(1.0, opnorm):
         raise InvalidMomentsError(

@@ -130,6 +130,11 @@ class TestPairMoments:
             PairMoments(
                 mu=np.zeros(2), sigma=-np.eye(2), provenance=BatchProvenance(1, 1)
             )
+        # Indefinite too: the check runs at construction, before any solve.
+        with pytest.raises(InvalidMomentsError):
+            PairMoments(
+                mu=np.zeros(2), sigma=np.diag([1.0, -1.0]), provenance=BatchProvenance(1, 1)
+            )
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         sigma = np.diag([1.0, -1e-12])

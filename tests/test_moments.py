@@ -1,10 +1,17 @@
 """Moment builders: naive oracle, fast identity, seeded pair subsampling."""
 
+import os
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairrank import moments
 from pairrank import (
     BatchProvenance,
     Dataset,
@@ -19,9 +26,97 @@ from pairrank import (
 
 from conftest import random_dataset
 
+_TILE = moments._TILE
+
 
 def _entrywise_close(a, b, rel):
     return np.all(np.abs(a - b) <= rel * (1.0 + np.abs(b)))
+
+
+def _einsum_reference(rows):
+    """The single-call kernel the tiled one must reproduce bit for bit."""
+    return np.einsum("si,sj->ij", rows, rows, optimize=False)
+
+
+def _wide_range_rows(rng, n, dim):
+    """Gaussian entries scaled by powers of two from 2**-60 to 2**60."""
+    return rng.standard_normal((n, dim)) * np.exp2(rng.integers(-60, 61, size=(n, dim)))
+
+
+class TestSecondMomentKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        dim=st.sampled_from([1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 3 * _TILE + 1]),
+        layout=st.sampled_from(["contiguous", "row-step", "column-offset", "column-step",
+                                "fortran"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_single_einsum_bit_for_bit(self, seed, n, dim, layout):
+        rng = np.random.default_rng(seed)
+        base = _wide_range_rows(rng, 2 * n + 1, 2 * dim + 1)
+        rows = {
+            "contiguous": np.ascontiguousarray(base[:n, :dim]),
+            "row-step": base[1::2][:n, :dim],
+            "column-offset": base[:n, 1 : dim + 1],
+            "column-step": base[:n, ::2][:, :dim],
+            "fortran": np.asfortranarray(base[:n, :dim]),
+        }[layout]
+        got = moments._second_moment(rows)
+        assert np.array_equal(got, _einsum_reference(rows))
+        assert np.array_equal(got, got.T)
+
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch):
+        rng = np.random.default_rng(310)
+        rows = _wide_range_rows(rng, 257, 3 * _TILE + 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        single = moments._second_moment(rows)
+        assert np.array_equal(single, _einsum_reference(rows))
+
+        requested = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(moments, "ThreadPoolExecutor", RecordingPool)
+        # More workers than this machine has cores, switching threads often.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        results = []
+
+        def run():
+            for _ in range(20):
+                results.append(moments._second_moment(rows))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert requested == [8] * 20
+        assert len(results) == 20
+        for result in results:
+            assert np.array_equal(result, single)
+
+    def test_worker_exception_surfaces(self, monkeypatch):
+        class TileFailure(Exception):
+            pass
+
+        real_einsum = np.einsum
+
+        def failing_on_remainder_tile(subscripts, left, right, **kwargs):
+            if right.shape[1] == 1:
+                raise TileFailure("remainder tile failed")
+            return real_einsum(subscripts, left, right, **kwargs)
+
+        monkeypatch.setattr(moments.np, "einsum", failing_on_remainder_tile)
+        with pytest.raises(TileFailure):
+            moments._second_moment(np.ones((4, 2 * _TILE + 1)))
 
 
 class TestBatchNaive:
@@ -197,6 +292,33 @@ class TestSubsampleMoments:
         data = Dataset.from_arrays(np.empty((0, 2)), [[1.0, 2.0]])
         with pytest.raises(UntrainableDatasetError):
             subsample_moments(data, SubsampleConfig(s=5, seed=0))
+
+    def test_blockwise_gather_matches_whole_gather_bit_for_bit(self):
+        rng = np.random.default_rng(311)
+        data = random_dataset(rng, _TILE + 3, 50, 70, scale=3.0)
+        cfg = SubsampleConfig(s=2 * moments._GATHER_ROWS + 3, seed=17)
+        sub = subsample_moments(data, cfg)
+        i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
+        diffs = data.positives[i_idx] - data.negatives[j_idx]
+        assert np.array_equal(sub.mu, moments._neumaier_over_rows(diffs) / cfg.s)
+        sigma = _einsum_reference(diffs) / cfg.s
+        assert np.array_equal(sub.sigma, (sigma + sigma.T) / 2.0)
+
+    def test_peak_memory_is_one_difference_matrix(self):
+        # Whole-class gathers would hold three s x d arrays at once.
+        rng = np.random.default_rng(312)
+        dim, s = 100, 40_000
+        data = random_dataset(rng, dim, 300, 300)
+        tracemalloc.start()
+        try:
+            subsample_moments(data, SubsampleConfig(s=s, seed=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        differences = 8 * s * dim
+        gather_blocks = 2 * 8 * moments._GATHER_ROWS * dim
+        limit = differences + gather_blocks + 48 * s + 64 * dim * dim
+        assert peak <= limit, f"peak {peak} B above {limit} B"
 
 
 class TestSubsampleConfig:

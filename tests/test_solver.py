@@ -131,6 +131,45 @@ class TestRandomInstances:
         assert diag.objective_value == objective_value(moments, weights)
 
 
+class TestSharedEigendecomposition:
+    def _path(self, rng):
+        moments = _random_psd_instance(rng, 150, allow_rank_deficient=False)
+        interior = float(np.linalg.norm(np.linalg.solve(moments.sigma, moments.mu)))
+        radii = [f * interior for f in (0.05, 0.2, 0.5, 0.9, 1.5, 4.0)]
+        return moments, radii
+
+    def test_radius_path_matches_fresh_moments_per_radius(self, monkeypatch):
+        moments, radii = self._path(np.random.default_rng(401))
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(matrix):
+            calls.append(matrix.shape)
+            return real_eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        shared = [solve_erm(moments, ProblemConfig(x_star=1.0, w_star=r)) for r in radii]
+        assert len(calls) == 1
+        active = set()
+        for radius, (weights, diag) in zip(radii, shared):
+            fresh = PairMoments(moments.mu, moments.sigma, moments.provenance)
+            fresh_weights, fresh_diag = solve_erm(fresh, ProblemConfig(x_star=1.0, w_star=radius))
+            assert np.array_equal(weights.w, fresh_weights.w)
+            assert diag == fresh_diag
+            active.add(diag.constrained_active)
+        assert active == {True, False}
+        assert len(calls) == 1 + len(radii)
+
+    def test_cached_arrays_are_read_only(self):
+        moments, _ = self._path(np.random.default_rng(402))
+        eigs, basis = moments.eigh
+        assert moments.eigh[0] is eigs and moments.eigh[1] is basis
+        for arr in (eigs, basis):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestObjectiveValue:
     def test_zero_weights_score_zero(self):
         moments = _moments([1.0, 2.0], np.eye(2))
