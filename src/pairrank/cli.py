@@ -68,12 +68,7 @@ from .moments import (
     subsample_moments,
 )
 from .solver import SolveDiagnostics, solve_erm
-from .synth import (
-    analytic_pair_moments,
-    optimal_phi_ranker,
-    random_gmm_spec,
-    sample_dataset,
-)
+from .synth import analytic_pair_moments, random_gmm_spec, sample_dataset
 
 __all__ = [
     "UsageError",
@@ -356,7 +351,8 @@ def _mixture_rows(
     )
     if with_optimum:
         population = analytic_pair_moments(spec)
-        optimum = expected_phi_risk(population.sigma, population.mu, optimal_phi_ranker(spec, cfg))
+        optimal, _ = solve_erm(population, cfg)
+        optimum = expected_phi_risk(population.sigma, population.mu, optimal)
         extra = {**extra, "optimal_phi_risk": f"{optimum:.17g}"}
 
     rows: list[ResultRow] = []

@@ -15,7 +15,6 @@ and across test fixtures without defensive copies.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -293,13 +292,17 @@ class PairMoments:
     `mu` is the mean difference vector and `sigma` the mean of difference
     outer products, so the empirical surrogate risk of weights w is
     0.5 + 0.5 * w' sigma w - mu' w.  Construction symmetrizes `sigma`
-    after checking the asymmetry is at rounding level, and rejects
-    matrices with an eigenvalue below -1e-9 times the spectral norm.
+    after checking the asymmetry is at rounding level, runs one
+    ``np.linalg.eigh`` of it, and rejects matrices with an eigenvalue
+    below -1e-9 times the spectral norm.  The decomposition is kept,
+    read-only, as `eigh` = (eigs, basis): every solve of these moments
+    shares it, so a path of k radii costs one O(d^3) decomposition.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
     provenance: Provenance
+    eigh: tuple[np.ndarray, np.ndarray] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
@@ -319,29 +322,18 @@ class PairMoments:
                 f"sigma asymmetry {asym:.3e} exceeds tolerance at scale {scale:.3e}"
             )
         sigma = (sigma + sigma.T) / 2.0
-        if sigma.size:
-            eigs = np.linalg.eigvalsh(sigma)
-            opnorm = float(np.max(np.abs(eigs)))
-            if eigs[0] < -_PSD_REL_TOL * max(1.0, opnorm):
-                raise InvalidMomentsError(
-                    f"sigma has eigenvalue {eigs[0]:.3e}, below PSD tolerance"
-                )
+        eigs, basis = np.linalg.eigh(sigma)
+        if eigs.size and eigs[0] < -_PSD_REL_TOL * max(1.0, float(np.max(np.abs(eigs)))):
+            raise InvalidMomentsError(
+                f"sigma has eigenvalue {eigs[0]:.3e}, below PSD tolerance"
+            )
         object.__setattr__(self, "mu", _freeze(mu))
         object.__setattr__(self, "sigma", _freeze(sigma))
+        object.__setattr__(self, "eigh", (_freeze(eigs), _freeze(basis)))
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-    @functools.cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``np.linalg.eigh(sigma)``, computed on first use only.
-
-        Every solve of these moments shares the one decomposition, so a
-        path of k radii costs one O(d^3) eigendecomposition, not k.
-        """
-        eigs, basis = np.linalg.eigh(self.sigma)
-        return _freeze(eigs), _freeze(basis)
 
 
 @dataclass(frozen=True)

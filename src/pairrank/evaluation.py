@@ -5,8 +5,11 @@ random positive-negative pair is ranked correctly by the score w'x,
 with ties credited one half.  `auc_naive` enumerates the pairs;
 `auc_fast` gets the identical value (bit for bit, not merely close)
 from one sort via midranks.  The squared-loss risk averages
-0.5 * (1 - w'(x1 - x0))^2 over pairs; it reduces to a quadratic in the
-pair moments, which is how `phi_risk` computes it.
+0.5 * (1 - w'(x1 - x0))^2 over pairs; for a fixed w it depends only on
+the per-class means and variances of the scores, which is how
+`phi_risk` computes it, in O(n * d) and without pair moments.  Both
+metrics read the same two score vectors, so `evaluate_ranker` scores
+each class once.
 
 Orientation note: the statistic reported here is a reward, 1.0 for a
 perfect ranking.  `EvalReport.auc_risk` carries the complementary
@@ -21,8 +24,6 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .core import Dataset, DimensionMismatchError, RankerWeights
-from .moments import batch_moments_fast
-from .solver import objective_value
 
 __all__ = [
     "EvalReport",
@@ -63,6 +64,8 @@ class EvalReport:
 
 
 def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the positives and of the negatives; needs at least one pair."""
+    data.require_trainable()
     if w.dim != data.dim:
         raise DimensionMismatchError(
             f"weights of dimension {w.dim} cannot score {data.dim}-dim features"
@@ -70,12 +73,22 @@ def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
     return data.positives @ w.w, data.negatives @ w.w
 
 
+def _auc(pos: np.ndarray, neg: np.ndarray) -> float:
+    ranks = rankdata(np.concatenate([pos, neg]), method="average")
+    n1, n0 = pos.shape[0], neg.shape[0]
+    return (float(np.sum(ranks[:n1])) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+
+
+def _phi(pos: np.ndarray, neg: np.ndarray) -> float:
+    gap = pos.mean() - neg.mean()
+    return float(0.5 * ((1.0 - gap) ** 2 + pos.var() + neg.var()))
+
+
 def auc_naive(data: Dataset, w: RankerWeights) -> float:
     """Pair-ordering statistic by literal enumeration, O(n1 * n0).
 
     Reference implementation; `auc_fast` is the production path.
     """
-    data.require_trainable()
     pos, neg = _scores(data, w)
     margins = pos[:, None] - neg[None, :]
     correct = float(np.sum(margins > 0.0))
@@ -93,28 +106,20 @@ def auc_fast(data: Dataset, w: RankerWeights) -> float:
     half-integers well inside float64's exact range, so the result is
     bit-identical to `auc_naive`.
     """
-    data.require_trainable()
-    pos, neg = _scores(data, w)
-    n1, n0 = data.n1, data.n0
-    ranks = rankdata(np.concatenate([pos, neg]), method="average")
-    pos_rank_sum = float(np.sum(ranks[:n1]))
-    return (pos_rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+    return _auc(*_scores(data, w))
 
 
 def phi_risk(data: Dataset, w: RankerWeights) -> float:
     """Average pairwise squared loss, constant term included.
 
-    Expanding 0.5 * (1 - w'(x1 - x0))^2 and averaging over all pairs
-    gives 0.5 + 0.5 * w' sigma w - mu' w in the batch pair moments, so
-    the cost is one linear-time moment build instead of a pair loop.
+    With scores a = w'x1 over positives and b = w'x0 over negatives,
+    averaging 0.5 * (1 - (a - b))^2 over all n1 * n0 pairs gives
+    0.5 * [(1 - (mean a - mean b))^2 + var a + var b] with population
+    variances: O(n * d) for the scores, no pair loop and no pair
+    moments.  Every term is non-negative, and the variances are taken
+    about the class means, so a common feature offset does not cancel.
     """
-    data.require_trainable()
-    if w.dim != data.dim:
-        raise DimensionMismatchError(
-            f"weights of dimension {w.dim} cannot score {data.dim}-dim features"
-        )
-    moments = batch_moments_fast(data)
-    return 0.5 + objective_value(moments, w)
+    return _phi(*_scores(data, w))
 
 
 def expected_phi_risk(sigma: np.ndarray, mu: np.ndarray, w: RankerWeights) -> float:
@@ -133,14 +138,12 @@ def expected_phi_risk(sigma: np.ndarray, mu: np.ndarray, w: RankerWeights) -> fl
 
 
 def evaluate_ranker(data: Dataset, w: RankerWeights) -> EvalReport:
-    """Convenience bundle: both metrics of one ranker on one dataset."""
-    auc = auc_fast(data, w)
-    # The moments identity can land a few ulp below zero for a ranker
-    # with exactly zero loss; the report type rejects negatives.
-    phi = max(phi_risk(data, w), 0.0)
+    """Both metrics of one ranker on one dataset, from one scoring pass."""
+    pos, neg = _scores(data, w)
+    auc = _auc(pos, neg)
     return EvalReport(
         auc=auc,
         auc_risk=1.0 - auc,
-        phi_risk=phi,
+        phi_risk=_phi(pos, neg),
         n_pairs=data.n1 * data.n0,
     )

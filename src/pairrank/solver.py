@@ -8,12 +8,13 @@ The trainers reduce to one optimization problem: given pair moments
 Because sigma is PSD this is a convex problem whose solution is fully
 characterized by one scalar: the Lagrange multiplier lam >= 0 of the
 ball constraint.  In the eigenbasis of sigma the stationarity condition
-(sigma + lam I) w = mu becomes diagonal, so the solver diagonalizes
-once (the decomposition is cached on the moments, so every solve of
-them shares it), decides interior versus boundary from the minimum-norm
-stationary point, and if the constraint is active finds lam as the root
-of a one-dimensional secular equation by a Newton iteration safeguarded
-by bisection on the bracket [0, ||mu|| / radius].
+(sigma + lam I) w = mu becomes diagonal.  The solver reads that basis
+from the moments, which computed it once at construction as their PSD
+check, so a solve adds neither a decomposition nor a check.  It decides
+interior versus boundary from the minimum-norm stationary point, and if
+the constraint is active finds lam as the root of a one-dimensional
+secular equation by a Newton iteration safeguarded by bisection on the
+bracket [0, ||mu|| / radius].
 
 Among minimizers (non-unique when sigma is singular) the solver returns
 the one of minimum Euclidean norm, equivalently the minimum-lam KKT
@@ -29,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _PSD_REL_TOL,
     DimensionMismatchError,
-    InvalidMomentsError,
     PairMoments,
     ProblemConfig,
     RankerWeights,
@@ -135,18 +134,15 @@ def solve_erm(
     """Minimize the pair-moment quadratic over the ball of radius cfg.w_star.
 
     Returns the minimum-norm minimizer together with a KKT certificate.
-    Raises InvalidMomentsError if sigma fails the PSD check at solve
-    time, and SolverConvergenceError (carrying the final bracket) if the
-    secular iteration exhausts its budget, which for a valid PSD input
-    indicates tolerances tighter than the arithmetic supports.
+    Raises SolverConvergenceError (carrying the final bracket) if the
+    secular iteration exhausts its budget, which for PSD moments
+    indicates tolerances tighter than the arithmetic supports.  Sigma is
+    not re-checked here: `PairMoments` rejects a non-PSD sigma at
+    construction.
     """
     radius = cfg.w_star
     eigs, basis = moments.eigh
     opnorm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if eigs.size and eigs[0] < -_PSD_REL_TOL * max(1.0, opnorm):
-        raise InvalidMomentsError(
-            f"second moment has eigenvalue {eigs[0]:.3e}, below PSD tolerance"
-        )
     # Clamp rounding-level negatives and split range from null space.
     eigs = np.maximum(eigs, 0.0)
     null_cut = opnorm * _NULL_REL_TOL

@@ -314,6 +314,21 @@ class TestTrainCommand:
         assert outputs("reference") == vectorised
 
 
+    def test_lcbr_on_offset_features_evaluates(self, tmp_path):
+        # Training sees only pair differences, where the 1e8 offset
+        # cancels exactly; evaluating must not rebuild moments from the
+        # raw offset rows, whose uncentered sigma is far from PSD.
+        rng = np.random.default_rng(445)
+        base = random_dataset(rng, dim=3, n1=12, n0=10, scale=0.5)
+        path = tmp_path / "offset.txt"
+        write_libsvm(Dataset.from_arrays(base.positives + 1e8, base.negatives + 1e8), path)
+        out = tmp_path / "offset.csv"
+        assert main(["train", "lcbr", str(path), "--pairs", "200", "--csv-out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        (row,) = rows
+        assert row[1] == "lcbr" and np.isfinite(float(row[7])) and 0.0 <= float(row[8]) <= 1.0
+
+
 class TestExitCodes:
     def test_lcbr_without_pairs_is_usage_error(self, toy_file, capsys):
         assert main(["train", "lcbr", str(toy_file)]) == 1

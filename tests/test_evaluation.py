@@ -1,5 +1,7 @@
 """Ranking metrics: naive vs rank-sum ordering statistic, squared risk."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,15 @@ from pairrank import (
     Dataset,
     DimensionMismatchError,
     EvalReport,
+    PairMoments,
     RankerWeights,
     auc_fast,
     auc_naive,
+    batch_moments_fast,
+    batch_moments_naive,
     evaluate_ranker,
     expected_phi_risk,
+    objective_value,
     phi_risk,
     random_gmm_spec,
     sample_dataset,
@@ -122,8 +128,26 @@ class TestPhiRisk:
         w = rng.standard_normal(4)
         margins = (data.positives @ w)[:, None] - (data.negatives @ w)[None, :]
         direct = float(np.mean(0.5 * (1.0 - margins) ** 2))
-        via_moments = phi_risk(data, RankerWeights(w=w))
-        assert abs(via_moments - direct) <= 1e-9 * (1.0 + abs(direct))
+        via_scores = phi_risk(data, RankerWeights(w=w))
+        assert abs(via_scores - direct) <= 1e-9 * (1.0 + abs(direct))
+        via_moments = 0.5 + objective_value(batch_moments_naive(data), RankerWeights(w=w))
+        assert abs(via_scores - via_moments) <= 1e-12 * abs(via_moments)
+
+    def test_offset_features_match_exact_pair_loop(self):
+        # A common offset of 1e6 cancels in the uncentered pair moments;
+        # the score-space form takes variances about the class means.
+        rng = np.random.default_rng(511)
+        base = random_dataset(rng, 3, 9, 11)
+        data = Dataset.from_arrays(base.positives + 1e6, base.negatives + 1e6)
+        w = RankerWeights(w=rng.standard_normal(3) * 0.3)
+        exact_w = [Fraction(v) for v in w.w]
+
+        def exact_scores(rows):
+            return [sum(Fraction(x) * c for x, c in zip(row, exact_w)) for row in rows]
+
+        pos, neg = exact_scores(data.positives), exact_scores(data.negatives)
+        exact = sum((1 - (a - b)) ** 2 for a in pos for b in neg) / (2 * len(pos) * len(neg))
+        assert abs(Fraction(phi_risk(data, w)) - exact) <= Fraction(1e-9) * exact
 
     def test_dimension_mismatch_rejected(self):
         data = Dataset.from_arrays([[1.0, 0.0]], [[0.0, 1.0]])
@@ -168,6 +192,22 @@ class TestEvalReport:
         assert report.auc_risk == 1.0 - report.auc
         assert report.phi_risk == phi_risk(data, w)
         assert report.n_pairs == 12 * 15
+
+    def test_builds_no_pair_moments(self, monkeypatch):
+        built = []
+        real_post_init = PairMoments.__post_init__
+
+        def counting_post_init(moments):
+            built.append(moments.dim)
+            real_post_init(moments)
+
+        monkeypatch.setattr(PairMoments, "__post_init__", counting_post_init)
+        rng = np.random.default_rng(512)
+        data = random_dataset(rng, 3, 12, 15)
+        evaluate_ranker(data, RankerWeights(w=rng.standard_normal(3)))
+        assert built == []
+        batch_moments_fast(data)
+        assert built == [3]
 
     def test_zero_loss_ranker_reports_nonnegative_risk(self):
         data = Dataset.from_arrays([[1.0, 0.0]], [[0.0, 0.0]])

@@ -104,15 +104,90 @@ def test_outputs_match_goldens(name, tmp_path):
             assert fresh.read_bytes() == recorded.read_bytes(), fresh.name
 
 
+def _keyed_cells(path: Path) -> list[dict[str, str]]:
+    """Stable cells per row by column, `extra` split into `extra:key` columns."""
+    header, *rows = _stable_cells(path)
+    keyed = []
+    for row in rows:
+        cells = dict(zip(header, row))
+        if tuple(header) == RESULT_CSV_HEADER:
+            extra = cells.pop("extra")
+            cells.update(
+                (f"extra:{key}", value)
+                for key, _, value in (part.partition("=") for part in extra.split(";") if part)
+            )
+        keyed.append(cells)
+    return keyed
+
+
+def _relative_change(old: str, new: str) -> float:
+    try:
+        before, after = float(old), float(new)
+    except ValueError:
+        return float("inf")
+    return abs(after - before) / abs(before) if before else float("inf")
+
+
+def audit(fresh: Path, recorded: Path) -> str:
+    """What rewriting `recorded` with `fresh` changes, as one line.
+
+    Model files are compared byte for byte.  CSVs are compared on their
+    stable cells: the line names each column with a changed cell, how
+    many of its cells changed, and the largest relative change among
+    them (inf for text or for a cell that was 0).
+    """
+    if fresh.suffix != ".csv":
+        same = fresh.read_bytes() == recorded.read_bytes()
+        return f"{recorded.name}: {'identical' if same else 'bytes changed'}"
+    old_rows, new_rows = _keyed_cells(recorded), _keyed_cells(fresh)
+    if len(old_rows) != len(new_rows):
+        return f"{recorded.name}: {len(old_rows)} -> {len(new_rows)} rows"
+    changes: dict[str, list[float]] = {}
+    for old, new in zip(old_rows, new_rows):
+        for column in sorted(old.keys() | new.keys()):
+            before, after = old.get(column, ""), new.get(column, "")
+            if before != after:
+                changes.setdefault(column, []).append(_relative_change(before, after))
+    if not changes:
+        return f"{recorded.name}: identical"
+    return f"{recorded.name}: " + "; ".join(
+        f"{column} {len(rel)} cells, largest relative change {max(rel):.2g}"
+        for column, rel in changes.items()
+    )
+
+
+def test_audit_names_each_changed_column(tmp_path):
+    recorded = GOLDEN_DIR / "train-bbr-naive.csv"
+    header, row = recorded.read_text(encoding="utf-8").splitlines()
+    cells = row.split(",")
+    phi = RESULT_CSV_HEADER.index("phi_risk")
+    cells[phi] = repr(float(cells[phi]) * (1.0 + 2**-40))
+    cells[_WALL] = "12.5"
+    fresh = tmp_path / recorded.name
+    fresh.write_text(f"{header}\n{','.join(cells)}\n", encoding="utf-8")
+    assert audit(recorded, recorded) == "train-bbr-naive.csv: identical"
+    assert audit(fresh, recorded) == (
+        "train-bbr-naive.csv: phi_risk 1 cells, largest relative change 9.1e-13"
+    )
+    model = GOLDEN_DIR / "train-bbr-naive.bin"
+    assert audit(model, model) == "train-bbr-naive.bin: identical"
+
+
 def regenerate(names: list[str]) -> None:
-    """Rewrite the golden files of `names` (all runs when empty)."""
+    """Rewrite the golden files of `names` (all runs when empty).
+
+    Prints the audit of every file it rewrites against its recorded
+    version, so a re-capture shows exactly which cells moved.
+    """
     scratch = GOLDEN_DIR / "_scratch"
     scratch.mkdir()
     try:
         inputs = write_inputs(scratch)
         for name in names or sorted(RUNS):
             for path in run(name, scratch, inputs):
-                shutil.copyfile(path, GOLDEN_DIR / path.name)
+                recorded = GOLDEN_DIR / path.name
+                print(audit(path, recorded) if recorded.exists() else f"{path.name}: new")
+                shutil.copyfile(path, recorded)
     finally:
         shutil.rmtree(scratch)
 

@@ -139,15 +139,20 @@ class TestSharedEigendecomposition:
         return moments, radii
 
     def test_radius_path_matches_fresh_moments_per_radius(self, monkeypatch):
-        moments, radii = self._path(np.random.default_rng(401))
-        real_eigh = np.linalg.eigh
-        calls = []
+        real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        calls, eigvalsh_calls = [], []
 
         def counting_eigh(matrix):
             calls.append(matrix.shape)
             return real_eigh(matrix)
 
+        def counting_eigvalsh(matrix):
+            eigvalsh_calls.append(matrix.shape)
+            return real_eigvalsh(matrix)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        moments, radii = self._path(np.random.default_rng(401))
         shared = [solve_erm(moments, ProblemConfig(x_star=1.0, w_star=r)) for r in radii]
         assert len(calls) == 1
         active = set()
@@ -159,6 +164,7 @@ class TestSharedEigendecomposition:
             active.add(diag.constrained_active)
         assert active == {True, False}
         assert len(calls) == 1 + len(radii)
+        assert eigvalsh_calls == []
 
     def test_cached_arrays_are_read_only(self):
         moments, _ = self._path(np.random.default_rng(402))
