@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import Dataset, DimensionMismatchError, RankerWeights
 
@@ -73,8 +72,19 @@ def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
     return data.positives @ w.w, data.negatives @ w.w
 
 
+def _midranks(xs: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group given its mean rank (scipy's "average")."""
+    order = np.argsort(xs, kind="stable")
+    ordered = xs[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], xs.size]
+    ranks = np.empty(xs.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _auc(pos: np.ndarray, neg: np.ndarray) -> float:
-    ranks = rankdata(np.concatenate([pos, neg]), method="average")
+    ranks = _midranks(np.concatenate([pos, neg]))
     n1, n0 = pos.shape[0], neg.shape[0]
     return (float(np.sum(ranks[:n1])) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 

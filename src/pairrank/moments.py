@@ -7,7 +7,7 @@ Three routes to the same object, a :class:`~pairrank.core.PairMoments`:
   counts; kept as the reference implementation and the honest cost
   model for the all-pairs trainer.
 * :func:`batch_moments_fast` produces the algebraically identical
-  result from per-class moments in linear time.
+  result from centered per-class moments in linear time.
 * :func:`subsample_moments` averages over s pairs drawn uniformly with
   replacement from the n1 * n0 grid, using a counter-based generator so
   the drawn index sequence is a pure function of (seed, s, n1, n0).
@@ -20,11 +20,15 @@ computed as square output tiles of the upper triangle, mirrored into the
 lower one, on one thread per usable CPU; every entry is still the same
 row-order sum as a single einsum over the whole matrix gives, so the
 result is independent of BLAS vendor, BLAS thread count and pool size.
+The linear-time routes stream rows (centered class rows, pair
+differences) through one _BLOCK_ROWS x d buffer; the Neumaier state runs
+across blocks, and block second moments are added in block order.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,6 +54,8 @@ _CHUNK = 512
 _TILE = 64
 # Pairs whose differences are formed per gather in subsample_moments.
 _GATHER_ROWS = 4096
+# Rows per streaming block; a multiple of _CHUNK and of _GATHER_ROWS.
+_BLOCK_ROWS = 16384
 
 
 # How many pairs to draw and with what seed; the same class is the
@@ -57,24 +63,25 @@ _GATHER_ROWS = 4096
 SubsampleConfig = SubsampleProvenance
 
 
-def _neumaier_over_rows(rows: np.ndarray) -> np.ndarray:
+def _neumaier_over_rows(rows: np.ndarray, state: tuple | None = None) -> np.ndarray:
     """Sum matrix rows with chunked Neumaier compensation.
 
     Rows are grouped into fixed-size chunks summed by numpy (pairwise,
     deterministic for a fixed chunk size), and the chunk partials are
     combined left to right with Neumaier's correction.  This keeps the
     result independent of the total row count's effect on numpy's
-    internal blocking while costing one pass.
+    internal blocking while costing one pass.  A running `state`
+    (total, comp) is updated in place, so calls on consecutive row
+    blocks whose lengths are multiples of _CHUNK give one call's bits.
     """
-    n, dim = rows.shape
-    total = np.zeros(dim, dtype=np.float64)
-    comp = np.zeros(dim, dtype=np.float64)
-    for start in range(0, n, _CHUNK):
+    dim = rows.shape[1]
+    total, comp = state if state is not None else (np.zeros(dim), np.zeros(dim))
+    for start in range(0, rows.shape[0], _CHUNK):
         part = np.sum(rows[start : start + _CHUNK], axis=0)
         fresh = total + part
         swap = np.abs(total) >= np.abs(part)
         comp += np.where(swap, (total - fresh) + part, (part - fresh) + total)
-        total = fresh
+        total[...] = fresh
     return total + comp
 
 
@@ -117,6 +124,28 @@ def _second_moment(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stream_moments(count: int, dim: int, terms: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Row sum and summed row outer products of `count` rows, streamed.
+
+    Rows are formed as differences, `np.subtract(*terms(rows))` for a
+    slice `rows` of up to _GATHER_ROWS, into one reused _BLOCK_ROWS x d
+    buffer.  The row sum is one Neumaier sum; the second moment adds each
+    block's _second_moment in block order.
+    """
+    buffer = np.empty((min(count, _BLOCK_ROWS), dim), dtype=np.float64)
+    state = (np.zeros(dim), np.zeros(dim))
+    second = None
+    for start in range(0, count, _BLOCK_ROWS):
+        block = buffer[: min(_BLOCK_ROWS, count - start)]
+        for at in range(0, block.shape[0], _GATHER_ROWS):
+            rows = slice(start + at, start + at + _GATHER_ROWS)
+            np.subtract(*terms(rows), out=block[at : at + _GATHER_ROWS])
+        total = _neumaier_over_rows(block, state)
+        moment = _second_moment(block)
+        second = moment if second is None else np.add(second, moment, out=second)
+    return total, second
+
+
 def batch_moments_naive(data: Dataset) -> PairMoments:
     """All-pairs difference moments by literal enumeration.
 
@@ -142,27 +171,31 @@ def batch_moments_naive(data: Dataset) -> PairMoments:
 
 
 def batch_moments_fast(data: Dataset) -> PairMoments:
-    """All-pairs difference moments from per-class moments, linear time.
+    """All-pairs difference moments from centered per-class moments.
 
-    Writing m1, m0 for the class means and M1, M0 for the class second
-    moments, the average over all n1 * n0 differences factorizes:
+    With m1, m0 the class means and C1, C0 the summed outer products of
+    each class's rows about its own mean, the average over all n1 * n0
+    differences is (centered cross terms average to zero)
 
         mu    = m1 - m0
-        sigma = M1 + M0 - m1 m0' - m0 m1'
+        sigma = C1 / n1 + C0 / n0 + mu mu'
 
-    because the cross term of (x1 - x0)(x1 - x0)' averages to the outer
-    product of the class means.  Cost Theta((n1 + n0) d^2), same result
-    as :func:`batch_moments_naive` up to rounding.
+    This shifted form (Chan, Golub & LeVeque, 1983) does not cancel on a
+    common feature offset as the uncentered M1 + M0 - m1 m0' - m0 m1'
+    does.  Each class streams, minus its mean, through a _BLOCK_ROWS x d
+    buffer: memory Theta(_BLOCK_ROWS * d + d^2) beyond the data, time
+    Theta((n1 + n0) d^2), same result as :func:`batch_moments_naive` up
+    to rounding.
     """
     data.require_trainable()
-    n1, n0 = data.n1, data.n0
-    m1 = _neumaier_over_rows(data.positives) / n1
-    m0 = _neumaier_over_rows(data.negatives) / n0
-    big_m1 = _second_moment(data.positives) / n1
-    big_m0 = _second_moment(data.negatives) / n0
-    cross = np.outer(m1, m0)
+    n1, n0, dim = data.n1, data.n0, data.dim
+    pos, neg = data.positives, data.negatives
+    m1 = _neumaier_over_rows(pos) / n1
+    m0 = _neumaier_over_rows(neg) / n0
+    _, c1 = _stream_moments(n1, dim, lambda rows: (pos[rows], m1))
+    _, c0 = _stream_moments(n0, dim, lambda rows: (neg[rows], m0))
     mu = m1 - m0
-    sigma = big_m1 + big_m0 - cross - cross.T
+    sigma = c1 / n1 + c0 / n0 + np.outer(mu, mu)
     return PairMoments(mu=mu, sigma=sigma, provenance=BatchProvenance(n1=n1, n0=n0))
 
 
@@ -192,9 +225,7 @@ def draw_pair_indices(seed: int, s: int, n1: int, n0: int) -> tuple[np.ndarray, 
     if n1 < 1 or n0 < 1:
         raise ValueError(f"both classes must be non-empty, got n1={n1}, n0={n0}")
     bits = np.random.Philox(key=seed)
-    words = bits.random_raw(2 * s)
-    pos_raw = words[0::2].copy()
-    neg_raw = words[1::2].copy()
+    pos_raw, neg_raw = bits.random_raw(2 * s).reshape(s, 2).T.copy()
     out: list[np.ndarray] = []
     for raw, n in ((pos_raw, np.uint64(n1)), (neg_raw, np.uint64(n0))):
         remainder = (1 << 64) % int(n)
@@ -216,17 +247,15 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     Each of the s draws picks one positive and one negative index
     independently and uniformly, so the expectation of the returned
     moments under the seed equals the all-pairs moments.  Cost is
-    Theta(s * d^2) time.  Memory is the s x d matrix of pair differences,
-    filled _GATHER_ROWS pairs at a time so no gathered copy of either
-    class is held whole, plus Theta(s) indices and Theta(d^2) for sigma.
+    Theta(s * d^2) time.  The differences, gathered _GATHER_ROWS pairs at
+    a time, stream through one _BLOCK_ROWS x d buffer, so memory is
+    Theta(_BLOCK_ROWS * d + d^2 + s) for the buffer, sigma and indices.
+    Above _BLOCK_ROWS pairs sigma adds per-block second moments in block
+    order; mu is one Neumaier sum for every s.
     """
     data.require_trainable()
     i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
-    pos, neg = data.positives, data.negatives
-    diffs = np.empty((cfg.s, data.dim), dtype=np.float64)
-    for start in range(0, cfg.s, _GATHER_ROWS):
-        block = slice(start, start + _GATHER_ROWS)
-        np.subtract(pos[i_idx[block]], neg[j_idx[block]], out=diffs[block])
-    mu = _neumaier_over_rows(diffs) / cfg.s
-    sigma = _second_moment(diffs) / cfg.s
-    return PairMoments(mu=mu, sigma=sigma, provenance=cfg)
+    total, second = _stream_moments(
+        cfg.s, data.dim, lambda pairs: (data.positives[i_idx[pairs]], data.negatives[j_idx[pairs]])
+    )
+    return PairMoments(mu=total / cfg.s, sigma=second / cfg.s, provenance=cfg)

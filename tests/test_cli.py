@@ -328,6 +328,19 @@ class TestTrainCommand:
         (row,) = rows
         assert row[1] == "lcbr" and np.isfinite(float(row[7])) and 0.0 <= float(row[8]) <= 1.0
 
+    def test_bbr_on_offset_features_trains(self, tmp_path):
+        # The all-pairs moments come from class moments of the raw rows;
+        # taken about each class mean, the 1e8 offset cannot cancel.
+        rng = np.random.default_rng(446)
+        base = random_dataset(rng, dim=3, n1=12, n0=10, scale=0.5)
+        path = tmp_path / "offset.txt"
+        write_libsvm(Dataset.from_arrays(base.positives + 1e8, base.negatives + 1e8), path)
+        out = tmp_path / "offset.csv"
+        assert main(["train", "bbr", str(path), "--csv-out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        (row,) = rows
+        assert row[1] == "bbr" and np.isfinite(float(row[7])) and 0.0 <= float(row[8]) <= 1.0
+
 
 class TestExitCodes:
     def test_lcbr_without_pairs_is_usage_error(self, toy_file, capsys):

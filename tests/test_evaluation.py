@@ -1,10 +1,14 @@
 """Ranking metrics: naive vs rank-sum ordering statistic, squared risk."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairrank import (
@@ -25,6 +29,8 @@ from pairrank import (
     sample_dataset,
     analytic_pair_moments,
 )
+
+from pairrank.evaluation import _midranks
 
 from conftest import integer_dataset, random_dataset
 
@@ -91,6 +97,44 @@ class TestAucFastEquivalence:
             data = random_dataset(rng, 3, n1, n0)
             w = RankerWeights(w=rng.standard_normal(3))
         assert auc_fast(data, w) == auc_naive(data, w)
+
+
+def _midranks_by_counting(xs):
+    """Literal O(n^2) midranks: values below, plus the mean rank among equals."""
+    return np.array([sum(y < x for y in xs) + (sum(y == x for y in xs) + 1) / 2.0 for x in xs])
+
+
+# Few distinct values (signed zeros among them) make heavy ties likely.
+_TIE_HEAVY_SCORES = st.lists(
+    st.one_of(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0]), st.floats(allow_nan=False)),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestMidranks:
+    @given(xs=_TIE_HEAVY_SCORES)
+    @example(xs=[4.0])
+    @example(xs=[1.5] * 7)
+    @example(xs=[0.0, -0.0, 1.0, -0.0, 0.0])
+    @settings(max_examples=200, deadline=None)
+    def test_match_counting_oracle(self, xs):
+        assert np.array_equal(_midranks(np.array(xs)), _midranks_by_counting(xs))
+
+    @given(xs=_TIE_HEAVY_SCORES)
+    @settings(max_examples=200, deadline=None)
+    def test_match_scipy_average_ranks(self, xs):
+        stats = pytest.importorskip("scipy.stats")
+        assert np.array_equal(_midranks(np.array(xs)), stats.rankdata(xs, method="average"))
+
+    def test_package_imports_without_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, pairrank, pairrank.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestAucInvariances:

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,26 @@ class TestFastMatchesNaive:
         assert _entrywise_close(fast.mu, naive.mu, 1e-9)
         assert _entrywise_close(fast.sigma, naive.sigma, 1e-9)
 
+    def test_offset_features_match_exact_pair_loop(self):
+        # A common offset of 1e6 cancels in the uncentered identity; the
+        # centered one shifts each class by its own mean first.
+        rng = np.random.default_rng(303)
+        base = random_dataset(rng, 3, 9, 11)
+        data = Dataset.from_arrays(base.positives + 1e6, base.negatives + 1e6)
+        diffs = [[Fraction(a) - Fraction(b) for a, b in zip(x1, x0)]
+                 for x1 in data.positives for x0 in data.negatives]
+        count = len(diffs)
+        exact_mu = [sum(row[i] for row in diffs) / count for i in range(3)]
+        exact_sigma = [[sum(row[i] * row[j] for row in diffs) / count for j in range(3)]
+                       for i in range(3)]
+        fast = batch_moments_fast(data)
+        scale = max(abs(v) for row in exact_sigma for v in row)
+        for i in range(3):
+            assert abs(Fraction(fast.mu[i]) - exact_mu[i]) <= Fraction(1e-9) * scale
+            for j in range(3):
+                error = abs(Fraction(fast.sigma[i, j]) - exact_sigma[i][j])
+                assert error <= Fraction(1e-9) * scale, (i, j, float(error / scale))
+
 
 class TestDrawPairIndices:
     def test_deterministic_and_in_range(self):
@@ -304,10 +325,35 @@ class TestSubsampleMoments:
         sigma = _einsum_reference(diffs) / cfg.s
         assert np.array_equal(sub.sigma, (sigma + sigma.T) / 2.0)
 
-    def test_peak_memory_is_one_difference_matrix(self):
-        # Whole-class gathers would hold three s x d arrays at once.
+    def test_block_edges_keep_mu_and_add_sigma_in_block_order(self):
+        rng = np.random.default_rng(313)
+        data = random_dataset(rng, _TILE + 3, 50, 70, scale=3.0)
+        block = moments._BLOCK_ROWS
+        cfg = SubsampleConfig(s=2 * block + 3, seed=19)
+        sub = subsample_moments(data, cfg)
+        i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
+        diffs = data.positives[i_idx] - data.negatives[j_idx]
+        assert np.array_equal(sub.mu, moments._neumaier_over_rows(diffs) / cfg.s)
+        sigma = moments._second_moment(diffs[:block])
+        for start in range(block, cfg.s, block):
+            sigma += moments._second_moment(diffs[start : start + block])
+        sigma /= cfg.s
+        assert np.array_equal(sub.sigma, (sigma + sigma.T) / 2.0)
+
+    def test_one_full_block_is_one_einsum(self):
+        rng = np.random.default_rng(314)
+        data = random_dataset(rng, 5, 40, 30)
+        cfg = SubsampleConfig(s=moments._BLOCK_ROWS, seed=23)
+        sub = subsample_moments(data, cfg)
+        i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
+        sigma = _einsum_reference(data.positives[i_idx] - data.negatives[j_idx]) / cfg.s
+        assert np.array_equal(sub.sigma, (sigma + sigma.T) / 2.0)
+
+    def test_peak_memory_is_one_block_buffer(self):
+        # Memory must not grow with s beyond the pair indices: one block
+        # buffer, two gathered blocks, 48 bytes per pair and sigma.
         rng = np.random.default_rng(312)
-        dim, s = 100, 40_000
+        dim, s = 8, 400_000
         data = random_dataset(rng, dim, 300, 300)
         tracemalloc.start()
         try:
@@ -315,9 +361,9 @@ class TestSubsampleMoments:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        differences = 8 * s * dim
+        buffer = 8 * moments._BLOCK_ROWS * dim
         gather_blocks = 2 * 8 * moments._GATHER_ROWS * dim
-        limit = differences + gather_blocks + 48 * s + 64 * dim * dim
+        limit = buffer + gather_blocks + 48 * s + 64 * dim * dim
         assert peak <= limit, f"peak {peak} B above {limit} B"
 
 
