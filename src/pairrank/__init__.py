@@ -29,22 +29,16 @@ from .bounds import (
     uniform_deviation_log_tail,
 )
 from .core import (
-    BatchProvenance,
     Dataset,
     DimensionMismatchError,
     InvalidMomentsError,
     PairMoments,
     PairRankError,
-    PopulationProvenance,
     ProblemConfig,
     RankerWeights,
-    Sample,
     SolverConvergenceError,
-    SubsampleProvenance,
     UntrainableDatasetError,
-    ValidationReport,
     scale_to_ball,
-    validate_dataset,
 )
 from .evaluation import (
     EvalReport,
@@ -71,7 +65,7 @@ from .moments import (
     draw_pair_indices,
     subsample_moments,
 )
-from .solver import SolveDiagnostics, SolverConfig, objective_value, solve_erm
+from .solver import SolveDiagnostics, objective_value, solve_erm
 from .synth import (
     GmmSpec,
     analytic_pair_moments,
@@ -92,16 +86,10 @@ __all__ = [
     "UntrainableDatasetError",
     "InvalidMomentsError",
     "SolverConvergenceError",
-    "Sample",
     "Dataset",
     "ProblemConfig",
-    "BatchProvenance",
-    "SubsampleProvenance",
-    "PopulationProvenance",
     "PairMoments",
     "RankerWeights",
-    "ValidationReport",
-    "validate_dataset",
     "scale_to_ball",
     # moments
     "SubsampleConfig",
@@ -110,7 +98,6 @@ __all__ = [
     "subsample_moments",
     "draw_pair_indices",
     # solver
-    "SolverConfig",
     "SolveDiagnostics",
     "solve_erm",
     "objective_value",

@@ -127,22 +127,31 @@ class BoundInputs:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
 
+def _log_tail(inputs: BoundInputs, radius_div: float, exponent_div: float) -> float:
+    """Shared shape of the three log tails:
+
+    log of  2 * Cov(eps / (radius_div c1))
+            * exp(-eps^2 / (exponent_div c2^2) * rho (1-rho) n).
+    """
+    c = risk_constants(inputs.x_star, inputs.w_star)
+    ratio = inputs.epsilon / (radius_div * c.covering_sensitivity * inputs.w_star)
+    exponent = (
+        inputs.epsilon**2
+        / (exponent_div * c.deviation_scale**2)
+        * inputs.rho
+        * (1.0 - inputs.rho)
+        * inputs.n
+    )
+    return math.log(2.0) + log_covering_number(ratio, inputs.dim) - exponent
+
+
 def batch_excess_risk_log_tail(inputs: BoundInputs) -> float:
     """Log tail of the all-pairs trainer's population excess risk.
 
     log of  2 * Cov(eps / (4 c1)) * exp(-eps^2 / (8 c2^2) * rho (1-rho) n)
     where Cov is the ball-covering bound at the stated radius.
     """
-    c = risk_constants(inputs.x_star, inputs.w_star)
-    ratio = inputs.epsilon / (4.0 * c.covering_sensitivity * inputs.w_star)
-    exponent = (
-        inputs.epsilon**2
-        / (8.0 * c.deviation_scale**2)
-        * inputs.rho
-        * (1.0 - inputs.rho)
-        * inputs.n
-    )
-    return math.log(2.0) + log_covering_number(ratio, inputs.dim) - exponent
+    return _log_tail(inputs, 4.0, 8.0)
 
 
 def uniform_deviation_log_tail(inputs: BoundInputs) -> float:
@@ -152,16 +161,7 @@ def uniform_deviation_log_tail(inputs: BoundInputs) -> float:
     Same shape as :func:`batch_excess_risk_log_tail` with the halved
     covering radius and the four-times-larger exponent.
     """
-    c = risk_constants(inputs.x_star, inputs.w_star)
-    ratio = inputs.epsilon / (2.0 * c.covering_sensitivity * inputs.w_star)
-    exponent = (
-        inputs.epsilon**2
-        / (2.0 * c.deviation_scale**2)
-        * inputs.rho
-        * (1.0 - inputs.rho)
-        * inputs.n
-    )
-    return math.log(2.0) + log_covering_number(ratio, inputs.dim) - exponent
+    return _log_tail(inputs, 2.0, 2.0)
 
 
 def subsampled_excess_risk_log_tail(inputs: BoundInputs) -> float:
@@ -171,17 +171,28 @@ def subsampled_excess_risk_log_tail(inputs: BoundInputs) -> float:
     + delta, where delta is the probability budget already spent on the
     subsampling stage.  Combined in log space.
     """
-    c = risk_constants(inputs.x_star, inputs.w_star)
-    ratio = inputs.epsilon / (10.0 * c.covering_sensitivity * inputs.w_star)
-    exponent = (
-        inputs.epsilon**2
-        / (50.0 * c.deviation_scale**2)
-        * inputs.rho
-        * (1.0 - inputs.rho)
-        * inputs.n
-    )
-    sampling_part = math.log(2.0) + log_covering_number(ratio, inputs.dim) - exponent
+    sampling_part = _log_tail(inputs, 10.0, 50.0)
     return float(np.logaddexp(sampling_part, math.log(inputs.delta)))
+
+
+def _min_pairs(inputs: BoundInputs, linear_div: float, first_div: float, second_div: float) -> int:
+    """Ceiling of the larger of the two pair-count thresholds, at least 1.
+
+    max( log(4 D / delta) * (opnorm x*^2 w*^4 + eps x*^2 w*^2 / linear_div)
+             / (eps^2 / first_div),
+         x*^2 w*^2 / (eps^2 / second_div) * (sqrt(2 log(4 / delta)) + 1)^2 )
+    """
+    x2 = inputs.x_star**2
+    w2 = inputs.w_star**2
+    eps = inputs.epsilon
+    first = (
+        math.log(4.0 * inputs.dim / inputs.delta)
+        * (inputs.sigma_n_opnorm * x2 * w2 * w2 + eps * x2 * w2 / linear_div)
+        / (eps**2 / first_div)
+    )
+    root = math.sqrt(2.0 * math.log(4.0 / inputs.delta))
+    second = x2 * w2 / (eps**2 / second_div) * (root + 1.0) ** 2
+    return max(1, math.ceil(max(first, second)))
 
 
 def min_pairs_empirical_gap(inputs: BoundInputs) -> int:
@@ -192,18 +203,7 @@ def min_pairs_empirical_gap(inputs: BoundInputs) -> int:
                 / (eps^2 / 32),
              x*^2 w*^2 / (eps^2 / 4) * (sqrt(2 log(4 / delta)) + 1)^2 ).
     """
-    x2 = inputs.x_star**2
-    w2 = inputs.w_star**2
-    eps = inputs.epsilon
-    first = (
-        math.log(4.0 * inputs.dim / inputs.delta)
-        * (inputs.sigma_n_opnorm * x2 * w2 * w2 + eps * x2 * w2 / 3.0)
-        / (eps**2 / 32.0)
-    )
-    second = (
-        x2 * w2 / (eps**2 / 4.0) * (math.sqrt(2.0 * math.log(4.0 / inputs.delta)) + 1.0) ** 2
-    )
-    return max(1, math.ceil(max(first, second)))
+    return _min_pairs(inputs, 3.0, 32.0, 4.0)
 
 
 def min_pairs_excess_risk(inputs: BoundInputs) -> int:
@@ -213,18 +213,7 @@ def min_pairs_excess_risk(inputs: BoundInputs) -> int:
     eps^2 / 800 and eps^2 / 100 and the linear term divided by 15, as
     the guarantee splits its accuracy budget five ways.
     """
-    x2 = inputs.x_star**2
-    w2 = inputs.w_star**2
-    eps = inputs.epsilon
-    first = (
-        math.log(4.0 * inputs.dim / inputs.delta)
-        * (inputs.sigma_n_opnorm * x2 * w2 * w2 + eps * x2 * w2 / 15.0)
-        / (eps**2 / 800.0)
-    )
-    second = (
-        x2 * w2 / (eps**2 / 100.0) * (math.sqrt(2.0 * math.log(4.0 / inputs.delta)) + 1.0) ** 2
-    )
-    return max(1, math.ceil(max(first, second)))
+    return _min_pairs(inputs, 15.0, 800.0, 100.0)
 
 
 def second_moment_deviation_tail(
@@ -266,21 +255,6 @@ def mean_deviation_tail(s: int, epsilon: float, x_star: float, w_star: float) ->
     return min(1.0, 2.0 * math.exp(-0.5 * (arg - 1.0) ** 2))
 
 
-_CSV_FLOAT_FIELDS = (
-    "x_star",
-    "w_star",
-    "rho",
-    "sigma_n_opnorm",
-    "epsilon",
-    "delta",
-    "covering_sensitivity",
-    "deviation_scale",
-    "batch_excess_risk_log_tail",
-    "uniform_deviation_log_tail",
-    "subsampled_excess_risk_log_tail",
-    "second_moment_deviation_tail",
-    "mean_deviation_tail",
-)
 _CSV_INT_FIELDS = ("dim", "n", "min_pairs_empirical_gap", "min_pairs_excess_risk")
 _CSV_HEADER = (
     "dim",

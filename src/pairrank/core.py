@@ -4,8 +4,7 @@ Everything downstream (moment builders, the ball-constrained solver, the
 evaluators, the experiment harness) speaks in terms of the types defined
 here.  The two load-bearing containers are :class:`Dataset`, a pair of
 dense feature matrices split by class, and :class:`PairMoments`, the
-first and second moments of positive-minus-negative difference vectors
-together with a record of how they were produced.
+first and second moments of positive-minus-negative difference vectors.
 
 Arrays stored on frozen dataclasses are coerced to contiguous float64
 and marked read-only, so instances can be shared freely between threads
@@ -14,9 +13,7 @@ and across test fixtures without defensive copies.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +23,10 @@ __all__ = [
     "UntrainableDatasetError",
     "InvalidMomentsError",
     "SolverConvergenceError",
-    "Sample",
     "Dataset",
     "ProblemConfig",
-    "BatchProvenance",
-    "SubsampleProvenance",
-    "PopulationProvenance",
     "PairMoments",
     "RankerWeights",
-    "ValidationReport",
-    "validate_dataset",
     "scale_to_ball",
 ]
 
@@ -43,9 +34,6 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 # A matrix counts as PSD if its smallest eigenvalue is above -tol * opnorm.
 _PSD_REL_TOL = 1e-9
-# Norm-cap violations smaller than this relative slack are ignored by the
-# validator so that scale_to_ball output always validates cleanly.
-_NORM_REL_TOL = 1e-9
 # Rows per block when scale_to_ball measures norms, so no n-by-d temporary
 # sits next to the dataset; each row's norm is the same either way.
 _NORM_BLOCK = 4096
@@ -101,28 +89,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, slots=True)
-class Sample:
-    """One labeled example: a feature vector plus a binary class label."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self) -> None:
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        if feats.ndim != 1:
-            raise DimensionMismatchError(
-                f"sample features must be a vector, got ndim={feats.ndim}"
-            )
-        if self.label not in (0, 1):
-            raise ValueError(f"sample label must be 0 or 1, got {self.label!r}")
-        object.__setattr__(self, "features", _freeze(feats))
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[0]
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature vectors partitioned by class.
@@ -130,9 +96,10 @@ class Dataset:
     `positives` has shape (n1, dim) and `negatives` (n0, dim).  Either
     class may be empty; operations that need at least one pair call
     :meth:`require_trainable` first.  Construction enforces the shared
-    dimension but deliberately tolerates non-finite entries, so that
-    :func:`validate_dataset` can report them instead of construction
-    exploding on dirty input.
+    dimension but does not scan for non-finite entries, which would cost
+    a pass over every row of every dataset built: `parse_libsvm` rejects
+    them in files, :func:`scale_to_ball` refuses them, and the metrics
+    refuse the non-finite scores they produce.
     """
 
     positives: np.ndarray
@@ -160,31 +127,7 @@ class Dataset:
         """Build a dataset from two row-matrices, inferring the dimension."""
         pos = _as_float_matrix(positives, "positives")
         neg = _as_float_matrix(negatives, "negatives")
-        if pos.shape[0] > 0 and neg.shape[0] > 0 and pos.shape[1] != neg.shape[1]:
-            raise DimensionMismatchError(
-                f"positives have dimension {pos.shape[1]}, negatives {neg.shape[1]}"
-            )
         dim = pos.shape[1] if pos.shape[0] > 0 else neg.shape[1]
-        return cls(positives=pos, negatives=neg, dim=dim)
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[Sample]) -> "Dataset":
-        """Partition labeled samples into a dataset; dimensions must agree."""
-        pos_rows: list[np.ndarray] = []
-        neg_rows: list[np.ndarray] = []
-        dim: int | None = None
-        for sample in samples:
-            if dim is None:
-                dim = sample.dim
-            elif sample.dim != dim:
-                raise DimensionMismatchError(
-                    f"sample dimension {sample.dim} differs from first sample's {dim}"
-                )
-            (pos_rows if sample.label == 1 else neg_rows).append(sample.features)
-        if dim is None:
-            dim = 0
-        pos = np.array(pos_rows, dtype=np.float64).reshape(len(pos_rows), dim)
-        neg = np.array(neg_rows, dtype=np.float64).reshape(len(neg_rows), dim)
         return cls(positives=pos, negatives=neg, dim=dim)
 
     @property
@@ -198,13 +141,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.n1 + self.n0
-
-    @property
-    def skew(self) -> float:
-        """Fraction of examples that are positive; nan for an empty dataset."""
-        if self.n == 0:
-            return float("nan")
-        return self.n1 / self.n
 
     def scaled(self, factor: float) -> "Dataset":
         """Both classes multiplied by one common factor (self when it is 1)."""
@@ -242,49 +178,6 @@ class ProblemConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BatchProvenance:
-    """Moments built from every one of the n1 * n0 cross-class pairs."""
-
-    n1: int
-    n0: int
-
-    def __post_init__(self) -> None:
-        if self.n1 < 1 or self.n0 < 1:
-            raise ValueError(
-                f"batch moments need n1 >= 1 and n0 >= 1, got ({self.n1}, {self.n0})"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class SubsampleProvenance:
-    """Moments built from s pairs drawn uniformly with replacement.
-
-    The same validated (s, seed) pair is the configuration of
-    :func:`~pairrank.moments.subsample_moments`, which exports it as
-    ``SubsampleConfig`` and stores its argument as the provenance.  The
-    seed is a single unsigned 64-bit word; it keys the counter-based
-    generator described in :func:`~pairrank.moments.draw_pair_indices`.
-    """
-
-    s: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError(f"subsample size must be >= 1, got {self.s}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
-
-
-@dataclass(frozen=True, slots=True)
-class PopulationProvenance:
-    """Moments computed in closed form from a generating distribution."""
-
-
-Provenance = Union[BatchProvenance, SubsampleProvenance, PopulationProvenance]
-
-
 @dataclass(frozen=True)
 class PairMoments:
     """First and second moments of positive-minus-negative differences.
@@ -301,8 +194,7 @@ class PairMoments:
 
     mu: np.ndarray
     sigma: np.ndarray
-    provenance: Provenance
-    eigh: tuple[np.ndarray, np.ndarray] = dataclasses.field(init=False, repr=False, compare=False)
+    eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
@@ -358,64 +250,6 @@ class RankerWeights:
         return float(np.linalg.norm(self.w))
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    """Outcome of :func:`validate_dataset`.
-
-    Violations are reported as (class_label, row_index) pairs, where the
-    class label is 1 for positives and 0 for negatives and the row index
-    is the position inside that class's matrix.  `empty_classes` lists
-    the labels with zero rows.
-    """
-
-    dimension_mismatches: tuple[tuple[int, int], ...]
-    non_finite: tuple[tuple[int, int], ...]
-    norm_violations: tuple[tuple[int, int], ...]
-    empty_classes: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        """True when no violation of any kind was found."""
-        return not (
-            self.dimension_mismatches
-            or self.non_finite
-            or self.norm_violations
-            or self.empty_classes
-        )
-
-
-def validate_dataset(data: Dataset, cfg: ProblemConfig) -> ValidationReport:
-    """Check a dataset against the problem geometry.
-
-    Reports, per class, rows whose length disagrees with ``data.dim``,
-    rows containing non-finite values, and rows whose Euclidean norm
-    exceeds ``cfg.x_star`` by more than a 1e-9 relative slack (so that
-    the output of :func:`scale_to_ball` always validates).  Also flags
-    empty classes, which make the dataset untrainable.
-    """
-    mismatches: list[tuple[int, int]] = []
-    bad_values: list[tuple[int, int]] = []
-    too_long: list[tuple[int, int]] = []
-    cap = cfg.x_star * (1.0 + _NORM_REL_TOL)
-    for label, rows in ((1, data.positives), (0, data.negatives)):
-        if rows.shape[0] and rows.shape[1] != data.dim:
-            mismatches.extend((label, i) for i in range(rows.shape[0]))
-            continue
-        finite_rows = np.all(np.isfinite(rows), axis=1) if rows.size else np.ones(rows.shape[0], bool)
-        for i in np.flatnonzero(~finite_rows):
-            bad_values.append((label, int(i)))
-        norms = np.where(finite_rows, np.linalg.norm(np.where(np.isfinite(rows), rows, 0.0), axis=1), 0.0)
-        for i in np.flatnonzero(norms > cap):
-            too_long.append((label, int(i)))
-    empty = tuple(label for label, m in ((1, data.positives), (0, data.negatives)) if m.shape[0] == 0)
-    return ValidationReport(
-        dimension_mismatches=tuple(mismatches),
-        non_finite=tuple(bad_values),
-        norm_violations=tuple(too_long),
-        empty_classes=empty,
-    )
-
-
 def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
     """Largest Euclidean norm among the rows of ``rows * factor``; 0 if none."""
     largest = 0.0
@@ -442,7 +276,7 @@ def scale_to_ball(data: Dataset, x_star: float) -> tuple[Dataset, float]:
     if not (np.isfinite(x_star) and x_star > 0.0):
         raise ValueError(f"x_star must be finite and > 0, got {x_star!r}")
     if not (np.all(np.isfinite(data.positives)) and np.all(np.isfinite(data.negatives))):
-        raise PairRankError("scale_to_ball requires finite features; validate first")
+        raise PairRankError("scale_to_ball found a non-finite feature (nan or inf)")
     classes = (data.positives, data.negatives)
     max_norm = max(_max_row_norm(m) for m in classes)
     if max_norm <= x_star:

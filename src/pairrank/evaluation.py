@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, RankerWeights
+from .core import Dataset, DimensionMismatchError, PairRankError, RankerWeights
 
 __all__ = [
     "EvalReport",
@@ -63,13 +63,21 @@ class EvalReport:
 
 
 def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the positives and of the negatives; needs at least one pair."""
+    """Scores of the positives and of the negatives; needs at least one pair.
+
+    Raises PairRankError if a score is not finite (a nan or inf feature,
+    or an overflowing product), which neither metric could rank or
+    average into a meaningful value.
+    """
     data.require_trainable()
     if w.dim != data.dim:
         raise DimensionMismatchError(
             f"weights of dimension {w.dim} cannot score {data.dim}-dim features"
         )
-    return data.positives @ w.w, data.negatives @ w.w
+    pos, neg = data.positives @ w.w, data.negatives @ w.w
+    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
+        raise PairRankError("cannot evaluate a ranker on non-finite scores")
+    return pos, neg
 
 
 def _midranks(xs: np.ndarray) -> np.ndarray:

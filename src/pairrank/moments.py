@@ -9,8 +9,12 @@ Three routes to the same object, a :class:`~pairrank.core.PairMoments`:
 * :func:`batch_moments_fast` produces the algebraically identical
   result from centered per-class moments in linear time.
 * :func:`subsample_moments` averages over s pairs drawn uniformly with
-  replacement from the n1 * n0 grid, using a counter-based generator so
-  the drawn index sequence is a pure function of (seed, s, n1, n0).
+  replacement from the n1 * n0 grid, (s, seed) given as a
+  :class:`SubsampleConfig`, using a counter-based generator so the
+  drawn index sequence is a pure function of (seed, s, n1, n0).
+
+The moments carry no record of their route; a caller that needs one
+(the CLI's result rows) keeps the route, s and seed it chose.
 
 Numerical policy, chosen for run-to-run determinism: mean vectors are
 accumulated with a chunked Neumaier compensated sum.  Each second-moment
@@ -30,15 +34,11 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BatchProvenance,
-    Dataset,
-    PairMoments,
-    SubsampleProvenance,
-)
+from .core import Dataset, PairMoments
 
 __all__ = [
     "SubsampleConfig",
@@ -58,9 +58,22 @@ _GATHER_ROWS = 4096
 _BLOCK_ROWS = 16384
 
 
-# How many pairs to draw and with what seed; the same class is the
-# provenance of the moments it produces.
-SubsampleConfig = SubsampleProvenance
+@dataclass(frozen=True, slots=True)
+class SubsampleConfig:
+    """How many pairs :func:`subsample_moments` draws, and with what seed.
+
+    The seed is a single unsigned 64-bit word; it keys the counter-based
+    generator described in :func:`draw_pair_indices`.
+    """
+
+    s: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.s < 1:
+            raise ValueError(f"subsample size must be >= 1, got {self.s}")
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
 
 
 def _neumaier_over_rows(rows: np.ndarray, state: tuple | None = None) -> np.ndarray:
@@ -167,7 +180,7 @@ def batch_moments_naive(data: Dataset) -> PairMoments:
     count = float(n1) * float(n0)
     mu = _neumaier_over_rows(row_sums) / count
     sigma /= count
-    return PairMoments(mu=mu, sigma=sigma, provenance=BatchProvenance(n1=n1, n0=n0))
+    return PairMoments(mu=mu, sigma=sigma)
 
 
 def batch_moments_fast(data: Dataset) -> PairMoments:
@@ -196,7 +209,7 @@ def batch_moments_fast(data: Dataset) -> PairMoments:
     _, c0 = _stream_moments(n0, dim, lambda rows: (neg[rows], m0))
     mu = m1 - m0
     sigma = c1 / n1 + c0 / n0 + np.outer(mu, mu)
-    return PairMoments(mu=mu, sigma=sigma, provenance=BatchProvenance(n1=n1, n0=n0))
+    return PairMoments(mu=mu, sigma=sigma)
 
 
 def draw_pair_indices(seed: int, s: int, n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,4 +271,4 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     total, second = _stream_moments(
         cfg.s, data.dim, lambda pairs: (data.positives[i_idx[pairs]], data.negatives[j_idx[pairs]])
     )
-    return PairMoments(mu=total / cfg.s, sigma=second / cfg.s, provenance=cfg)
+    return PairMoments(mu=total / cfg.s, sigma=second / cfg.s)

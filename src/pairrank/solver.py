@@ -14,7 +14,9 @@ check, so a solve adds neither a decomposition nor a check.  It decides
 interior versus boundary from the minimum-norm stationary point, and if
 the constraint is active finds lam as the root of a one-dimensional
 secular equation by a Newton iteration safeguarded by bisection on the
-bracket [0, ||mu|| / radius].
+bracket [0, ||mu|| / radius].  Nothing is tuned per call: the root search
+stops when ||w|| is within 1e-12 of the radius, relative, and gives up
+after 200 iterations.
 
 Among minimizers (non-unique when sigma is singular) the solver returns
 the one of minimum Euclidean norm, equivalently the minimum-lam KKT
@@ -38,7 +40,6 @@ from .core import (
 )
 
 __all__ = [
-    "SolverConfig",
     "SolveDiagnostics",
     "objective_value",
     "solve_erm",
@@ -52,35 +53,11 @@ _NULL_REL_TOL = 1e-13
 # problem is treated as stationary-solvable; above it the linear term
 # genuinely pushes the optimum to the boundary.
 _INTERIOR_GAP_REL = 1e-11
-
-
-@dataclass(frozen=True, slots=True)
-class SolverConfig:
-    """Tolerances and budgets for the ball-constrained solve.
-
-    boundary_tolerance: relative accuracy of ||w|| against the radius
-        when the constraint is active.
-    max_bisection_iters: cap on secular-equation iterations (Newton steps and
-        bisection fallbacks combined) before giving up.
-    kkt_tolerance: stationarity residual the returned point must meet,
-        scaled by (1 + ||mu||).
-    """
-
-    boundary_tolerance: float = 1e-12
-    max_bisection_iters: int = 200
-    kkt_tolerance: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.boundary_tolerance < 1.0):
-            raise ValueError(
-                f"boundary_tolerance must lie in (0, 1), got {self.boundary_tolerance!r}"
-            )
-        if not (0.0 < self.kkt_tolerance < 1.0):
-            raise ValueError(
-                f"kkt_tolerance must lie in (0, 1), got {self.kkt_tolerance!r}"
-            )
-        if self.max_bisection_iters < 10:
-            raise ValueError(f"max_bisection_iters must be >= 10, got {self.max_bisection_iters}")
+# A boundary solve stops once ||w|| is within this fraction of the radius.
+_BOUNDARY_REL_TOL = 1e-12
+# Secular-equation iterations (Newton steps and bisections combined)
+# before the solve gives up with SolverConvergenceError.
+_MAX_SECULAR_ITERS = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,17 +103,13 @@ def _secular_norm(lam: float, eigs: np.ndarray, b: np.ndarray) -> tuple[float, f
     return norm, deriv
 
 
-def solve_erm(
-    moments: PairMoments,
-    cfg: ProblemConfig,
-    scfg: SolverConfig = SolverConfig(),
-) -> tuple[RankerWeights, SolveDiagnostics]:
+def solve_erm(moments: PairMoments, cfg: ProblemConfig) -> tuple[RankerWeights, SolveDiagnostics]:
     """Minimize the pair-moment quadratic over the ball of radius cfg.w_star.
 
     Returns the minimum-norm minimizer together with a KKT certificate.
     Raises SolverConvergenceError (carrying the final bracket) if the
     secular iteration exhausts its budget, which for PSD moments
-    indicates tolerances tighter than the arithmetic supports.  Sigma is
+    indicates a tolerance tighter than the arithmetic supports.  Sigma is
     not re-checked here: `PairMoments` rejects a non-PSD sigma at
     construction.
     """
@@ -204,13 +177,13 @@ def solve_erm(
     iterations = 0
     while True:
         iterations += 1
-        if iterations > scfg.max_bisection_iters:
+        if iterations > _MAX_SECULAR_ITERS:
             raise SolverConvergenceError(
                 "secular iteration exhausted its budget", bracket=(lo, hi)
             )
         norm, dnorm = _secular_norm(lam, eigs, b)
         f = 1.0 / norm - 1.0 / radius
-        if abs(norm - radius) <= scfg.boundary_tolerance * radius:
+        if abs(norm - radius) <= _BOUNDARY_REL_TOL * radius:
             break
         if f < 0.0:
             lo, f_lo = lam, f

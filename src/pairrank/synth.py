@@ -21,14 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    PairMoments,
-    PopulationProvenance,
-    ProblemConfig,
-    RankerWeights,
-)
-from .solver import SolverConfig, solve_erm
+from .core import Dataset, PairMoments, ProblemConfig, RankerWeights
+from .solver import solve_erm
 
 __all__ = [
     "GmmSpec",
@@ -136,25 +130,17 @@ def analytic_pair_moments(spec: GmmSpec) -> PairMoments:
     big_m1 = np.einsum("k,ki,kj->ij", w, spec.means_pos, spec.means_pos) + noise
     big_m0 = np.einsum("k,ki,kj->ij", w, spec.means_neg, spec.means_neg) + noise
     cross = np.outer(m1, m0)
-    return PairMoments(
-        mu=m1 - m0,
-        sigma=big_m1 + big_m0 - cross - cross.T,
-        provenance=PopulationProvenance(),
-    )
+    return PairMoments(mu=m1 - m0, sigma=big_m1 + big_m0 - cross - cross.T)
 
 
-def optimal_phi_ranker(
-    spec: GmmSpec,
-    cfg: ProblemConfig,
-    scfg: SolverConfig = SolverConfig(),
-) -> RankerWeights:
+def optimal_phi_ranker(spec: GmmSpec, cfg: ProblemConfig) -> RankerWeights:
     """Population-optimal linear ranker for the squared pairwise loss.
 
     Minimizes the closed-form population risk over the weight ball, so
     trained rankers can be compared against an exact target rather than
     another estimate.
     """
-    weights, _ = solve_erm(analytic_pair_moments(spec), cfg, scfg)
+    weights, _ = solve_erm(analytic_pair_moments(spec), cfg)
     return weights
 
 

@@ -18,7 +18,6 @@ import pytest
 
 from conftest import integer_dataset, random_dataset
 from pairrank import (
-    BatchProvenance,
     BoundInputs,
     Dataset,
     PairMoments,
@@ -95,7 +94,7 @@ def test_criterion_2():
         sigma = factor @ factor.T / rank
         mu = rng.standard_normal(dim) * float(rng.uniform(0.3, 1.5))
         w_star = float(rng.uniform(0.5, 2.0))
-        moments = PairMoments(mu=mu, sigma=sigma, provenance=BatchProvenance(1, 1))
+        moments = PairMoments(mu=mu, sigma=sigma)
         weights, diagnostics = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=w_star))
         w = weights.w
         assert float(np.linalg.norm(w)) <= w_star * (1.0 + 1e-9)
@@ -107,15 +106,11 @@ def test_criterion_2():
 
     # closed-form instances: identity curvature, optimum on and off the boundary
     eye = np.eye(2)
-    boundary = PairMoments(
-        mu=np.array([2.0, 0.0]), sigma=eye, provenance=BatchProvenance(1, 1)
-    )
+    boundary = PairMoments(mu=np.array([2.0, 0.0]), sigma=eye)
     w_b, diag_b = solve_erm(boundary, ProblemConfig(x_star=1.0, w_star=1.0))
     np.testing.assert_allclose(w_b.w, [1.0, 0.0], rtol=0.0, atol=1e-12)
     assert abs(diag_b.multiplier - 1.0) <= 1e-12
-    interior = PairMoments(
-        mu=np.array([0.5, 0.0]), sigma=eye, provenance=BatchProvenance(1, 1)
-    )
+    interior = PairMoments(mu=np.array([0.5, 0.0]), sigma=eye)
     w_i, diag_i = solve_erm(interior, ProblemConfig(x_star=1.0, w_star=1.0))
     np.testing.assert_allclose(w_i.w, [0.5, 0.0], rtol=0.0, atol=1e-12)
     assert diag_i.multiplier == 0.0

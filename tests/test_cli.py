@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pairrank.cli as cli
+import pairrank.solver as solver
 from conftest import parse_libsvm_reference, random_dataset
 from pairrank import (
     RESULT_CSV_HEADER,
@@ -387,6 +388,19 @@ class TestExitCodes:
         assert main([argv[0], "--out", str(out), *argv[1:]]) == 1
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_moments_are_numerical_failure(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("+1 1:1e200 2:1\n-1 1:1 2:0\n-1 1:0 2:1\n", encoding="ascii")
+        assert main(["train", "bbr", str(path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_exhausted_solver_is_numerical_failure(self, toy_file, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "_MAX_SECULAR_ITERS", 0)
+        assert main(["train", "bbr", str(toy_file), "--w-star", "0.01"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "bracket: [" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -16,6 +16,7 @@ from pairrank import (
     DimensionMismatchError,
     EvalReport,
     PairMoments,
+    PairRankError,
     RankerWeights,
     auc_fast,
     auc_naive,
@@ -266,3 +267,19 @@ class TestEvalReport:
             EvalReport(auc=0.5, auc_risk=0.5, phi_risk=-0.1, n_pairs=1)
         with pytest.raises(ValueError):
             EvalReport(auc=0.5, auc_risk=0.5, phi_risk=0.1, n_pairs=0)
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("metric", [auc_fast, auc_naive, phi_risk, evaluate_ranker])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_metrics_refuse_non_finite_features(self, metric, bad):
+        # The bad entry meets a zero weight: its score is still nan.
+        data = Dataset.from_arrays([[0.5, bad], [0.2, 0.1]], [[0.1, 0.3]])
+        with pytest.raises(PairRankError, match="non-finite scores"):
+            metric(data, RankerWeights(w=[1.0, 0.0]))
+
+    def test_overflowing_scores_are_refused(self):
+        data = Dataset.from_arrays([[0.0, 0.0]], [[1e300, 1e300]])
+        with pytest.raises(PairRankError, match="non-finite scores"):
+            phi_risk(data, RankerWeights(w=[1e10, 1e10]))

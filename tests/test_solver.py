@@ -4,23 +4,17 @@ import numpy as np
 import pytest
 
 from pairrank import (
-    BatchProvenance,
     DimensionMismatchError,
     PairMoments,
     ProblemConfig,
     RankerWeights,
-    SolverConfig,
     objective_value,
     solve_erm,
 )
 
 
 def _moments(mu, sigma):
-    return PairMoments(
-        mu=np.asarray(mu, float),
-        sigma=np.asarray(sigma, float),
-        provenance=BatchProvenance(n1=1, n0=1),
-    )
+    return PairMoments(mu=np.asarray(mu, float), sigma=np.asarray(sigma, float))
 
 
 def _random_psd_instance(rng, dim, allow_rank_deficient=True):
@@ -157,7 +151,7 @@ class TestSharedEigendecomposition:
         assert len(calls) == 1
         active = set()
         for radius, (weights, diag) in zip(radii, shared):
-            fresh = PairMoments(moments.mu, moments.sigma, moments.provenance)
+            fresh = PairMoments(moments.mu, moments.sigma)
             fresh_weights, fresh_diag = solve_erm(fresh, ProblemConfig(x_star=1.0, w_star=radius))
             assert np.array_equal(weights.w, fresh_weights.w)
             assert diag == fresh_diag
@@ -202,18 +196,3 @@ class TestObjectiveValue:
         with pytest.raises(DimensionMismatchError):
             objective_value(moments, RankerWeights(w=[1.0]))
 
-
-class TestSolverConfig:
-    def test_rejects_out_of_range_tolerances(self):
-        with pytest.raises(ValueError):
-            SolverConfig(boundary_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(kkt_tolerance=1.0)
-
-    def test_rejects_tiny_iteration_budget(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_bisection_iters=9)
-
-    def test_defaults_are_valid(self):
-        cfg = SolverConfig()
-        assert cfg.max_bisection_iters >= 10
