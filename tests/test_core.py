@@ -11,6 +11,7 @@ from pairrank import (
     PairRankError,
     ProblemConfig,
     RankerWeights,
+    SubsampleConfig,
     UntrainableDatasetError,
     scale_to_ball,
 )
@@ -59,6 +60,18 @@ class TestProblemConfig:
     def test_accepts_positive_finite(self):
         cfg = ProblemConfig(x_star=2.0, w_star=0.5)
         assert (cfg.x_star, cfg.w_star) == (2.0, 0.5)
+
+
+class TestProvenance:
+    """The (s, seed) pair a subsampled estimate is reproduced from."""
+
+    def test_subsample_seed_must_fit_64_bits(self):
+        with pytest.raises(ValueError):
+            SubsampleConfig(s=1, seed=2**64)
+        with pytest.raises(ValueError):
+            SubsampleConfig(s=1, seed=-1)
+        with pytest.raises(ValueError):
+            SubsampleConfig(s=0, seed=0)
 
 
 class TestPairMoments:
