@@ -13,9 +13,11 @@ Subcommands:
 
 Every command that trains goes through :func:`_fit` (pair moments,
 then the ball-constrained solve, timed) and :func:`_row` (evaluation and
-the CSV row); the two sweeps share :func:`_mixture_rows`.  ``train
---x-star`` scales the training set with :func:`~pairrank.core.scale_to_ball`
-and the ``--test`` set by the same factor.
+the CSV row).  The three mixture commands draw each replicate's spec and
+training set with :func:`_draw_mixture`; both sweeps fit a replicate's
+bbr and lcbr rows with :func:`_fit_rows`.  ``train --x-star`` scales
+the training set with :func:`~pairrank.core.scale_to_ball` and the
+``--test`` set by the same factor.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset), 3 numerical failure (solver
@@ -25,7 +27,8 @@ Determinism: every command takes seeds explicitly.  Sub-streams (spec
 draw, train draw, test draw, pair draw, SGD draw, split draw) are
 derived from the command seed with numpy's SeedSequence using fixed
 role indices, so runs are bit-reproducible end to end; only the
-wall-time CSV columns vary between runs.
+wall-time CSV columns vary between runs.  A sweep's i-th replicate
+(counting from 0 in grid order) takes ``--base-seed + i`` as its seed.
 
 Model file format (bit-exact): 8-byte magic ``PAIRRANK``, version as
 little-endian uint32 (currently 1), dimension D as little-endian
@@ -39,6 +42,7 @@ relative output paths (model files and CSVs).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import struct
 import sys
@@ -68,7 +72,7 @@ from .moments import (
     subsample_moments,
 )
 from .solver import SolveDiagnostics, solve_erm
-from .synth import analytic_pair_moments, random_gmm_spec, sample_dataset
+from .synth import GmmSpec, analytic_pair_moments, random_gmm_spec, sample_dataset
 
 __all__ = [
     "UsageError",
@@ -245,9 +249,7 @@ def _row(
     seconds: float,
     extra: dict[str, str],
 ) -> ResultRow:
-    """Evaluate `weights` (zero-padded if need be) on `evaluate_on`; n1/n0 come from `train`."""
-    if weights.dim < evaluate_on.dim:
-        weights = RankerWeights(np.pad(weights.w, (0, evaluate_on.dim - weights.dim)))
+    """Evaluate `weights` on `evaluate_on`; n1/n0 come from `train`."""
     report = evaluate_ranker(evaluate_on, weights)
     return ResultRow(
         experiment_id=experiment,
@@ -264,9 +266,10 @@ def _row(
     )
 
 
-def _write_rows(rows: list[ResultRow], out: str) -> int:
+def _write_out(out: str, rows: list, write: Callable[[list, Path], None]) -> int:
+    """Write `rows` to `out` (under PAIRRANK_OUT_DIR if set) with `write`, and say where."""
     path = _resolve_out(out)
-    write_results_csv(rows, path)
+    write(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -296,16 +299,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     fit = _fit(data, cfg, s, derived_seed(args.seed, ROLE_PAIRS), args.naive)
     seconds = fit.moment_seconds + fit.solve_seconds
 
-    evaluate_on, eval_name = data, "train"
+    weights, evaluate_on, eval_name = fit.weights, data, "train"
     if args.test is not None:
+        # Features that only the test file names get weight zero.
         evaluate_on = parse_libsvm(args.test, dim_hint=data.dim).scaled(factor)
+        weights = RankerWeights(np.pad(weights.w, (0, evaluate_on.dim - data.dim)))
         eval_name = "test"
     extra = {"eval_on": eval_name, "multiplier": f"{fit.diagnostics.multiplier:.17g}"}
     if args.sample_ratio is not None:
         extra["sample_ratio"] = f"{args.sample_ratio:.17g}"
     algorithm = "bbr-naive" if args.naive else args.algorithm
     row = _row("train", algorithm, Path(args.data).name, data, s, args.seed,
-               fit.weights, evaluate_on, seconds, extra)
+               weights, evaluate_on, seconds, extra)
 
     if args.model_out is not None:
         save_weights(_resolve_out(args.model_out), fit.weights, args.w_star)
@@ -321,102 +326,104 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# synth-sweep and skew-sweep
+# mixture replicates: synth-sweep, skew-sweep and timing
 
 
-def _mixture_rows(
-    args: argparse.Namespace,
-    experiment: str,
-    k: int,
-    sigma: float,
-    n1: int,
-    n0: int,
-    seed: int,
-    pair_draws: list[tuple[int, int]],
-    extra: dict[str, str],
-    with_optimum: bool = False,
-    sgd: SgdConfig | None = None,
-) -> list[ResultRow]:
-    """One mixture replicate: spec -> train -> test, then its rows.
+def _draw_mixture(dim: int, k: int, sigma: float, n1: int, n0: int,
+                  seed: int) -> tuple[GmmSpec, Dataset]:
+    """A replicate's mixture spec and training set, drawn from `seed`'s spec and train roles."""
+    spec = random_gmm_spec(dim, k, sigma, derived_seed(seed, ROLE_SPEC))
+    return spec, sample_dataset(spec, n1, n0, derived_seed(seed, ROLE_TRAIN))
 
-    A bbr row (seeded `seed`), then one lcbr row per (s, pair seed) in
-    `pair_draws`, then a pairwise-SGD row when `sgd` is given.  With
-    `with_optimum`, every row also records the population-optimal risk.
-    """
-    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
-    spec = random_gmm_spec(args.dim, k, sigma, derived_seed(seed, ROLE_SPEC))
-    train = sample_dataset(spec, n1, n0, derived_seed(seed, ROLE_TRAIN))
-    test = sample_dataset(
-        spec, args.test_per_class, args.test_per_class, derived_seed(seed, ROLE_TEST)
-    )
-    if with_optimum:
-        population = analytic_pair_moments(spec)
-        optimal, _ = solve_erm(population, cfg)
-        optimum = expected_phi_risk(population.sigma, population.mu, optimal)
-        extra = {**extra, "optimal_phi_risk": f"{optimum:.17g}"}
 
+def _fit_rows(experiment: str, train: Dataset, test: Dataset, cfg: ProblemConfig, seed: int,
+              pair_draws: list[tuple[int, int]], extra: dict[str, str]) -> list[ResultRow]:
+    """A bbr row seeded `seed`, then one lcbr row per (s, pair seed) in `pair_draws`, on `test`."""
     rows: list[ResultRow] = []
     for s, row_seed in [(0, seed), *pair_draws]:
         fit = _fit(train, cfg, s, row_seed)
         rows.append(_row(experiment, "lcbr" if s else "bbr", "gmm", train, s, row_seed,
                          fit.weights, test, fit.moment_seconds + fit.solve_seconds, extra))
-    if sgd is not None:
-        started = time.perf_counter()
-        weights = train_pairwise_sgd(train, sgd)
-        rows.append(_row(experiment, "pairwise-sgd", "gmm", train, sgd.pair_budget, sgd.seed,
-                         weights, test, time.perf_counter() - started, extra))
     return rows
 
 
 def _cmd_synth_sweep(args: argparse.Namespace) -> int:
+    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
     rows: list[ResultRow] = []
-    seed = args.base_seed
-    for k in args.k_grid:
-        for sigma in args.sigma_grid:
-            for replicate in range(args.replicates):
-                pair_draws = [
-                    (s, derived_seed(seed, ROLE_PAIRS, s_index))
-                    for s_index, s in enumerate(args.pairs_grid)
-                ]
-                sgd = None
-                if args.sgd_step_size is not None:
-                    sgd = SgdConfig(
-                        step_size=args.sgd_step_size,
-                        pair_budget=args.sgd_budget,
-                        seed=derived_seed(seed, ROLE_SGD),
-                        w_star=args.w_star,
-                    )
-                extra = {"k": str(k), "sigma": f"{sigma:.17g}", "replicate": str(replicate)}
-                rows.extend(
-                    _mixture_rows(args, f"synth-k{k}-sigma{sigma:g}-rep{replicate}", k, sigma,
-                                  args.n1, args.n0, seed, pair_draws, extra,
-                                  with_optimum=True, sgd=sgd)
-                )
-                seed += 1
-    return _write_rows(rows, args.out)
+    grid = itertools.product(args.k_grid, args.sigma_grid, range(args.replicates))
+    for seed, (k, sigma, replicate) in enumerate(grid, start=args.base_seed):
+        spec, train = _draw_mixture(args.dim, k, sigma, args.n1, args.n0, seed)
+        test = sample_dataset(
+            spec, args.test_per_class, args.test_per_class, derived_seed(seed, ROLE_TEST)
+        )
+        population = analytic_pair_moments(spec)
+        optimal, _ = solve_erm(population, cfg)
+        optimum = expected_phi_risk(population.sigma, population.mu, optimal)
+        extra = {"k": str(k), "sigma": f"{sigma:.17g}", "replicate": str(replicate),
+                 "optimal_phi_risk": f"{optimum:.17g}"}
+        experiment = f"synth-k{k}-sigma{sigma:g}-rep{replicate}"
+        pair_draws = [
+            (s, derived_seed(seed, ROLE_PAIRS, s_index))
+            for s_index, s in enumerate(args.pairs_grid)
+        ]
+        rows.extend(_fit_rows(experiment, train, test, cfg, seed, pair_draws, extra))
+        if args.sgd_step_size is not None:
+            sgd = SgdConfig(
+                step_size=args.sgd_step_size,
+                pair_budget=args.sgd_budget,
+                seed=derived_seed(seed, ROLE_SGD),
+                w_star=args.w_star,
+            )
+            started = time.perf_counter()
+            weights = train_pairwise_sgd(train, sgd)
+            rows.append(_row(experiment, "pairwise-sgd", "gmm", train, sgd.pair_budget, sgd.seed,
+                             weights, test, time.perf_counter() - started, extra))
+    return _write_out(args.out, rows, write_results_csv)
 
 
 def _cmd_skew_sweep(args: argparse.Namespace) -> int:
     if args.total_n < 2:
         raise UsageError("--total-n must be at least 2 so that both classes are non-empty")
+    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
     rows: list[ResultRow] = []
-    seed = args.base_seed
-    for rho in args.rho_grid:
+    grid = itertools.product(args.rho_grid, range(args.replicates))
+    for seed, (rho, replicate) in enumerate(grid, start=args.base_seed):
         n1 = min(max(1, round(rho * args.total_n)), args.total_n - 1)
-        for replicate in range(args.replicates):
-            extra = {
-                "rho": f"{rho:.17g}",
-                "k": str(args.k),
-                "sigma": f"{args.sigma:.17g}",
-                "replicate": str(replicate),
-            }
-            pair_draws = [(args.pairs, derived_seed(seed, ROLE_PAIRS))]
-            rows.extend(
-                _mixture_rows(args, f"skew-rho{rho:g}-rep{replicate}", args.k, args.sigma,
-                              n1, args.total_n - n1, seed, pair_draws, extra)
-            )
-            seed += 1
-    return _write_rows(rows, args.out)
+        spec, train = _draw_mixture(args.dim, args.k, args.sigma, n1, args.total_n - n1, seed)
+        test = sample_dataset(
+            spec, args.test_per_class, args.test_per_class, derived_seed(seed, ROLE_TEST)
+        )
+        extra = {
+            "rho": f"{rho:.17g}",
+            "k": str(args.k),
+            "sigma": f"{args.sigma:.17g}",
+            "replicate": str(replicate),
+        }
+        pair_draws = [(args.pairs, derived_seed(seed, ROLE_PAIRS))]
+        rows.extend(_fit_rows(f"skew-rho{rho:g}-rep{replicate}", train, test, cfg, seed,
+                              pair_draws, extra))
+    return _write_out(args.out, rows, write_results_csv)
+
+
+def _cmd_timing(args: argparse.Namespace) -> int:
+    """Best-of-repeats moment and solve times per route, evaluated on the training set."""
+    _, data = _draw_mixture(args.dim, args.k, args.sigma, args.n1, args.n0, args.base_seed)
+    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
+    routes = [("bbr-naive", 0, args.base_seed), ("bbr", 0, args.base_seed)] + [
+        ("lcbr", s, derived_seed(args.base_seed, ROLE_PAIRS, s_index))
+        for s_index, s in enumerate(args.pairs_grid)
+    ]
+    rows: list[ResultRow] = []
+    for algorithm, s, seed in routes:
+        fits = [_fit(data, cfg, s, seed, algorithm == "bbr-naive") for _ in range(args.repeats)]
+        extra = {
+            "solve_seconds": f"{min(fit.solve_seconds for fit in fits):.17g}",
+            "repeats": str(args.repeats),
+        }
+        rows.append(_row(f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}", algorithm, "gmm", data,
+                         s, seed, fits[-1].weights, data,
+                         min(fit.moment_seconds for fit in fits), extra))
+    return _write_out(args.out, rows, write_results_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -441,37 +448,9 @@ def _cmd_bounds_table(args: argparse.Namespace) -> int:
         for n in args.n_grid
         for epsilon in args.epsilon_grid
     ]
-    out = _resolve_out(args.out)
-    write_csv(out, BoundReport.csv_header(), rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# timing
-
-
-def _cmd_timing(args: argparse.Namespace) -> int:
-    """Best-of-repeats moment and solve times per route, evaluated on the training set."""
-    spec = random_gmm_spec(args.dim, args.k, args.sigma, derived_seed(args.base_seed, ROLE_SPEC))
-    data = sample_dataset(spec, args.n1, args.n0, derived_seed(args.base_seed, ROLE_TRAIN))
-    cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
-    routes = [("bbr-naive", 0, args.base_seed), ("bbr", 0, args.base_seed)] + [
-        ("lcbr", s, derived_seed(args.base_seed, ROLE_PAIRS, s_index))
-        for s_index, s in enumerate(args.pairs_grid)
-    ]
-    rows: list[ResultRow] = []
-    for algorithm, s, seed in routes:
-        fits = [_fit(data, cfg, s, seed, algorithm == "bbr-naive") for _ in range(args.repeats)]
-        extra = {
-            "solve_seconds": f"{min(fit.solve_seconds for fit in fits):.17g}",
-            "repeats": str(args.repeats),
-        }
-        rows.append(_row(f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}", algorithm, "gmm", data,
-                         s, seed, fits[-1].weights, data,
-                         min(fit.moment_seconds for fit in fits), extra))
-    return _write_rows(rows, args.out)
-
+    return _write_out(
+        args.out, rows, lambda cells, path: write_csv(path, BoundReport.csv_header(), cells)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +558,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.handler(args)
+        # The parser, PairMoments and the metrics name every non-finite
+        # result; numpy's overflow warnings would only precede that message.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except UsageError as exc:
         print(f"pairrank: usage error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,7 @@ metrics read the same two score vectors, so `evaluate_ranker` scores
 each class once.
 
 Orientation note: the statistic reported here is a reward, 1.0 for a
-perfect ranking.  `EvalReport.auc_risk` carries the complementary
-misranking fraction for callers that want a loss.
+perfect ranking; the misranked fraction is 1 - auc.
 """
 
 from __future__ import annotations
@@ -40,26 +39,18 @@ class EvalReport:
 
     auc: fraction of correctly ordered pairs (ties half-credited), 1.0
         is a perfect ranking.
-    auc_risk: 1 - auc, the misranked fraction.
     phi_risk: average pairwise squared loss, including its constant
         term, so the zero ranker scores exactly 0.5.
-    n_pairs: n1 * n0, the number of cross-class pairs behind the means.
     """
 
     auc: float
-    auc_risk: float
     phi_risk: float
-    n_pairs: int
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.auc <= 1.0 and 0.0 <= self.auc_risk <= 1.0):
-            raise ValueError(
-                f"auc and auc_risk must lie in [0, 1], got {self.auc!r}, {self.auc_risk!r}"
-            )
+        if not 0.0 <= self.auc <= 1.0:
+            raise ValueError(f"auc must lie in [0, 1], got {self.auc!r}")
         if not self.phi_risk >= 0.0:
             raise ValueError(f"phi_risk must be >= 0, got {self.phi_risk!r}")
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
 
 
 def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +149,4 @@ def expected_phi_risk(sigma: np.ndarray, mu: np.ndarray, w: RankerWeights) -> fl
 def evaluate_ranker(data: Dataset, w: RankerWeights) -> EvalReport:
     """Both metrics of one ranker on one dataset, from one scoring pass."""
     pos, neg = _scores(data, w)
-    auc = _auc(pos, neg)
-    return EvalReport(
-        auc=auc,
-        auc_risk=1.0 - auc,
-        phi_risk=_phi(pos, neg),
-        n_pairs=data.n1 * data.n0,
-    )
+    return EvalReport(auc=_auc(pos, neg), phi_risk=_phi(pos, neg))

@@ -2,6 +2,7 @@
 
 import csv
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,23 @@ class TestTrainCommand:
         assert _extra_dict(row[10])["eval_on"] == "test"
         assert row[3:5] == ["12", "10"]
 
+    def test_test_file_with_unseen_features_pads_weights_with_zeros(self, toy_file, tmp_path):
+        test_path = tmp_path / "wider.txt"
+        test_path.write_text(
+            "+1 1:0.5 5:2\n+1 2:0.25 4:-1\n-1 3:0.75 5:-1\n-1 1:-0.5\n", encoding="ascii"
+        )
+        model, out = tmp_path / "w.bin", tmp_path / "w.csv"
+        code = main(["train", "bbr", str(toy_file), "--test", str(test_path),
+                     "--model-out", str(model), "--csv-out", str(out)])
+        assert code == 0
+        weights, _ = load_weights(model)
+        assert weights.dim == 3
+        test_data = parse_libsvm(test_path)
+        assert test_data.dim == 5
+        report = evaluate_ranker(test_data, RankerWeights(np.r_[weights.w, 0.0, 0.0]))
+        _, (row,) = _read_csv(out)
+        assert (float(row[7]), float(row[8])) == (report.phi_risk, report.auc)
+
     def test_feature_rescaling_runs(self, toy_file, tmp_path):
         model = tmp_path / "x.bin"
         code = main(
@@ -389,12 +407,21 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_moments_are_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("+1 1:1e200 2:1\n-1 1:1 2:0\n-1 1:0 2:1\n", encoding="ascii")
         assert main(["train", "bbr", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", [["bbr"], ["lcbr", "--pairs", "4"]], ids=["bbr", "lcbr"])
+    def test_overflow_reports_only_the_package_message(self, algorithm, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("+1 1:1e200 2:1\n-1 1:1 2:0\n-1 1:0 2:1\n", encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", *algorithm, str(path)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("pairrank: numerical failure: ")
 
     def test_exhausted_solver_is_numerical_failure(self, toy_file, monkeypatch, capsys):
         monkeypatch.setattr(solver, "_MAX_SECULAR_ITERS", 0)

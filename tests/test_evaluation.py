@@ -234,9 +234,7 @@ class TestEvalReport:
         w = RankerWeights(w=rng.standard_normal(3))
         report = evaluate_ranker(data, w)
         assert report.auc == auc_fast(data, w)
-        assert report.auc_risk == 1.0 - report.auc
         assert report.phi_risk == phi_risk(data, w)
-        assert report.n_pairs == 12 * 15
 
     def test_builds_no_pair_moments(self, monkeypatch):
         built = []
@@ -262,11 +260,9 @@ class TestEvalReport:
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
-            EvalReport(auc=1.5, auc_risk=0.0, phi_risk=0.0, n_pairs=1)
+            EvalReport(auc=1.5, phi_risk=0.0)
         with pytest.raises(ValueError):
-            EvalReport(auc=0.5, auc_risk=0.5, phi_risk=-0.1, n_pairs=1)
-        with pytest.raises(ValueError):
-            EvalReport(auc=0.5, auc_risk=0.5, phi_risk=0.1, n_pairs=0)
+            EvalReport(auc=0.5, phi_risk=-0.1)
 
 
 @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
