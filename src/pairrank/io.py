@@ -8,15 +8,16 @@ the offending line number.  Parsed datasets are dense, matching the
 d-by-d moment accumulation downstream; a warning is emitted past 5000
 columns where dense storage stops being reasonable.
 
-The parser reads its input whole and parses it in one vectorised pass
-over the bytes: lookup tables classify the bytes, one token automaton
-runs over all tokens at once, and every label and value goes through a
-single string-to-float array conversion.  Lines the pass cannot vouch
-for go through a per-line, per-token parser (`_parse_line`), which is
-also the reference the tests compare the pass against, so results are
-bit-identical to parsing line by line.  Temporary memory is a few bytes
-per input byte (the text, its bytes and boolean masks) plus a few dozen
-bytes per token, never an integer array per byte.
+The parser reads its input whole.  An ASCII input without NUL bytes is
+parsed in one vectorised pass: a lookup table finds the tokens, indices
+are read from their digit columns, and every label and value goes
+through one string-to-float array conversion, which calls float() as
+the per-line parser does.  An input the pass cannot vouch for is parsed
+line by line by `_parse_line`, the reference the tests compare the pass
+against, so results are bit-identical to parsing line by line.  The
+pass needs a few bytes per input byte (the text, its bytes and boolean
+masks) plus a few dozen bytes per token, never an integer array per
+byte; the per-line path about 150 bytes of Python objects per token.
 
 CSV output follows one fixed schema (the ResultRow field order) with
 floats at 17 significant digits so a parse-back reproduces the exact
@@ -169,8 +170,8 @@ def _parse_line(line: str, line_number: int) -> tuple[int, list[tuple[int, float
     """Parse one line token by token: (label, [(index, value), ...]), or None if blank.
 
     This is the grammar's reference implementation.  parse_libsvm sends
-    it every line its vectorised pass does not vouch for, and the tests
-    compare the vectorised pass against it.
+    it every line of an input its vectorised pass cannot vouch for, and
+    the tests compare the vectorised pass against it.
     """
     tokens = line.split()
     if not tokens:
@@ -185,145 +186,110 @@ def _parse_line(line: str, line_number: int) -> tuple[int, list[tuple[int, float
     return label, features
 
 
-# Byte classes of the vectorised pass.  _END is the pseudo-byte past a
-# token's last byte.
-_OTHER, _DIGIT, _SIGN, _DOT, _EXP, _COLON, _END = range(7)
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
-_BYTE_CLASS[ord(".")] = _DOT
-_BYTE_CLASS[list(b"eE")] = _EXP
-_BYTE_CLASS[ord(":")] = _COLON
-# Token bytes: everything but "\n" and the rest of str.split()'s ASCII
-# whitespace.  Bytes >= 0x80 count as token bytes of class _OTHER.
+# Token bytes: all but "\n" and the rest of str.split()'s ASCII whitespace.
 _IN_TOKEN = np.ones(256, dtype=bool)
 _IN_TOKEN[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = False
-
-# A token automaton for the plain forms of the grammar: labels and values
-# `[+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?`, feature tokens `D+:value`.  Both
-# are subsets of what int() and float() accept.  Anything it rejects
-# goes to _parse_line, which accepts or reports it.
-(_REJECT, _INDEX_START, _INDEX, _VALUE_START, _VALUE_SIGN, _INT, _BARE_DOT, _FRAC,
- _EXP_START, _EXP_SIGN, _EXP_DIGITS, _ACCEPT) = range(12)
-_TRANSITIONS = np.array([  # (state, byte class, next state); all others reject
-    (_INDEX_START, _DIGIT, _INDEX),
-    (_INDEX, _DIGIT, _INDEX), (_INDEX, _COLON, _VALUE_START),
-    (_VALUE_START, _SIGN, _VALUE_SIGN), (_VALUE_START, _DIGIT, _INT),
-    (_VALUE_START, _DOT, _BARE_DOT),
-    (_VALUE_SIGN, _DIGIT, _INT), (_VALUE_SIGN, _DOT, _BARE_DOT),
-    (_INT, _DIGIT, _INT), (_INT, _DOT, _FRAC), (_INT, _EXP, _EXP_START), (_INT, _END, _ACCEPT),
-    (_BARE_DOT, _DIGIT, _FRAC),
-    (_FRAC, _DIGIT, _FRAC), (_FRAC, _EXP, _EXP_START), (_FRAC, _END, _ACCEPT),
-    (_EXP_START, _SIGN, _EXP_SIGN), (_EXP_START, _DIGIT, _EXP_DIGITS),
-    (_EXP_SIGN, _DIGIT, _EXP_DIGITS),
-    (_EXP_DIGITS, _DIGIT, _EXP_DIGITS), (_EXP_DIGITS, _END, _ACCEPT),
-])
-_NEXT = np.zeros((12, 7), dtype=np.uint8)
-_NEXT[_TRANSITIONS[:, 0], _TRANSITIONS[:, 1]] = _TRANSITIONS[:, 2]
-# Longer tokens go to _parse_line; this bounds the value byte matrix.
+# Longer labels and values go to _parse_line; this bounds the byte matrix.
 _MAX_TOKEN = 40
 # Longer indices could overflow int64 while their digits are read.
 _MAX_INDEX_DIGITS = 18
 
 
-def _parse_text(
-    text: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, float]]]:
-    """Parse a whole input in one vectorised pass.
+def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Parse a whole input in one vectorised pass, or return None.
 
-    Returns one label per row (1 positive, 0 negative, -1 for a line that
-    only non-ASCII whitespace made look non-blank); the row, 1-based index
-    and value of each vouched feature as arrays; and (row, index, value)
-    triples from the rows re-parsed by _parse_line, whose indices may not
-    fit int64.  Rows are the non-blank lines in file order.  Rows with a
-    token the automaton rejects, an index that does not increase, a
-    non-finite value or a label outside {-1, 0, +1} are re-parsed in file
-    order, so the first bad line raises exactly what _parse_line raises.
+    Returns one label per row (1 positive, 0 negative; rows are the
+    non-blank lines in file order) and the row, 1-based index and value of
+    each feature.  Returns None unless the text is ASCII without NULs and
+    every token is plain: labels in {-1, 0, +1} and values that float()
+    reads as finite, of at most _MAX_TOKEN bytes, and indices of 1 to
+    _MAX_INDEX_DIGITS ASCII digits that increase along each row.
     """
-    if text.isascii():
-        data = text.encode("ascii")
-    else:
-        data = text.encode("utf-8", "surrogatepass")
-    buf = np.frombuffer(data, dtype=np.uint8)
+    # numpy's S dtype drops trailing NULs, so "1\x00" would read as 1.0
+    # where float() rejects it.
+    if not text.isascii() or "\x00" in text:
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
     in_token = np.zeros(buf.size + 2, dtype=bool)
     in_token[1:-1] = _IN_TOKEN[buf]
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])
     del in_token
-    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    starts, ends = edges[0::2], edges[1::2]
     line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
     first = np.ones(starts.size, dtype=bool)
     first[1:] = line[1:] != line[:-1]
-    row = np.cumsum(first) - 1
-    row_line = line[first] + 1
     del line
 
-    # Run the automaton over all tokens at once, one byte offset per step,
-    # reading index digits and the colon offset on the way.
-    state = np.where(first, _VALUE_START, _INDEX_START).astype(np.uint8)
-    state[lengths > _MAX_TOKEN] = _REJECT
+    # A feature token splits at its first colon into index digits and a
+    # value; a label token is all value.  A token without a colon finds a
+    # later one, so its digits run into whitespace or past the digit limit.
+    colons = np.flatnonzero(buf == ord(":"))
+    colon = np.append(colons, buf.size)[np.searchsorted(colons, starts)]
+    feature = np.flatnonzero(~first)
+    digits = colon[feature] - starts[feature]
+    n_digits = int(digits.max(initial=0))
+    if n_digits > _MAX_INDEX_DIGITS:
+        return None
+    # An empty index reads 0, which the increase check below rejects.
     index = np.zeros(starts.size, dtype=np.int64)
-    colon = np.zeros(starts.size, dtype=np.int64)
-    live = np.flatnonzero(state != _REJECT)
-    offset = 0
-    while live.size:
-        byte = buf[starts[live] + offset]
-        cls = _BYTE_CLASS[byte]
-        current = state[live]
-        digit = ((current == _INDEX_START) | (current == _INDEX)) & (cls == _DIGIT)
-        at = live[digit]
-        index[at] = index[at] * 10 + (byte[digit] - ord("0"))
-        colon[live[(current == _INDEX) & (cls == _COLON)]] = offset
-        state[live] = _NEXT[current, cls]
-        offset += 1
-        live = live[(lengths[live] > offset) & (state[live] != _REJECT)]
-    ok = _NEXT[state, _END] == _ACCEPT
-    ok &= first | (colon <= _MAX_INDEX_DIGITS)
-    del state
+    for k in range(n_digits):
+        at = feature[digits > k]
+        digit = buf[starts[at] + k] - ord("0")  # uint8: bytes below "0" wrap past 9
+        if np.any(digit > 9):
+            return None
+        index[at] = index[at] * 10 + digit
+    del digits
+    value_start = np.where(first, starts, colon + 1)
+    del colon
+    value_len = ends - value_start
+    width = int(value_len.max(initial=1))
+    if width > _MAX_TOKEN:
+        return None
 
     # Labels and values, left-aligned in a zero-padded byte matrix, go
-    # through one string-to-float conversion.
-    value_start = starts + np.where(first, 0, colon + 1)
-    vouched = np.flatnonzero(ok)
-    value_len = starts[vouched] + lengths[vouched] - value_start[vouched]
-    width = int(value_len.max()) if vouched.size else 1
-    chars = np.zeros((vouched.size, width), dtype=np.uint8)
+    # through one string-to-float conversion, which calls float().
+    chars = np.zeros((starts.size, width), dtype=np.uint8)
     for k in range(width):
         at = np.flatnonzero(value_len > k)
-        chars[at, k] = buf[value_start[vouched[at]] + k]
-    values = np.zeros(starts.size)
-    # An overflowing value such as "1e400" becomes inf here; the check
-    # below sends its line to _parse_line, which reports it.
-    with np.errstate(over="ignore"):
-        values[vouched] = chars.view(f"S{width}").ravel().astype(np.float64)
-    del chars, value_start
+        chars[at, k] = buf[value_start[at] + k]
+    del value_start, value_len
+    try:
+        # An overflowing value such as "1e400" becomes inf here; the
+        # finiteness check below hands it to _parse_line, which reports it.
+        with np.errstate(over="ignore"):
+            values = chars.view(f"S{width}").ravel().astype(np.float64)
+    except ValueError:
+        return None
+    del chars
 
-    label_value = values[first]
-    positive = label_value == 1.0
-    ok[first] &= positive | (label_value == -1.0) | (label_value == 0.0)
-    ok &= np.isfinite(values)
-    # Label tokens read index 0, so this also asks every index to be >= 1.
-    ok[1:] &= first[1:] | (index[1:] > index[:-1])
+    labels = values[first]
+    if not (
+        np.all(np.isin(labels, _POSITIVE_LABELS + _NEGATIVE_LABELS))
+        and np.all(np.isfinite(values))
+        # Label tokens read index 0, so this also asks every index to be >= 1.
+        and np.all(first[1:] | (index[1:] > index[:-1]))
+    ):
+        return None
+    row = np.cumsum(first)[feature] - 1
+    return np.isin(labels, _POSITIVE_LABELS).astype(np.int8), row, index[feature], values[feature]
 
-    bad = np.zeros(row_line.size, dtype=bool)
-    bad[row[~ok]] = True
-    labels = positive.astype(np.int8)
-    feature = ~first & ~bad[row]
-    rows, indices, values = row[feature], index[feature], values[feature]
 
-    reparsed: list[tuple[int, int, float]] = []
-    row_starts = starts[first]
-    for r in np.flatnonzero(bad).tolist():
-        start = int(row_starts[r])
-        end = data.find(b"\n", start)
-        line_text = data[data.rfind(b"\n", 0, start) + 1 : None if end < 0 else end]
-        parsed = _parse_line(line_text.decode("utf-8", "surrogatepass"), int(row_line[r]))
-        if parsed is None:
-            labels[r] = -1
-            continue
-        labels[r], features = parsed
-        reparsed.extend((r, column, value) for column, value in features)
-    return labels, rows, indices, values, reparsed
+def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_parse_text's result, read line by line through _parse_line.
+
+    Raises for the first bad line in file order.  Indices are Python ints
+    in an object array, so one past int64 keeps its exact width.
+    """
+    lines = enumerate(text.split("\n"), start=1)
+    parsed = [row for number, line in lines if (row := _parse_line(line, number)) is not None]
+    features = [(r, index, value) for r, (_, pairs) in enumerate(parsed) for index, value in pairs]
+    return (
+        np.array([label for label, _ in parsed], dtype=np.int8),
+        np.array([row for row, _, _ in features], dtype=np.intp),
+        np.array([index for _, index, _ in features], dtype=object),
+        np.array([value for _, _, value in features], dtype=np.float64),
+    )
 
 
 def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> Dataset:
@@ -336,42 +302,34 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     skipped; anything else malformed raises with its line number.
 
     The input is read whole (a path opens as ASCII text with universal
-    newlines, a stream is `.read()`), and lines end at "\\n" only.  One
-    vectorised pass classifies the bytes with lookup tables, runs a
-    token automaton over all tokens at once, reads indices from their
-    digit runs and converts every label and value in one array
-    conversion; each class matrix is filled by one fancy-index
-    assignment.  Lines the pass cannot vouch for (other number spellings
-    such as "1_0" or "013", non-ASCII text, and every malformed line)
-    are re-parsed token by token by `_parse_line`, the reference the
-    tests hold the pass to: values are bit-identical, and the first bad
-    line in file order raises that function's exception.  Temporary
-    memory is a few bytes per input byte plus a few dozen per token.
+    newlines, a stream is `.read()`), and lines end at "\\n" only.  If the
+    vectorised pass cannot vouch for every line, the whole input is parsed
+    line by line by `_parse_line`, several times slower: values are
+    bit-identical, and the first bad line in file order raises that
+    function's exception.  The per-line path takes any malformed line,
+    non-ASCII or NUL bytes, an index other than 1 to 18 ASCII digits
+    (such as "+5" or "1_0"), and a label or value over 40 bytes.  Value
+    spellings float() accepts (such as "1_0", ".5" or "1e-400") and
+    indices with leading zeros stay on the vectorised pass.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:
             text = handle.read()
     else:
         text = source.read()
-    labels, rows, indices, values, reparsed = _parse_text(text)
+    labels, rows, indices, values = _parse_text(text) or _parse_lines(text)
     del text
 
-    max_index = max([int(indices.max(initial=0))] + [index for _, index, _ in reparsed])
-    dim = max(max_index, dim_hint or 0)
+    dim = max(int(indices.max(initial=0)), dim_hint or 0)
     if dim > _DENSE_WARN_DIM:
         warnings.warn(
             f"densifying {dim} columns; this format is parsed into dense storage",
             stacklevel=2,
         )
     positive, negative = labels == 1, labels == 0
-    n1 = int(np.count_nonzero(positive))
-    pos = np.zeros((n1, dim), dtype=np.float64)
+    pos = np.zeros((int(np.count_nonzero(positive)), dim), dtype=np.float64)
     neg = np.zeros((int(np.count_nonzero(negative)), dim), dtype=np.float64)
-    if reparsed:
-        more_rows, more_indices, more_values = zip(*reparsed)
-        rows = np.concatenate([rows, more_rows])
-        indices = np.concatenate([indices, more_indices])
-        values = np.concatenate([values, np.array(more_values, dtype=np.float64)])
+    indices = np.asarray(indices, dtype=np.int64)
     class_row = np.where(positive, np.cumsum(positive), np.cumsum(negative)) - 1
     to_pos = positive[rows]
     pos[class_row[rows[to_pos]], indices[to_pos] - 1] = values[to_pos]
@@ -414,8 +372,8 @@ def subsample_ratio_split(data: Dataset, ratio: float, seed: int) -> Dataset:
     counts vary with the seed while labels stay attached to their rows.
     Selection order: examples are numbered 0..n-1 with positives first;
     the kept set is the first ceil(ratio * n) entries of one PCG64
-    permutation of that numbering.  A warning (not an error) is emitted
-    if a class comes back empty; callers that train must then decide.
+    permutation of that numbering.  A class may come back empty; training
+    on the result then raises through `Dataset.require_trainable`.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
@@ -427,15 +385,8 @@ def subsample_ratio_split(data: Dataset, ratio: float, seed: int) -> Dataset:
     chosen = rng.permutation(total)[:keep]
     pos_idx = np.sort(chosen[chosen < data.n1])
     neg_idx = np.sort(chosen[chosen >= data.n1]) - data.n1
-    result = Dataset(
+    return Dataset(
         positives=data.positives[pos_idx],
         negatives=data.negatives[neg_idx],
         dim=data.dim,
     )
-    if result.n1 == 0 or result.n0 == 0:
-        warnings.warn(
-            f"split left a class empty (n1={result.n1}, n0={result.n0}); "
-            "the result is untrainable",
-            stacklevel=2,
-        )
-    return result

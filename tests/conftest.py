@@ -65,7 +65,9 @@ def parse_libsvm_reference(source, dim_hint=None) -> Dataset:
     """parse_libsvm done line by line with its per-line reference parser.
 
     Reads the input the way parse_libsvm does, splits it on "\\n" and
-    densifies row by row; the vectorised parser must match it bit for bit.
+    densifies row by row with its own loop, sharing none of parse_libsvm's
+    array code; parse_libsvm must match it bit for bit, whether its
+    vectorised pass or its per-line path parsed the input.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as handle:

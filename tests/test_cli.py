@@ -1,8 +1,12 @@
 """Command-line surface: seeds, model files, subcommands, exit codes."""
 
 import csv
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +386,19 @@ class TestExitCodes:
         path = tmp_path / "onesided.txt"
         path.write_text("+1 1:1\n+1 1:2\n", encoding="ascii")
         assert main(["train", "bbr", str(path)]) == 2
+
+    def test_split_emptying_a_class_reports_only_the_data_error(self, tmp_path):
+        path = tmp_path / "five.txt"
+        path.write_text("+1 1:1\n-1 1:2\n-1 1:3\n-1 2:1\n-1 2:2\n", encoding="ascii")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys; from pairrank.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["train", "bbr", str(path), "--sample-ratio", "0.2", "--seed", "0"]
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("pairrank: data error: training needs both classes non-empty")
 
     def test_unknown_flag_is_usage_error(self, toy_file, capsys):
         assert main(["train", "bbr", str(toy_file), "--frobnicate"]) == 1

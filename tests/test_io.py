@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairrank.io
 from conftest import integer_dataset, parse_libsvm_reference, random_dataset
 from pairrank import (
     RESULT_CSV_HEADER,
@@ -23,6 +25,7 @@ from pairrank import (
     write_libsvm,
     write_results_csv,
 )
+from pairrank.io import _parse_line
 
 MALFORMED_LINES = [
     "+1 1",
@@ -37,6 +40,8 @@ MALFORMED_LINES = [
     "abc 1:1",
     "+1 1:nan",
     "+1 1:1e400",
+    "+1 1:1\x00",
+    "1\x00 1:1",
 ]
 
 
@@ -114,6 +119,11 @@ class TestParseLibsvm:
             with pytest.raises(ValueError, match="dimension"):
                 _parse("+1 1:1\n-1 9223372036854775813:1\n")
 
+    def test_index_that_wraps_int64_to_one_keeps_exact_width(self):
+        with pytest.warns(UserWarning, match="densifying 18446744073709551617 columns"):
+            with pytest.raises(ValueError, match="dimension"):
+                _parse("+1 18446744073709551617:1\n")
+
     def test_wide_data_warning_points_at_caller(self, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_text("+1 5001:1\n", encoding="ascii")
@@ -126,7 +136,7 @@ class TestParseLibsvm:
 _LABELS = ("+1", "1", "1.0", "+1.", "1e0", "01", "-1", "-1.0", "-1E0", "0", "0.0", "-0", "00")
 _SPECIAL_VALUES = (
     "1_0", ".5", "-.5", "5.", "+3", "007.25", "1e-400", "4.9e-324", "2.5e-320",
-    "1E+05", "1.e3", "-0", "0", "123456789012345678901234567890",
+    "1E+05", "1.e3", "-0", "0", "123456789012345678901234567890", "3." + "1" * 40,
 )
 _VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -178,6 +188,14 @@ def _documents(draw, ascii_only=True):
     return text
 
 
+# A run of more than five digits could name an index in the millions and
+# densify hundreds of megabytes per row.
+_LONG_DIGIT_RUN = re.compile(r"[0-9_]{6}")
+_BYTE_SOUP = st.text(alphabet="0123456789:+-._eEnaif \t\n\r\x00\x0c\x1c", max_size=60).filter(
+    lambda text: not _LONG_DIGIT_RUN.search(text)
+)
+
+
 def _outcome(parse, source, dim_hint):
     try:
         data = parse(source, dim_hint=dim_hint)
@@ -203,12 +221,60 @@ class TestParseMatchesPerLineReference:
         expected = _outcome(parse_libsvm_reference, path, dim_hint)
         assert _outcome(parse_libsvm, path, dim_hint) == expected
 
+    @given(text=_BYTE_SOUP, dim_hint=st.none() | st.integers(0, 45))
+    @settings(max_examples=500, deadline=None)
+    def test_byte_soup(self, text, dim_hint):
+        expected = _outcome(parse_libsvm_reference, io.StringIO(text), dim_hint)
+        assert _outcome(parse_libsvm, io.StringIO(text), dim_hint) == expected
+
     def test_first_bad_line_is_reported(self):
         text = "+1 1:1\n-1 1:.5 3:1_0\n+1 2:1 2:1\n-1 0:1\n"
         with pytest.raises(LibsvmParseError) as excinfo:
             _parse(text)
         assert excinfo.value.line_number == 3
         assert str(excinfo.value) == "line 3: feature index 2 does not increase (previous was 2)"
+
+
+class TestVectorisedPassCoverage:
+    """Plain input never reaches the per-line parser."""
+
+    @pytest.fixture()
+    def line_calls(self, monkeypatch):
+        calls = []
+
+        def counting(line, line_number):
+            calls.append(line_number)
+            return _parse_line(line, line_number)
+
+        monkeypatch.setattr(pairrank.io, "_parse_line", counting)
+        return calls
+
+    def test_plain_spellings_stay_vectorised(self, tmp_path, line_calls):
+        values = ("1_0", "1e-400", "-0", "123456789012345678901234567890")
+        text = "".join(
+            f"{label} 2:{values[k % 4]} 013:{values[(k + 1) % 4]}\r\n"
+            for k, label in enumerate(_LABELS)
+        )
+        data = _parse(text)
+        rng = np.random.default_rng(431)
+        round_trips = []
+        for scale in (1e300, 1e-300):
+            original = random_dataset(rng, dim=4, n1=3, n0=3, scale=scale)
+            path = tmp_path / f"scale-{scale:g}.txt"
+            write_libsvm(original, path)
+            round_trips.append((original, parse_libsvm(path, dim_hint=4)))
+        assert line_calls == []
+        expected = parse_libsvm_reference(io.StringIO(text))
+        assert data.positives.tobytes() == expected.positives.tobytes()
+        assert data.negatives.tobytes() == expected.negatives.tobytes()
+        for original, back in round_trips:
+            np.testing.assert_array_equal(back.positives, original.positives)
+            np.testing.assert_array_equal(back.negatives, original.negatives)
+
+    def test_unusual_index_spelling_parses_line_by_line(self, line_calls):
+        data = _parse("+1 +5:1\n")
+        assert len(line_calls) >= 1
+        np.testing.assert_array_equal(data.positives, [[0.0, 0.0, 0.0, 0.0, 1.0]])
 
 
 class TestWriteLibsvm:
@@ -283,18 +349,14 @@ class TestSubsampleRatioSplit:
     def test_empty_class_warns_not_raises(self):
         rng = np.random.default_rng(426)
         data = integer_dataset(rng, dim=2, n1=1, n0=40)
-        warned = None
-        for seed in range(20):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                split = subsample_ratio_split(data, 0.1, seed=seed)
-            if split.n1 == 0:
-                assert any("empty" in str(w.message) for w in caught)
-                warned = seed
-                break
-        assert warned is not None, "no scanned seed dropped the lone positive"
-        with pytest.warns(UserWarning, match="empty"):
-            subsample_ratio_split(data, 0.1, seed=warned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emptied = [
+                split for seed in range(20)
+                if (split := subsample_ratio_split(data, 0.1, seed=seed)).n1 == 0
+            ]
+        assert emptied, "no scanned seed dropped the lone positive"
+        assert emptied[0].n0 == 5
 
     @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5])
     def test_invalid_ratio_rejected(self, ratio):
