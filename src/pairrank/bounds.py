@@ -24,7 +24,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -255,7 +255,6 @@ def mean_deviation_tail(s: int, epsilon: float, x_star: float, w_star: float) ->
     return min(1.0, 2.0 * math.exp(-0.5 * (arg - 1.0) ** 2))
 
 
-_CSV_INT_FIELDS = ("dim", "n", "min_pairs_empirical_gap", "min_pairs_excess_risk")
 _CSV_HEADER = (
     "dim",
     "n",
@@ -297,14 +296,18 @@ class BoundReport:
         return _CSV_HEADER
 
     def csv_row(self) -> list[str]:
-        """Values aligned with :meth:`csv_header`, floats at 17 digits."""
+        """Values aligned with :meth:`csv_header`: int fields as is, floats at 17 digits."""
         cells: list[str] = []
         for name in _CSV_HEADER:
             value = getattr(self.inputs, name, None)
             if value is None:
                 value = getattr(self, name)
-            cells.append(str(value) if name in _CSV_INT_FIELDS else f"{value:.17g}")
+            cells.append(str(value) if _CSV_TYPES[name] == "int" else f"{value:.17g}")
         return cells
+
+
+# Each column's declared type (a string under the __future__ import) picks its format.
+_CSV_TYPES = {f.name: f.type for cls in (BoundInputs, BoundReport) for f in fields(cls)}
 
 
 def evaluate_bounds(inputs: BoundInputs) -> BoundReport:

@@ -20,8 +20,8 @@ the training set with :func:`~pairrank.core.scale_to_ball` and the
 ``--test`` set by the same factor.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed input, untrainable dataset), 3 numerical failure (solver
-non-convergence, invalid moments).
+malformed input, untrainable dataset, unwritable output path), 3
+numerical failure (solver non-convergence, invalid moments).
 
 Determinism: every command takes seeds explicitly.  Sub-streams (spec
 draw, train draw, test draw, pair draw, SGD draw, split draw) are
@@ -283,6 +283,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("lcbr requires --pairs")
     if args.algorithm == "lcbr" and args.naive:
         raise UsageError("--naive only applies to bbr")
+    if args.algorithm == "bbr" and args.pairs is not None:
+        raise UsageError("--pairs only applies to lcbr")
 
     data = parse_libsvm(args.data)
     if args.sample_ratio is not None:
@@ -295,7 +297,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         data, factor = scale_to_ball(data, args.x_star)
 
     cfg = ProblemConfig(x_star=args.x_star or 1.0, w_star=args.w_star)
-    s = args.pairs if args.algorithm == "lcbr" else 0
+    s = args.pairs or 0
     fit = _fit(data, cfg, s, derived_seed(args.seed, ROLE_PAIRS), args.naive)
     seconds = fit.moment_seconds + fit.solve_seconds
 

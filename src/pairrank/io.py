@@ -8,16 +8,18 @@ the offending line number.  Parsed datasets are dense, matching the
 d-by-d moment accumulation downstream; a warning is emitted past 5000
 columns where dense storage stops being reasonable.
 
-The parser reads its input whole.  An ASCII input without NUL bytes is
-parsed in one vectorised pass: a lookup table finds the tokens, indices
-are read from their digit columns, and every label and value goes
-through one string-to-float array conversion, which calls float() as
-the per-line parser does.  An input the pass cannot vouch for is parsed
-line by line by `_parse_line`, the reference the tests compare the pass
-against, so results are bit-identical to parsing line by line.  The
-pass needs a few bytes per input byte (the text, its bytes and boolean
-masks) plus a few dozen bytes per token, never an integer array per
-byte; the per-line path about 150 bytes of Python objects per token.
+The parser reads its input whole.  A path is decoded as ASCII with
+"surrogateescape", so a non-ASCII byte fails on its own line, as it does
+in stream text, rather than at decoding.  An ASCII input without NUL
+bytes is parsed in one vectorised pass: a lookup table finds the tokens,
+indices are read from their digit columns, and every label and value
+goes through one string-to-float array conversion, which calls float()
+as the per-line parser does.  An input the pass cannot vouch for is
+parsed line by line by `_parse_line`, the reference the tests compare
+the pass against, so results are bit-identical to parsing line by line.
+The pass needs a few bytes per input byte (the text, its bytes and
+boolean masks) plus a few dozen bytes per token, never an integer array
+per byte; the per-line path about 150 bytes of Python objects per token.
 
 CSV output follows one fixed schema (the ResultRow field order) with
 floats at 17 significant digits so a parse-back reproduces the exact
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -43,7 +45,6 @@ __all__ = [
     "RESULT_CSV_HEADER",
     "parse_libsvm",
     "write_libsvm",
-    "write_csv",
     "write_results_csv",
     "subsample_ratio_split",
 ]
@@ -65,21 +66,6 @@ class LibsvmParseError(PairRankError):
 
 class LibsvmLabelError(LibsvmParseError):
     """A numeric label outside the recognized set {-1, 0, +1}."""
-
-
-RESULT_CSV_HEADER = (
-    "experiment_id",
-    "algorithm",
-    "dataset",
-    "n1",
-    "n0",
-    "s",
-    "seed",
-    "phi_risk",
-    "auc",
-    "wall_time_seconds",
-    "extra",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,21 +99,21 @@ class ResultRow:
                 raise ValueError(f"extra entries may not contain '=' or ';': {key}={value}")
 
     def csv_cells(self) -> list[str]:
-        """Values aligned with RESULT_CSV_HEADER; floats at 17 digits."""
-        extra = ";".join(f"{k}={v}" for k, v in self.extra.items())
-        return [
-            self.experiment_id,
-            self.algorithm,
-            self.dataset,
-            str(self.n1),
-            str(self.n0),
-            str(self.s),
-            str(self.seed),
-            f"{self.phi_risk:.17g}",
-            f"{self.auc:.17g}",
-            f"{self.wall_time_seconds:.17g}",
-            extra,
-        ]
+        """Values aligned with RESULT_CSV_HEADER: floats at 17 digits, `extra` as k=v;..."""
+        cells = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "extra":
+                cells.append(";".join(f"{k}={v}" for k, v in value.items()))
+            elif f.type == "float":  # annotations are strings under the __future__ import
+                cells.append(f"{value:.17g}")
+            else:
+                cells.append(str(value))
+        return cells
+
+
+# The results-CSV schema: one column per ResultRow field, in field order.
+RESULT_CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def _parse_label(token: str, line_number: int) -> int:
@@ -302,7 +288,9 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     skipped; anything else malformed raises with its line number.
 
     The input is read whole (a path opens as ASCII text with universal
-    newlines, a stream is `.read()`), and lines end at "\\n" only.  If the
+    newlines, a stream is `.read()`), and lines end at "\\n" only.  A path's
+    non-ASCII bytes read as lone surrogates ("surrogateescape"), which no
+    token may contain, so such a byte fails with its line number.  If the
     vectorised pass cannot vouch for every line, the whole input is parsed
     line by line by `_parse_line`, several times slower: values are
     bit-identical, and the first bad line in file order raises that
@@ -313,7 +301,7 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     indices with leading zeros stay on the vectorised pass.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as handle:
+        with open(source, "r", encoding="ascii", errors="surrogateescape") as handle:
             text = handle.read()
     else:
         text = source.read()

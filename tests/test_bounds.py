@@ -288,6 +288,13 @@ class TestBoundReport:
         assert mapping["dim"] == "5"
         assert int(mapping["min_pairs_empirical_gap"]) == report.min_pairs_empirical_gap
 
+    def test_int_cells_keep_every_digit_past_float_precision(self):
+        report = evaluate_bounds(_inputs(epsilon=1e-8))
+        assert report.min_pairs_excess_risk > 10**20
+        mapping = dict(zip(BoundReport.csv_header(), report.csv_row()))
+        assert mapping["min_pairs_excess_risk"] == str(report.min_pairs_excess_risk)
+        assert mapping["n"] == "100000"
+
     def test_float_cells_round_trip_exactly(self):
         report = evaluate_bounds(_inputs(epsilon=0.37, rho=0.41))
         mapping = dict(zip(BoundReport.csv_header(), report.csv_row()))

@@ -373,6 +373,10 @@ class TestExitCodes:
     def test_naive_with_lcbr_is_usage_error(self, toy_file):
         assert main(["train", "lcbr", str(toy_file), "--pairs", "10", "--naive"]) == 1
 
+    def test_pairs_with_bbr_is_usage_error(self, toy_file, capsys):
+        assert main(["train", "bbr", str(toy_file), "--pairs", "3"]) == 1
+        assert "usage error: --pairs only applies to lcbr" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["train", "bbr", str(tmp_path / "absent.txt")]) == 2
         assert "data error" in capsys.readouterr().err
@@ -381,6 +385,13 @@ class TestExitCodes:
         path = tmp_path / "bad.txt"
         path.write_text("+1 1:abc\n", encoding="ascii")
         assert main(["train", "bbr", str(path)]) == 2
+
+    def test_non_ascii_byte_is_data_error_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "accent.txt"
+        path.write_bytes(b"+1 1:1\n-1 1:2\n+1 1:\xc3\xa9\n")
+        assert main(["train", "bbr", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("pairrank: data error: line 3: ")
 
     def test_single_class_file_is_data_error(self, tmp_path):
         path = tmp_path / "onesided.txt"

@@ -106,8 +106,16 @@ class TestParseLibsvm:
     def test_non_ascii_bytes_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"+1 1:\xc3\xa9\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(LibsvmParseError) as info:
             parse_libsvm(path)
+        assert info.value.line_number == 1
+
+    def test_non_breaking_space_in_path_input_is_not_a_separator(self, tmp_path):
+        path = tmp_path / "nbsp.txt"
+        path.write_bytes(b"+1 1:1\n-1 1:1\xc2\xa02:1\n")
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm(path)
+        assert info.value.line_number == 2
 
     def test_wide_data_warns(self):
         with pytest.warns(UserWarning, match="5001"):
@@ -400,6 +408,9 @@ class TestResultRow:
         assert float(cells[7]) == row.phi_risk
         assert float(cells[8]) == row.auc
         assert float(cells[9]) == row.wall_time_seconds
+
+    def test_int_cells_keep_every_digit(self):
+        assert _row(seed=2**64 - 1).csv_cells()[6] == "18446744073709551615"
 
     @pytest.mark.parametrize(
         "overrides",
