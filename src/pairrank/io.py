@@ -9,17 +9,22 @@ d-by-d moment accumulation downstream; a warning is emitted past 5000
 columns where dense storage stops being reasonable.
 
 The parser reads its input whole.  A path is decoded as ASCII with
-"surrogateescape", so a non-ASCII byte fails on its own line, as it does
-in stream text, rather than at decoding.  An ASCII input without NUL
-bytes is parsed in one vectorised pass: a lookup table finds the tokens,
-indices are read from their digit columns, and every label and value
-goes through one string-to-float array conversion, which calls float()
-as the per-line parser does.  An input the pass cannot vouch for is
-parsed line by line by `_parse_line`, the reference the tests compare
-the pass against, so results are bit-identical to parsing line by line.
-The pass needs a few bytes per input byte (the text, its bytes and
-boolean masks) plus a few dozen bytes per token, never an integer array
-per byte; the per-line path about 150 bytes of Python objects per token.
+"surrogateescape" and no newline translation, so a path and a stream
+holding the same text parse alike: lines end at "\n" only, and a
+non-ASCII character fails on its own line.  An ASCII input without NUL
+bytes is parsed in one vectorised pass.  Byte comparisons find the
+tokens, indices are read from their digit columns, and labels and values
+are copied into a zero-padded byte matrix.  A plain decimal (an optional
+sign, then 1 to 15 digits with at most one ".") is read exactly as
+mant / 10**frac, the double float() returns (Clinger 1990).  Any other
+spelling, such as "1e-3", "1_0", "inf" or 16 digits or more, goes through
+numpy's string-to-float cast, which calls float().  An input the pass
+cannot vouch for is parsed line by line by `_parse_line`, the reference
+the tests compare the pass against, so results are bit-identical to
+parsing line by line.  The pass needs a few bytes per input byte (the
+text, its bytes and boolean masks) plus a few dozen bytes per token and
+the widest label or value's length per token, never an integer array per
+byte; the per-line path about 150 bytes of Python objects per token.
 
 CSV output follows one fixed schema (the ResultRow field order) with
 floats at 17 significant digits so a parse-back reproduces the exact
@@ -35,6 +40,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Dataset, PairRankError
 
@@ -157,8 +163,13 @@ def _parse_line(line: str, line_number: int) -> tuple[int, list[tuple[int, float
 
     This is the grammar's reference implementation.  parse_libsvm sends
     it every line of an input its vectorised pass cannot vouch for, and
-    the tests compare the vectorised pass against it.
+    the tests compare the vectorised pass against it.  Only ASCII is
+    read, so Unicode digits and spaces that str.split() and float() would
+    take fail here as they do in a path's bytes.
     """
+    if not line.isascii():
+        column = next(i for i, ch in enumerate(line, start=1) if not ch.isascii())
+        raise LibsvmParseError(line_number, f"non-ASCII character at column {column}")
     tokens = line.split()
     if not tokens:
         return None
@@ -172,13 +183,82 @@ def _parse_line(line: str, line_number: int) -> tuple[int, list[tuple[int, float
     return label, features
 
 
-# Token bytes: all but "\n" and the rest of str.split()'s ASCII whitespace.
-_IN_TOKEN = np.ones(256, dtype=bool)
-_IN_TOKEN[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = False
 # Longer labels and values go to _parse_line; this bounds the byte matrix.
 _MAX_TOKEN = 40
 # Longer indices could overflow int64 while their digits are read.
 _MAX_INDEX_DIGITS = 18
+# Up to 15 decimal digits spell an integer below 2**53, exact in a double.
+_MAX_EXACT_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(_MAX_EXACT_DIGITS + 1)])
+
+
+def _cast_with_float(chars: np.ndarray) -> np.ndarray:
+    """numpy's string-to-float64 cast, which calls float(), of each byte row.
+
+    Rows are left-aligned and zero-padded.  Raises ValueError if float()
+    rejects one; an overflowing value such as "1e400" becomes inf.
+    """
+    with np.errstate(over="ignore"):
+        return chars.view(f"S{chars.shape[1]}").ravel().astype(np.float64)
+
+
+def _read_numbers(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """float() of each token padded[start:start + length], bit for bit.
+
+    Returns None if a token is longer than _MAX_TOKEN bytes or float()
+    rejects it or reads it as infinite.  The tokens are copied
+    left-aligned into a zero-padded byte matrix.  A plain decimal -- an
+    optional sign, then 1 to _MAX_EXACT_DIGITS digits with at most one
+    "." among them -- is read column by column as mant / 10**frac: its
+    digits as an integer below 2**53 over the power of ten of its fraction
+    digits.  Both are exact doubles and one IEEE division rounds
+    correctly, so the quotient is float()'s (Clinger 1990).  Negating it
+    keeps "-0" as -0.0.  Other rows go through _cast_with_float.
+    """
+    width = int(length.max(initial=1))
+    if width > _MAX_TOKEN:
+        return None
+    chars = sliding_window_view(padded, width)[start]
+    chars[np.arange(width) >= length[:, None]] = 0
+
+    # Rows longer than a sign, _MAX_EXACT_DIGITS digits and a "." are not
+    # plain; columns past the longest other row need no reading.
+    plain = length <= _MAX_EXACT_DIGITS + 2
+    sign = chars[:, 0]
+    negative = sign == ord("-")
+    signed = negative | (sign == ord("+"))
+    mant = np.zeros(start.size)
+    n_digits = np.zeros(start.size, dtype=np.uint8)
+    n_dots = np.zeros(start.size, dtype=np.uint8)
+    frac = np.zeros(start.size, dtype=np.uint8)
+    for k in range(int(length[plain].max(initial=0))):
+        byte = chars[:, k]
+        digit = byte - np.uint8(ord("0"))  # uint8: bytes below "0" wrap past 9
+        is_digit = digit < 10
+        is_dot = byte == ord(".")
+        # Only the first byte may be a sign, and rows end in zero padding.
+        plain &= is_digit | is_dot | (signed if k == 0 else byte == 0)
+        mant *= 1.0 + 9.0 * is_digit
+        mant += digit * is_digit
+        n_digits += is_digit
+        n_dots += is_dot
+        frac += is_digit & (n_dots > 0)
+    plain &= (n_digits >= 1) & (n_digits <= _MAX_EXACT_DIGITS) & (n_dots <= 1)
+    del sign, signed, n_digits, n_dots
+
+    values = np.divide(mant, _POW10.take(frac, mode="clip"), out=mant)
+    values[negative] = -values[negative]
+    if not plain.all():
+        refused = ~plain
+        try:
+            # Skip the copy when no row is plain, as in a file of 17-digit reprs.
+            other = _cast_with_float(chars[refused] if plain.any() else chars)
+        except ValueError:
+            return None
+        if not np.all(np.isfinite(other)):
+            return None
+        values[refused] = other
+    return values
 
 
 def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -195,70 +275,66 @@ def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     # where float() rejects it.
     if not text.isascii() or "\x00" in text:
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # Zero bytes past the end let _read_numbers take each token's bytes as
+    # one window.
+    padded = np.frombuffer(text.encode("ascii") + bytes(_MAX_TOKEN), dtype=np.uint8)
+    buf = padded[: len(text)]
 
+    # Tokens are runs of bytes outside str.split()'s ASCII whitespace:
+    # "\t\n\x0b\x0c\r" (9 to 13) and "\x1c\x1d\x1e\x1f " (28 to 32).
     in_token = np.zeros(buf.size + 2, dtype=bool)
-    in_token[1:-1] = _IN_TOKEN[buf]
+    in_token[1:-1] = (buf < 9) | ((buf > 13) & (buf < 28)) | (buf > 32)
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])
     del in_token
     starts, ends = edges[0::2], edges[1::2]
-    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
-    first = np.ones(starts.size, dtype=bool)
-    first[1:] = line[1:] != line[:-1]
-    del line
+    # A row starts at the first token and at the first token after a newline.
+    first = np.zeros(starts.size + 1, dtype=bool)
+    first[np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))] = True
+    first[0] = True
+    label = np.flatnonzero(first[:-1])
+    label_start, label_len = starts[label], ends[label] - starts[label]
+    feature = ~first[:-1]
+    feature_start, feature_end = starts[feature], ends[feature]
+    # Each row's label token is followed by its feature tokens.
+    row = np.repeat(np.arange(label.size), np.diff(label, append=starts.size) - 1)
+    del edges, starts, ends, first, label, feature
 
-    # A feature token splits at its first colon into index digits and a
-    # value; a label token is all value.  A token without a colon finds a
-    # later one, so its digits run into whitespace or past the digit limit.
+    # Each feature token holds one colon with bytes on both sides, and a
+    # label token none; the per-line path reports anything else.
     colons = np.flatnonzero(buf == ord(":"))
-    colon = np.append(colons, buf.size)[np.searchsorted(colons, starts)]
-    feature = np.flatnonzero(~first)
-    digits = colon[feature] - starts[feature]
+    if colons.size != feature_start.size:
+        return None
+    digits = colons - feature_start
+    value_len = feature_end - colons - 1
+    del feature_start, feature_end
     n_digits = int(digits.max(initial=0))
+    if digits.min(initial=1) < 1 or value_len.min(initial=1) < 1:
+        return None
     if n_digits > _MAX_INDEX_DIGITS:
         return None
-    # An empty index reads 0, which the increase check below rejects.
-    index = np.zeros(starts.size, dtype=np.int64)
+
+    # Index digits are read right to left from each colon.
+    index = np.zeros(colons.size, dtype=np.int64)
+    at = colons.copy()
     for k in range(n_digits):
-        at = feature[digits > k]
-        digit = buf[starts[at] + k] - ord("0")  # uint8: bytes below "0" wrap past 9
-        if np.any(digit > 9):
+        at -= 1
+        digit = (buf.take(at, mode="clip") - np.uint8(ord("0"))) * (digits > k)
+        if np.any(digit > 9):  # uint8: bytes below "0" wrap past 9
             return None
-        index[at] = index[at] * 10 + digit
-    del digits
-    value_start = np.where(first, starts, colon + 1)
-    del colon
-    value_len = ends - value_start
-    width = int(value_len.max(initial=1))
-    if width > _MAX_TOKEN:
+        index += digit * np.int64(10**k)
+    del at, digits
+    # Indices are at least 1 and increase along each row.
+    if index.min(initial=1) < 1 or not np.all((index[1:] > index[:-1]) | (row[1:] != row[:-1])):
         return None
 
-    # Labels and values, left-aligned in a zero-padded byte matrix, go
-    # through one string-to-float conversion, which calls float().
-    chars = np.zeros((starts.size, width), dtype=np.uint8)
-    for k in range(width):
-        at = np.flatnonzero(value_len > k)
-        chars[at, k] = buf[value_start[at] + k]
-    del value_start, value_len
-    try:
-        # An overflowing value such as "1e400" becomes inf here; the
-        # finiteness check below hands it to _parse_line, which reports it.
-        with np.errstate(over="ignore"):
-            values = chars.view(f"S{width}").ravel().astype(np.float64)
-    except ValueError:
+    labels = _read_numbers(padded, label_start, label_len)
+    if labels is None or not np.all(np.isin(labels, _POSITIVE_LABELS + _NEGATIVE_LABELS)):
         return None
-    del chars
-
-    labels = values[first]
-    if not (
-        np.all(np.isin(labels, _POSITIVE_LABELS + _NEGATIVE_LABELS))
-        and np.all(np.isfinite(values))
-        # Label tokens read index 0, so this also asks every index to be >= 1.
-        and np.all(first[1:] | (index[1:] > index[:-1]))
-    ):
+    colons += 1
+    values = _read_numbers(padded, colons, value_len)
+    if values is None:
         return None
-    row = np.cumsum(first)[feature] - 1
-    return np.isin(labels, _POSITIVE_LABELS).astype(np.int8), row, index[feature], values[feature]
+    return np.isin(labels, _POSITIVE_LABELS).astype(np.int8), row, index, values
 
 
 def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -287,21 +363,31 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     align a test file with its training file's width).  Blank lines are
     skipped; anything else malformed raises with its line number.
 
-    The input is read whole (a path opens as ASCII text with universal
-    newlines, a stream is `.read()`), and lines end at "\\n" only.  A path's
-    non-ASCII bytes read as lone surrogates ("surrogateescape"), which no
-    token may contain, so such a byte fails with its line number.  If the
+    The input is read whole (a path opens as ASCII text without newline
+    translation, a stream is `.read()`), and lines end at "\n" only; "\r"
+    is whitespace.  A non-ASCII character fails with its line number: a
+    path's non-ASCII bytes read as lone surrogates ("surrogateescape"), and
+    a stream's Unicode digits and spaces are refused alike.  If the
     vectorised pass cannot vouch for every line, the whole input is parsed
     line by line by `_parse_line`, several times slower: values are
     bit-identical, and the first bad line in file order raises that
     function's exception.  The per-line path takes any malformed line,
     non-ASCII or NUL bytes, an index other than 1 to 18 ASCII digits
-    (such as "+5" or "1_0"), and a label or value over 40 bytes.  Value
-    spellings float() accepts (such as "1_0", ".5" or "1e-400") and
-    indices with leading zeros stay on the vectorised pass.
+    (such as "+5" or "1_0"), and a label or value over 40 bytes.  Indices
+    with leading zeros stay on the vectorised pass.  So do value spellings
+    float() accepts: a plain decimal, such as "-0", "5.", ".5" or
+    "0.583333", is read without float(), and others, such as "1_0",
+    "1e-400", "1E+05" or more than 15 digits, go through it.
+
+    Memory: on the vectorised pass the traced peak is the dense output
+    plus at most 10 bytes per input byte for one-hot rows like a9a's,
+    where densifying the output costs most.  A 2.33 MB a9a-shaped file
+    read into 32.0 MB peaks at 52.5 MB, 8.8 bytes per input byte above the
+    output.  Labels or values wider than a few bytes add their width per
+    token.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii", errors="surrogateescape") as handle:
+        with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
             text = handle.read()
     else:
         text = source.read()

@@ -3,12 +3,13 @@
 import csv
 import io
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairrank.io
@@ -25,7 +26,7 @@ from pairrank import (
     write_libsvm,
     write_results_csv,
 )
-from pairrank.io import _parse_line
+from pairrank.io import _cast_with_float, _parse_line
 
 MALFORMED_LINES = [
     "+1 1",
@@ -283,6 +284,152 @@ class TestVectorisedPassCoverage:
         data = _parse("+1 +5:1\n")
         assert len(line_calls) >= 1
         np.testing.assert_array_equal(data.positives, [[0.0, 0.0, 0.0, 0.0, 1.0]])
+
+    @pytest.fixture()
+    def float_calls(self, monkeypatch):
+        calls = []
+
+        def counting(chars):
+            calls.append(chars.shape[0])
+            return _cast_with_float(chars)
+
+        monkeypatch.setattr(pairrank.io, "_cast_with_float", counting)
+        return calls
+
+    def test_plain_decimals_never_call_float(self, line_calls, float_calls):
+        text = "+1 1:1 3:0.5\n-1 2:-0 4:1\n0 1:0.5 2:1\n1 5:1\n-1\n"
+        data = _parse(text)
+        assert line_calls == [] and float_calls == []
+        expected = parse_libsvm_reference(io.StringIO(text))
+        assert data.positives.tobytes() == expected.positives.tobytes()
+        assert data.negatives.tobytes() == expected.negatives.tobytes()
+
+    def test_other_spellings_go_through_float(self, line_calls, float_calls):
+        data = _parse("+1 1:1e-3 2:1 3:1_0 4:12345678901234567\n-1 1:1\n")
+        assert line_calls == [] and float_calls == [3]
+        np.testing.assert_array_equal(data.positives, [[1e-3, 1.0, 10.0, 12345678901234567.0]])
+
+
+@st.composite
+def _decimal_spellings(draw):
+    """A sign or none, then 1 to 17 digits with at most one "." anywhere among them."""
+    digits = draw(st.text(alphabet="0123456789", min_size=1, max_size=17))
+    dot = draw(st.none() | st.integers(0, len(digits)))
+    body = digits if dot is None else digits[:dot] + "." + digits[dot:]
+    return draw(st.sampled_from(("", "+", "-"))) + body
+
+
+def _read_values(spellings):
+    """parse_libsvm of one positive row holding `spellings` as its values."""
+    text = "+1 " + " ".join(f"{k}:{value}" for k, value in enumerate(spellings, start=1))
+    return _parse(text + "\n").positives[0]
+
+
+class TestExactDecimalCast:
+    """Plain decimals, read without float(), give float()'s bits."""
+
+    @given(spellings=st.lists(_decimal_spellings(), min_size=1, max_size=20))
+    @example(spellings=["-0", "+0.0", "-0.", ".0", "-.5", "5.", "007.25", "-123.456"])
+    # 15 digits stay exact; these 16-digit spellings round twice if read
+    # as mant / 10**frac, so they must go to float().
+    @example(spellings=["999999999999999", "-9.99999999999999", "9614.940693800935"])
+    @example(spellings=["91148087304781.65", "-9.351876527703153", "9007199254740993"])
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_float(self, spellings):
+        expected = np.array([float(value) for value in spellings])
+        assert _read_values(spellings).tobytes() == expected.tobytes()
+
+    def test_seeded_sweep_of_long_spellings(self):
+        rng = np.random.default_rng(433)
+        spellings = []
+        for length in rng.integers(12, 18, size=3000):
+            digits = "".join(rng.choice(list("0123456789"), size=length))
+            dot = rng.integers(0, length + 1)
+            spellings.append(rng.choice(["", "-"]) + digits[:dot] + "." + digits[dot:])
+        expected = np.array([float(value) for value in spellings])
+        assert _read_values(spellings).tobytes() == expected.tobytes()
+
+
+_NON_ASCII = "\u0661\u00a0\u2003\u00e9\x85\u2028"
+_GRAMMAR_SOUP = st.text(alphabet="0123456789:+-.e \t\n\r" + _NON_ASCII, max_size=60).filter(
+    lambda text: not _LONG_DIGIT_RUN.search(text)
+)
+
+
+def _grammar_outcome(source, dim_hint):
+    try:
+        data = parse_libsvm(source, dim_hint=dim_hint)
+    except (PairRankError, ValueError) as exc:
+        return type(exc), getattr(exc, "line_number", None)
+    return data.dim, data.positives.shape, data.positives.tobytes(), data.negatives.tobytes()
+
+
+class TestOneGrammar:
+    """A path and a stream holding the same text parse alike."""
+
+    @given(
+        text=st.one_of(_documents(ascii_only=False), _GRAMMAR_SOUP),
+        dim_hint=st.none() | st.integers(0, 45),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stream_and_path_agree(self, tmp_path_factory, text, dim_hint):
+        path = tmp_path_factory.getbasetemp() / "grammar.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _grammar_outcome(io.StringIO(text), dim_hint)
+        assert _grammar_outcome(path, dim_hint) == expected
+
+    @pytest.mark.parametrize(
+        "text, line", [("+1 1:\u0661 2:5\n-1 1:0\n", 1), ("+1 1:1\n-1 1:1\u00a02:1\n", 2)]
+    )
+    def test_unicode_digit_or_space_fails_its_line(self, tmp_path, text, line):
+        path = tmp_path / "unicode.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (io.StringIO(text), path):
+            with pytest.raises(LibsvmParseError, match="non-ASCII character") as info:
+                parse_libsvm(source)
+            assert info.value.line_number == line
+
+    def test_carriage_return_is_whitespace(self, tmp_path):
+        text = "+1 1:1\r2:2\r\n-1 1:3\n"
+        path = tmp_path / "cr.txt"
+        path.write_bytes(text.encode("ascii"))
+        for source in (io.StringIO(text), path):
+            data = parse_libsvm(source)
+            np.testing.assert_array_equal(data.positives, [[1.0, 2.0]])
+            np.testing.assert_array_equal(data.negatives, [[3.0, 0.0]])
+
+
+# a9a one-hot encodes 14 attributes into 123 binary columns.
+_A9A_GROUPS = np.array([5, 8, 5, 16, 5, 7, 14, 6, 5, 2, 2, 2, 5, 41])
+
+
+class TestParseMemory:
+    def test_peak_stays_within_the_documented_bound(self, tmp_path):
+        # parse_libsvm's docstring: on one-hot input like a9a's, the traced
+        # peak stays below the dense output plus 10 bytes per input byte.
+        rng = np.random.default_rng(434)
+        rows = 10_000
+        offsets = np.cumsum(_A9A_GROUPS) - _A9A_GROUPS
+        cols = offsets + 1 + (rng.random((rows, _A9A_GROUPS.size)) * _A9A_GROUPS).astype(int)
+        labels = np.where(rng.random(rows) < 0.24, "+1", "-1")
+        path = tmp_path / "a9a-shaped.svm"
+        path.write_text(
+            "".join(
+                f"{label} " + " ".join(f"{col}:1" for col in row) + "\n"
+                for label, row in zip(labels, cols.tolist())
+            ),
+            encoding="ascii",
+        )
+        tracemalloc.start()
+        try:
+            data = parse_libsvm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.dim == 123 and data.n == rows
+        output = data.positives.nbytes + data.negatives.nbytes
+        limit = output + 10 * path.stat().st_size
+        assert peak <= limit, f"peak {peak} B above {limit} B"
 
 
 class TestWriteLibsvm:
