@@ -330,8 +330,8 @@ class TestExactDecimalCast:
 
     @given(spellings=st.lists(_decimal_spellings(), min_size=1, max_size=20))
     @example(spellings=["-0", "+0.0", "-0.", ".0", "-.5", "5.", "007.25", "-123.456"])
-    # 15 digits stay exact; these 16-digit spellings round twice if read
-    # as mant / 10**frac, so they must go to float().
+    # 15 digits are read exactly; the 16-digit spellings here round twice
+    # if read as mant / 10**frac, so they must go to float().
     @example(spellings=["999999999999999", "-9.99999999999999", "9614.940693800935"])
     @example(spellings=["91148087304781.65", "-9.351876527703153", "9007199254740993"])
     @settings(max_examples=300, deadline=None)
@@ -379,7 +379,9 @@ class TestOneGrammar:
         assert _grammar_outcome(path, dim_hint) == expected
 
     @pytest.mark.parametrize(
-        "text, line", [("+1 1:\u0661 2:5\n-1 1:0\n", 1), ("+1 1:1\n-1 1:1\u00a02:1\n", 2)]
+        "text, line",
+        [("+1 1:\u0661 2:5\n-1 1:0\n", 1), ("+1 1:1\n-1 1:1\u00a02:1\n", 2)],
+        ids=["arabic-indic-digit", "no-break-space"],
     )
     def test_unicode_digit_or_space_fails_its_line(self, tmp_path, text, line):
         path = tmp_path / "unicode.txt"
