@@ -56,14 +56,20 @@ class InvalidMomentsError(PairRankError):
 
 
 class SolverConvergenceError(PairRankError):
-    """The constrained solver exhausted its iteration budget.
+    """A trainer did not converge to a finite answer.
+
+    The constrained solver raises it when it exhausts its iteration
+    budget, the SGD comparator when its iterate diverges.
 
     Attributes:
-        bracket: the final (low, high) multiplier bracket, for diagnosis.
+        bracket: the solver's final (low, high) multiplier bracket, for
+            diagnosis; None when the error does not come from the solver.
     """
 
-    def __init__(self, message: str, bracket: tuple[float, float]):
-        super().__init__(f"{message} (bracket: [{bracket[0]!r}, {bracket[1]!r}])")
+    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
+        if bracket is not None:
+            message = f"{message} (bracket: [{bracket[0]!r}, {bracket[1]!r}])"
+        super().__init__(message)
         self.bracket = bracket
 
 

@@ -4,7 +4,7 @@ The ordering statistic is the classical probability that a uniformly
 random positive-negative pair is ranked correctly by the score w'x,
 with ties credited one half.  `auc_naive` enumerates the pairs;
 `auc_fast` gets the identical value (bit for bit, not merely close)
-from one sort via midranks.  The squared-loss risk averages
+from sorting and exact counts.  The squared-loss risk averages
 0.5 * (1 - w'(x1 - x0))^2 over pairs; for a fixed w it depends only on
 the per-class means and variances of the scores, which is how
 `phi_risk` computes it, in O(n * d) and without pair moments.  Both
@@ -71,21 +71,13 @@ def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def _midranks(xs: np.ndarray) -> np.ndarray:
-    """1-based ranks, each tie group given its mean rank (scipy's "average")."""
-    order = np.argsort(xs, kind="stable")
-    ordered = xs[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], xs.size]
-    ranks = np.empty(xs.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
 def _auc(pos: np.ndarray, neg: np.ndarray) -> float:
-    ranks = _midranks(np.concatenate([pos, neg]))
-    n1, n0 = pos.shape[0], neg.shape[0]
-    return (float(np.sum(ranks[:n1])) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+    neg = np.sort(neg)
+    # Sorted needles let each binary search start where the last one ended.
+    pos = np.sort(pos)
+    below = int(np.searchsorted(neg, pos, side="left").sum())
+    upto = int(np.searchsorted(neg, pos, side="right").sum())
+    return (below + 0.5 * (upto - below)) / (pos.shape[0] * neg.shape[0])
 
 
 def _phi(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -106,14 +98,14 @@ def auc_naive(data: Dataset, w: RankerWeights) -> float:
 
 
 def auc_fast(data: Dataset, w: RankerWeights) -> float:
-    """Pair-ordering statistic via one joint midrank pass, O(n log n).
+    """Pair-ordering statistic by sort and search, O(n log n).
 
-    Midranks assign every member of a tied group the group's average
-    rank, which reproduces the half tie credit exactly: the sum of
-    positive midranks, shifted by n1 (n1 + 1) / 2, counts correctly
-    ordered pairs plus half the cross-class ties.  All quantities are
-    half-integers well inside float64's exact range, so the result is
-    bit-identical to `auc_naive`.
+    Both score vectors are sorted; two binary searches of the sorted
+    negatives per positive count the negatives strictly below it and
+    those at or below it, whose difference is its cross-class ties.
+    The counts are exact integers.  While n1 * n0 stays below 2**53
+    they are exact doubles too, and (below + 0.5 * tied) / (n1 * n0)
+    is bit-identical to `auc_naive`, which forms the same sum.
     """
     return _auc(*_scores(data, w))
 

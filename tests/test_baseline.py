@@ -4,7 +4,30 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from pairrank import Dataset, SgdConfig, UntrainableDatasetError, train_pairwise_sgd
+from pairrank import (
+    Dataset,
+    SgdConfig,
+    SolverConvergenceError,
+    UntrainableDatasetError,
+    train_pairwise_sgd,
+)
+
+
+def _literal_sgd(data, cfg):
+    """The plain per-pair loop, kept as written: (iterate, projection count)."""
+    rng = np.random.default_rng(cfg.seed)
+    pos_idx = rng.integers(0, data.n1, size=cfg.pair_budget)
+    neg_idx = rng.integers(0, data.n0, size=cfg.pair_budget)
+    w = np.zeros(data.dim, dtype=np.float64)
+    projections = 0
+    for i, j in zip(pos_idx, neg_idx):
+        diff = data.positives[i] - data.negatives[j]
+        w -= cfg.step_size * ((w @ diff - 1.0) * diff)
+        norm = float(np.linalg.norm(w))
+        if norm > cfg.w_star:
+            w *= cfg.w_star / norm
+            projections += 1
+    return w, projections
 
 
 def _single_pair(diff):
@@ -85,20 +108,48 @@ class TestTrainPairwiseSgd:
         data = random_dataset(rng, dim=3, n1=7, n0=4)
         cfg = SgdConfig(step_size=0.2, pair_budget=64, seed=77, w_star=0.9)
         model = train_pairwise_sgd(data, cfg)
-
-        ref_rng = np.random.default_rng(77)
-        pos_idx = ref_rng.integers(0, 7, size=64)
-        neg_idx = ref_rng.integers(0, 4, size=64)
-        w = np.zeros(3)
-        for i, j in zip(pos_idx, neg_idx):
-            d = data.positives[i] - data.negatives[j]
-            w = w - 0.2 * ((w @ d - 1.0) * d)
-            norm = float(np.linalg.norm(w))
-            if norm > 0.9:
-                w = w * (0.9 / norm)
-        np.testing.assert_array_equal(model.w, w)
+        expected, _ = _literal_sgd(data, cfg)
+        np.testing.assert_array_equal(model.w, expected)
 
     def test_empty_class_rejected(self):
         data = Dataset.from_arrays(np.zeros((0, 2)), np.ones((3, 2)))
         with pytest.raises(UntrainableDatasetError):
             train_pairwise_sgd(data, SgdConfig(0.1, 10, 0, 1.0))
+
+    @pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+    def test_diverging_steps_raise_convergence_error_naming_the_step(self):
+        rng = np.random.default_rng(435)
+        data = random_dataset(rng, dim=3, n1=6, n0=6)
+        with pytest.raises(SolverConvergenceError, match=r"step size 1e\+308") as caught:
+            train_pairwise_sgd(data, SgdConfig(1e308, pair_budget=50, seed=0, w_star=1.0))
+        assert caught.value.bracket is None
+
+
+class TestChunkedLoopBits:
+    """The chunked loop against the plain per-pair loop, byte for byte.
+
+    Budgets straddle the 4096-pair gather; the radius either binds on
+    every step, never binds, or the step size is zero.
+    """
+
+    # (step_size, w_star, projects on every step rather than never)
+    CASES = {
+        "projects-every-step": (1.0, 1e-3, True),
+        "never-projects": (1e-4, 1e9, False),
+        "zero-step": (0.0, 1.0, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("dim", [1, 3, 123])
+    @pytest.mark.parametrize("budget", [1, 4095, 4096, 4097, 9000])
+    def test_matches_plain_loop(self, budget, dim, case):
+        step_size, w_star, every_step = self.CASES[case]
+        rng = np.random.default_rng(1000 * dim + budget)
+        # Positives sit 3 units out along every axis, so no pair
+        # difference is short enough to stay inside the small ball.
+        data = Dataset.from_arrays(rng.standard_normal((37, dim)) + 3.0,
+                                   rng.standard_normal((29, dim)))
+        cfg = SgdConfig(step_size, pair_budget=budget, seed=budget + dim, w_star=w_star)
+        expected, projected = _literal_sgd(data, cfg)
+        assert projected == (budget if every_step else 0)
+        assert train_pairwise_sgd(data, cfg).w.tobytes() == expected.tobytes()

@@ -45,6 +45,15 @@ from pairrank.cli import (
 )
 
 
+def _run_cli(argv, cwd):
+    """Run the CLI in a fresh interpreter, so its stderr is all it printed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys; from pairrank.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -401,12 +410,8 @@ class TestExitCodes:
     def test_split_emptying_a_class_reports_only_the_data_error(self, tmp_path):
         path = tmp_path / "five.txt"
         path.write_text("+1 1:1\n-1 1:2\n-1 1:3\n-1 2:1\n-1 2:2\n", encoding="ascii")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys; from pairrank.cli import main; sys.exit(main(sys.argv[1:]))"
-        argv = ["train", "bbr", str(path), "--sample-ratio", "0.2", "--seed", "0"]
-        result = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
-                                capture_output=True, text=True, timeout=120)
+        result = _run_cli(["train", "bbr", str(path), "--sample-ratio", "0.2", "--seed", "0"],
+                          tmp_path)
         assert result.returncode == 2
         (line,) = result.stderr.splitlines()
         assert line.startswith("pairrank: data error: training needs both classes non-empty")
@@ -450,6 +455,18 @@ class TestExitCodes:
             assert main(["train", *algorithm, str(path)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("pairrank: numerical failure: ")
+
+    def test_diverging_sgd_is_numerical_failure(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = _run_cli(["synth-sweep", "--out", str(out), "--k-grid", "1", "--sigma-grid", "2",
+                           "--replicates", "1", "--n1", "40", "--n0", "40",
+                           "--test-per-class", "40", "--pairs-grid", "40",
+                           "--sgd-step-size", "1e308", "--sgd-budget", "100"], tmp_path)
+        assert result.returncode == 3
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("pairrank: numerical failure: pairwise SGD diverged")
+        assert "step size 1e+308" in line
+        assert not out.exists()
 
     def test_exhausted_solver_is_numerical_failure(self, toy_file, monkeypatch, capsys):
         monkeypatch.setattr(solver, "_MAX_SECULAR_ITERS", 0)

@@ -1,4 +1,4 @@
-"""Ranking metrics: naive vs rank-sum ordering statistic, squared risk."""
+"""Ranking metrics: naive vs sort-and-search ordering statistic, squared risk."""
 
 import os
 import subprocess
@@ -31,7 +31,7 @@ from pairrank import (
     analytic_pair_moments,
 )
 
-from pairrank.evaluation import _midranks
+from pairrank.evaluation import _auc
 
 from conftest import integer_dataset, random_dataset
 
@@ -100,33 +100,46 @@ class TestAucFastEquivalence:
         assert auc_fast(data, w) == auc_naive(data, w)
 
 
-def _midranks_by_counting(xs):
-    """Literal O(n^2) midranks: values below, plus the mean rank among equals."""
-    return np.array([sum(y < x for y in xs) + (sum(y == x for y in xs) + 1) / 2.0 for x in xs])
+def _auc_by_counting(pos, neg):
+    """Literal pair count, ties credited one half, compared rather than subtracted."""
+    correct = sum(a > b for a in pos for b in neg)
+    tied = sum(a == b for a in pos for b in neg)
+    return (correct + 0.5 * tied) / (len(pos) * len(neg))
 
 
-# Few distinct values (signed zeros among them) make heavy ties likely.
+# Few distinct values (signed zeros and subnormals among them) make
+# heavy ties likely.
 _TIE_HEAVY_SCORES = st.lists(
-    st.one_of(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0]), st.floats(allow_nan=False)),
+    st.one_of(
+        st.sampled_from([-2.5, -1.0, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.0, 3.0]),
+        st.floats(allow_nan=False),
+    ),
     min_size=1,
     max_size=80,
 )
 
 
-class TestMidranks:
-    @given(xs=_TIE_HEAVY_SCORES)
-    @example(xs=[4.0])
-    @example(xs=[1.5] * 7)
-    @example(xs=[0.0, -0.0, 1.0, -0.0, 0.0])
-    @settings(max_examples=200, deadline=None)
-    def test_match_counting_oracle(self, xs):
-        assert np.array_equal(_midranks(np.array(xs)), _midranks_by_counting(xs))
+class TestAucCounting:
+    @given(pos=_TIE_HEAVY_SCORES, neg=_TIE_HEAVY_SCORES)
+    @example(pos=[4.0], neg=[4.0])
+    @example(pos=[1.5] * 7, neg=[1.5])
+    @example(pos=[-0.0], neg=[0.0, -0.0, 1.0, -0.0, 0.0])
+    @example(pos=[5e-324, -5e-324, 0.0], neg=[-0.0, 5e-324])
+    @settings(max_examples=300, deadline=None)
+    def test_match_literal_count_bit_for_bit(self, pos, neg):
+        got = _auc(np.array(pos), np.array(neg))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_auc_by_counting(pos, neg)).tobytes()
 
-    @given(xs=_TIE_HEAVY_SCORES)
+    @given(pos=_TIE_HEAVY_SCORES, neg=_TIE_HEAVY_SCORES)
     @settings(max_examples=200, deadline=None)
-    def test_match_scipy_average_ranks(self, xs):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_match_scipy_mann_whitney_statistic(self, pos, neg):
         stats = pytest.importorskip("scipy.stats")
-        assert np.array_equal(_midranks(np.array(xs)), stats.rankdata(xs, method="average"))
+        # The statistic is the rank-sum count of positives over negatives;
+        # only the p-value, not read here, can warn.
+        u = stats.mannwhitneyu(pos, neg, method="asymptotic").statistic
+        assert _auc(np.array(pos), np.array(neg)) == u / (len(pos) * len(neg))
 
     def test_package_imports_without_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
