@@ -133,11 +133,8 @@ class TestAucCounting:
 
     @given(pos=_TIE_HEAVY_SCORES, neg=_TIE_HEAVY_SCORES)
     @settings(max_examples=200, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_match_scipy_mann_whitney_statistic(self, pos, neg):
         stats = pytest.importorskip("scipy.stats")
-        # The statistic is the rank-sum count of positives over negatives;
-        # only the p-value, not read here, can warn.
         u = stats.mannwhitneyu(pos, neg, method="asymptotic").statistic
         assert _auc(np.array(pos), np.array(neg)) == u / (len(pos) * len(neg))
 
