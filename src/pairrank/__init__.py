@@ -6,7 +6,7 @@ trainers share one exact ball-constrained quadratic solver: the batch
 trainer folds every positive-negative pair into the difference moments,
 and the low-cost trainer estimates the same moments from a seeded
 uniform subsample of pairs.  The package also ships the evaluation
-metrics (pair-ordering statistic with midrank ties, squared-loss risk),
+metrics (pair-ordering statistic with half-credit ties, squared-loss risk),
 a Gaussian-mixture experiment harness with closed-form reference
 moments, sample-complexity calculators, sparse-format ingestion, a
 projected-SGD comparator, and a CLI (``pairrank``).

@@ -24,7 +24,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,15 +84,15 @@ def log_covering_number(radius_ratio: float, dim: int) -> float:
     return dim * math.log1p(2.0 / radius_ratio)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class BoundInputs:
-    """Everything the guarantee formulas consume.
+    """Guarantee-formula inputs, by keyword, in the bounds table's column order.
 
     dim: feature dimension D.
+    n: total labeled examples.
     x_star: feature-norm cap.
     w_star: weight-ball radius.
     rho: positive-class fraction, in (0, 1).
-    n: total labeled examples.
     sigma_n_opnorm: spectral norm of the all-pairs second moment.
     epsilon: target accuracy.
     delta: target failure probability, in (0, 1); plays the role of
@@ -100,10 +100,10 @@ class BoundInputs:
     """
 
     dim: int
+    n: int
     x_star: float
     w_star: float
     rho: float
-    n: int
     sigma_n_opnorm: float
     epsilon: float
     delta: float
@@ -255,32 +255,10 @@ def mean_deviation_tail(s: int, epsilon: float, x_star: float, w_star: float) ->
     return min(1.0, 2.0 * math.exp(-0.5 * (arg - 1.0) ** 2))
 
 
-_CSV_HEADER = (
-    "dim",
-    "n",
-    "x_star",
-    "w_star",
-    "rho",
-    "sigma_n_opnorm",
-    "epsilon",
-    "delta",
-    "covering_sensitivity",
-    "deviation_scale",
-    "batch_excess_risk_log_tail",
-    "uniform_deviation_log_tail",
-    "subsampled_excess_risk_log_tail",
-    "min_pairs_empirical_gap",
-    "min_pairs_excess_risk",
-    "second_moment_deviation_tail",
-    "mean_deviation_tail",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class BoundReport:
-    """All guarantee outputs for one input point, CSV-serializable."""
+    """Only the guarantee outputs for one input point; table rows put BoundInputs first."""
 
-    inputs: BoundInputs
     covering_sensitivity: float
     deviation_scale: float
     batch_excess_risk_log_tail: float
@@ -290,24 +268,6 @@ class BoundReport:
     min_pairs_excess_risk: int
     second_moment_deviation_tail: float
     mean_deviation_tail: float
-
-    @staticmethod
-    def csv_header() -> tuple[str, ...]:
-        return _CSV_HEADER
-
-    def csv_row(self) -> list[str]:
-        """Values aligned with :meth:`csv_header`: int fields as is, floats at 17 digits."""
-        cells: list[str] = []
-        for name in _CSV_HEADER:
-            value = getattr(self.inputs, name, None)
-            if value is None:
-                value = getattr(self, name)
-            cells.append(str(value) if _CSV_TYPES[name] == "int" else f"{value:.17g}")
-        return cells
-
-
-# Each column's declared type (a string under the __future__ import) picks its format.
-_CSV_TYPES = {f.name: f.type for cls in (BoundInputs, BoundReport) for f in fields(cls)}
 
 
 def evaluate_bounds(inputs: BoundInputs) -> BoundReport:
@@ -319,7 +279,6 @@ def evaluate_bounds(inputs: BoundInputs) -> BoundReport:
     c = risk_constants(inputs.x_star, inputs.w_star)
     s = min_pairs_empirical_gap(inputs)
     return BoundReport(
-        inputs=inputs,
         covering_sensitivity=c.covering_sensitivity,
         deviation_scale=c.deviation_scale,
         batch_excess_risk_log_tail=batch_excess_risk_log_tail(inputs),

@@ -20,8 +20,9 @@ the training set with :func:`~pairrank.core.scale_to_ball` and the
 ``--test`` set by the same factor.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed input, untrainable dataset, unwritable output path), 3
-numerical failure (solver non-convergence, invalid moments).
+malformed input, untrainable dataset, unwritable output path, an input
+too large to allocate), 3 numerical failure (solver non-convergence,
+invalid moments).
 
 Determinism: every command takes seeds explicitly.  Sub-streams (spec
 draw, train draw, test draw, pair draw, SGD draw, split draw) are
@@ -47,6 +48,7 @@ import os
 import struct
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
@@ -64,7 +66,8 @@ from .core import (
     scale_to_ball,
 )
 from .evaluation import evaluate_ranker, expected_phi_risk
-from .io import ResultRow, parse_libsvm, subsample_ratio_split, write_csv, write_results_csv
+from .io import (ResultRow, csv_cells, parse_libsvm, subsample_ratio_split, write_csv,
+                 write_results_csv)
 from .moments import (
     SubsampleConfig,
     batch_moments_fast,
@@ -247,7 +250,7 @@ def _row(
     weights: RankerWeights,
     evaluate_on: Dataset,
     seconds: float,
-    extra: dict[str, str],
+    extra: dict[str, object],
 ) -> ResultRow:
     """Evaluate `weights` on `evaluate_on`; n1/n0 come from `train`."""
     report = evaluate_ranker(evaluate_on, weights)
@@ -307,9 +310,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         evaluate_on = parse_libsvm(args.test, dim_hint=data.dim).scaled(factor)
         weights = RankerWeights(np.pad(weights.w, (0, evaluate_on.dim - data.dim)))
         eval_name = "test"
-    extra = {"eval_on": eval_name, "multiplier": f"{fit.diagnostics.multiplier:.17g}"}
+    extra = {"eval_on": eval_name, "multiplier": fit.diagnostics.multiplier}
     if args.sample_ratio is not None:
-        extra["sample_ratio"] = f"{args.sample_ratio:.17g}"
+        extra["sample_ratio"] = args.sample_ratio
     algorithm = "bbr-naive" if args.naive else args.algorithm
     row = _row("train", algorithm, Path(args.data).name, data, s, args.seed,
                weights, evaluate_on, seconds, extra)
@@ -339,7 +342,7 @@ def _draw_mixture(dim: int, k: int, sigma: float, n1: int, n0: int,
 
 
 def _fit_rows(experiment: str, train: Dataset, test: Dataset, cfg: ProblemConfig, seed: int,
-              pair_draws: list[tuple[int, int]], extra: dict[str, str]) -> list[ResultRow]:
+              pair_draws: list[tuple[int, int]], extra: dict[str, object]) -> list[ResultRow]:
     """A bbr row seeded `seed`, then one lcbr row per (s, pair seed) in `pair_draws`, on `test`."""
     rows: list[ResultRow] = []
     for s, row_seed in [(0, seed), *pair_draws]:
@@ -361,8 +364,7 @@ def _cmd_synth_sweep(args: argparse.Namespace) -> int:
         population = analytic_pair_moments(spec)
         optimal, _ = solve_erm(population, cfg)
         optimum = expected_phi_risk(population.sigma, population.mu, optimal)
-        extra = {"k": str(k), "sigma": f"{sigma:.17g}", "replicate": str(replicate),
-                 "optimal_phi_risk": f"{optimum:.17g}"}
+        extra = {"k": k, "sigma": sigma, "replicate": replicate, "optimal_phi_risk": optimum}
         experiment = f"synth-k{k}-sigma{sigma:g}-rep{replicate}"
         pair_draws = [
             (s, derived_seed(seed, ROLE_PAIRS, s_index))
@@ -395,12 +397,7 @@ def _cmd_skew_sweep(args: argparse.Namespace) -> int:
         test = sample_dataset(
             spec, args.test_per_class, args.test_per_class, derived_seed(seed, ROLE_TEST)
         )
-        extra = {
-            "rho": f"{rho:.17g}",
-            "k": str(args.k),
-            "sigma": f"{args.sigma:.17g}",
-            "replicate": str(replicate),
-        }
+        extra = {"rho": rho, "k": args.k, "sigma": args.sigma, "replicate": replicate}
         pair_draws = [(args.pairs, derived_seed(seed, ROLE_PAIRS))]
         rows.extend(_fit_rows(f"skew-rho{rho:g}-rep{replicate}", train, test, cfg, seed,
                               pair_draws, extra))
@@ -418,10 +415,7 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     rows: list[ResultRow] = []
     for algorithm, s, seed in routes:
         fits = [_fit(data, cfg, s, seed, algorithm == "bbr-naive") for _ in range(args.repeats)]
-        extra = {
-            "solve_seconds": f"{min(fit.solve_seconds for fit in fits):.17g}",
-            "repeats": str(args.repeats),
-        }
+        extra = {"solve_seconds": min(fit.solve_seconds for fit in fits), "repeats": args.repeats}
         rows.append(_row(f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}", algorithm, "gmm", data,
                          s, seed, fits[-1].weights, data,
                          min(fit.moment_seconds for fit in fits), extra))
@@ -433,26 +427,16 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds_table(args: argparse.Namespace) -> int:
-    rows = [
-        evaluate_bounds(
-            BoundInputs(
-                dim=args.dim,
-                x_star=args.x_star,
-                w_star=args.w_star,
-                rho=rho,
-                n=n,
-                sigma_n_opnorm=args.sigma_opnorm,
-                epsilon=epsilon,
-                delta=args.delta,
-            )
-        ).csv_row()
+    header = [f.name for cls in (BoundInputs, BoundReport) for f in fields(cls)]
+    grid = [
+        BoundInputs(dim=args.dim, n=n, x_star=args.x_star, w_star=args.w_star, rho=rho,
+                    sigma_n_opnorm=args.sigma_opnorm, epsilon=epsilon, delta=args.delta)
         for rho in args.rho_grid
         for n in args.n_grid
         for epsilon in args.epsilon_grid
     ]
-    return _write_out(
-        args.out, rows, lambda cells, path: write_csv(path, BoundReport.csv_header(), cells)
-    )
+    rows = [csv_cells(inputs) + csv_cells(evaluate_bounds(inputs)) for inputs in grid]
+    return _write_out(args.out, rows, lambda cells, path: write_csv(path, header, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +554,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SolverConvergenceError, InvalidMomentsError, np.linalg.LinAlgError) as exc:
         print(f"pairrank: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (PairRankError, OSError, ValueError) as exc:
+    except (PairRankError, OSError, ValueError, MemoryError) as exc:
         print(f"pairrank: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,9 +26,10 @@ text, its bytes and boolean masks) plus a few dozen bytes per token and
 the widest label or value's length per token, never an integer array per
 byte; the per-line path about 150 bytes of Python objects per token.
 
-CSV output follows one fixed schema (the ResultRow field order) with
-floats at 17 significant digits so a parse-back reproduces the exact
-binary values.
+CSV tables have one column per dataclass field, each cell written by
+`csv_cells`: floats at 17 significant digits so a parse-back reproduces
+the exact binary values, mappings as semicolon-joined key=value text,
+anything else with str().  A bounds row is a BoundInputs, then its report.
 """
 
 from __future__ import annotations
@@ -74,13 +75,30 @@ class LibsvmLabelError(LibsvmParseError):
     """A numeric label outside the recognized set {-1, 0, +1}."""
 
 
+def _cell(value: object) -> str:
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.17g}"
+    if isinstance(value, Mapping):
+        return ";".join(f"{_cell(k)}={_cell(v)}" for k, v in value.items())
+    return str(value)
+
+
+def csv_cells(record: object) -> list[str]:
+    """One cell per dataclass field of `record`, in field order.
+
+    A float (numpy's too) is written at 17 significant digits, a mapping
+    as ";"-joined key=value entries by this same rule, anything else by str().
+    """
+    return [_cell(getattr(record, f.name)) for f in fields(record)]
+
+
 @dataclass(frozen=True, slots=True)
 class ResultRow:
     """One experiment outcome destined for a CSV line.
 
     `s` is the pair-subsample size, 0 for all-pairs training.  `extra`
     holds free-form key-values (grid coordinates, reference risks),
-    serialized as semicolon-joined key=value text in the last column.
+    written in the last column by the `csv_cells` rule, floats included.
     """
 
     experiment_id: str
@@ -93,7 +111,7 @@ class ResultRow:
     phi_risk: float
     auc: float
     wall_time_seconds: float
-    extra: Mapping[str, str] = field(default_factory=dict)
+    extra: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.auc <= 1.0:
@@ -101,21 +119,9 @@ class ResultRow:
         if not self.wall_time_seconds >= 0.0:
             raise ValueError(f"wall_time_seconds must be >= 0, got {self.wall_time_seconds!r}")
         for key, value in self.extra.items():
-            if any(ch in key or ch in value for ch in "=;"):
+            cells = _cell(key) + _cell(value)
+            if "=" in cells or ";" in cells:
                 raise ValueError(f"extra entries may not contain '=' or ';': {key}={value}")
-
-    def csv_cells(self) -> list[str]:
-        """Values aligned with RESULT_CSV_HEADER: floats at 17 digits, `extra` as k=v;..."""
-        cells = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "extra":
-                cells.append(";".join(f"{k}={v}" for k, v in value.items()))
-            elif f.type == "float":  # annotations are strings under the __future__ import
-                cells.append(f"{value:.17g}")
-            else:
-                cells.append(str(value))
-        return cells
 
 
 # The results-CSV schema: one column per ResultRow field, in field order.
@@ -436,7 +442,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
 
 def write_results_csv(rows: Iterable[ResultRow], path: str | Path) -> None:
     """Write RESULT_CSV_HEADER plus one line per row."""
-    write_csv(path, RESULT_CSV_HEADER, (row.csv_cells() for row in rows))
+    write_csv(path, RESULT_CSV_HEADER, map(csv_cells, rows))
 
 
 def subsample_ratio_split(data: Dataset, ratio: float, seed: int) -> Dataset:

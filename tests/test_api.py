@@ -72,3 +72,11 @@ def test_write_csv_is_not_exported():
     assert "write_csv" not in pairrank.__all__
     assert "write_csv" not in pairrank.io.__all__
     assert not hasattr(pairrank, "write_csv")
+
+
+def test_float_cell_format_lives_only_in_io():
+    """The 17-significant-digit float rule is spelled once, in io's cell rule."""
+    package = Path(pairrank.__file__).parent
+    holders = [path.name for path in sorted(package.glob("*.py"))
+               if "17g" in path.read_text(encoding="utf-8")]
+    assert holders == ["io.py"]

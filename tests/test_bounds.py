@@ -6,6 +6,7 @@ transcription slip on either side breaks the comparison.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pairrank import (
     subsampled_excess_risk_log_tail,
     uniform_deviation_log_tail,
 )
+from pairrank.io import csv_cells
 
 
 def _inputs(**overrides):
@@ -33,6 +35,17 @@ def _inputs(**overrides):
     )
     values.update(overrides)
     return BoundInputs(**values)
+
+
+# The bounds table's header: the input columns, then the report columns.
+TABLE_HEADER = [f.name for cls in (BoundInputs, BoundReport) for f in fields(cls)]
+
+
+def _table_row(inputs):
+    """One bounds-table line for `inputs`, keyed by column name."""
+    row = csv_cells(inputs) + csv_cells(evaluate_bounds(inputs))
+    assert len(row) == len(TABLE_HEADER)
+    return dict(zip(TABLE_HEADER, row))
 
 
 def _close(a, b, rel=1e-12):
@@ -281,25 +294,28 @@ class TestMomentDeviationTails:
 class TestBoundReport:
     def test_header_and_row_align(self):
         report = evaluate_bounds(_inputs())
-        header = BoundReport.csv_header()
-        row = report.csv_row()
-        assert len(header) == len(row)
-        mapping = dict(zip(header, row))
+        assert len(TABLE_HEADER) == len(set(TABLE_HEADER)) == 17
+        assert TABLE_HEADER[:2] == ["dim", "n"]
+        mapping = _table_row(_inputs())
         assert mapping["dim"] == "5"
         assert int(mapping["min_pairs_empirical_gap"]) == report.min_pairs_empirical_gap
 
     def test_int_cells_keep_every_digit_past_float_precision(self):
         report = evaluate_bounds(_inputs(epsilon=1e-8))
         assert report.min_pairs_excess_risk > 10**20
-        mapping = dict(zip(BoundReport.csv_header(), report.csv_row()))
+        mapping = _table_row(_inputs(epsilon=1e-8))
         assert mapping["min_pairs_excess_risk"] == str(report.min_pairs_excess_risk)
         assert mapping["n"] == "100000"
 
     def test_float_cells_round_trip_exactly(self):
         report = evaluate_bounds(_inputs(epsilon=0.37, rho=0.41))
-        mapping = dict(zip(BoundReport.csv_header(), report.csv_row()))
+        mapping = _table_row(_inputs(epsilon=0.37, rho=0.41))
         assert float(mapping["batch_excess_risk_log_tail"]) == report.batch_excess_risk_log_tail
         assert float(mapping["epsilon"]) == 0.37
+
+    def test_inputs_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            BoundInputs(5, 100_000, 1.0, 1.0, 0.5, 4.0, 0.5, 0.05)
 
     def test_moment_tails_use_empirical_gap_budget(self):
         inputs = _inputs()

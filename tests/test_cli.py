@@ -416,6 +416,16 @@ class TestExitCodes:
         (line,) = result.stderr.splitlines()
         assert line.startswith("pairrank: data error: training needs both classes non-empty")
 
+    def test_allocation_failure_is_data_error(self, tmp_path):
+        # No 64-bit address space holds a row of 10**15 doubles, whatever the
+        # overcommit policy, so densifying this file always fails to allocate.
+        path = tmp_path / "wide.txt"
+        path.write_text(f"+1 1:1\n-1 {10**15}:1\n", encoding="ascii")
+        result = _run_cli(["train", "bbr", str(path)], tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1].startswith("pairrank: data error: ")
+        assert "Traceback" not in result.stderr
+
     def test_unknown_flag_is_usage_error(self, toy_file, capsys):
         assert main(["train", "bbr", str(toy_file), "--frobnicate"]) == 1
         capsys.readouterr()

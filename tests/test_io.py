@@ -26,7 +26,7 @@ from pairrank import (
     write_libsvm,
     write_results_csv,
 )
-from pairrank.io import _cast_with_float, _parse_line
+from pairrank.io import _cast_with_float, _parse_line, csv_cells
 
 MALFORMED_LINES = [
     "+1 1",
@@ -544,7 +544,7 @@ def _row(**overrides):
 class TestResultRow:
     def test_cells_align_with_header(self):
         row = _row(extra={"a": "b", "c": "d"})
-        cells = row.csv_cells()
+        cells = csv_cells(row)
         assert len(cells) == len(RESULT_CSV_HEADER) == 11
         assert cells[3:7] == ["3", "2", "0", "17"]
         assert cells[7] == "0.125"
@@ -553,13 +553,17 @@ class TestResultRow:
 
     def test_float_cells_round_trip(self):
         row = _row(phi_risk=2.0 / 3.0, auc=1.0 / 3.0, wall_time_seconds=0.1234567890123)
-        cells = row.csv_cells()
+        cells = csv_cells(row)
         assert float(cells[7]) == row.phi_risk
         assert float(cells[8]) == row.auc
         assert float(cells[9]) == row.wall_time_seconds
 
     def test_int_cells_keep_every_digit(self):
-        assert _row(seed=2**64 - 1).csv_cells()[6] == "18446744073709551615"
+        assert csv_cells(_row(seed=2**64 - 1))[6] == "18446744073709551615"
+
+    def test_float_extra_values_take_seventeen_digits(self):
+        row = _row(extra={"step": 0.1, "k": 3, "single": np.float32(0.1)})
+        assert csv_cells(row)[10] == "step=0.10000000000000001;k=3;single=0.10000000149011612"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -571,6 +575,8 @@ class TestResultRow:
             {"extra": {"a=b": "c"}},
             {"extra": {"a": "b;c"}},
             {"extra": {"a;b": "c"}},
+            {"extra": {"grid": {"k": 1}}},
+            {"extra": {"path": Path("a;b")}},
         ],
     )
     def test_invalid_rows_rejected(self, overrides):
@@ -600,6 +606,6 @@ class TestWriteResultsCsv:
             parsed = list(csv.reader(handle))
         assert parsed[0] == list(RESULT_CSV_HEADER)
         for row, cells in zip(rows, parsed[1:]):
-            assert cells == row.csv_cells()
+            assert cells == csv_cells(row)
             assert float(cells[7]) == row.phi_risk
             assert float(cells[8]) == row.auc
