@@ -34,8 +34,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 RUNS = {
     "train-bbr": ["train", "bbr", "{train}", "--seed", "3",
                   "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
-    "train-bbr-naive": ["train", "bbr", "{train}", "--naive", "--w-star", "0.5",
-                        "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
+    "train-bbr-w-star": ["train", "bbr", "{train}", "--w-star", "0.5",
+                         "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
     "train-lcbr": ["train", "lcbr", "{train}", "--pairs", "300", "--sample-ratio", "0.7",
                    "--x-star", "1", "--test", "{test}", "--seed", "9",
                    "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
@@ -157,7 +157,7 @@ def audit(fresh: Path, recorded: Path) -> str:
 
 
 def test_audit_names_each_changed_column(tmp_path):
-    recorded = GOLDEN_DIR / "train-bbr-naive.csv"
+    recorded = GOLDEN_DIR / "train-bbr-w-star.csv"
     header, row = recorded.read_text(encoding="utf-8").splitlines()
     cells = row.split(",")
     phi = RESULT_CSV_HEADER.index("phi_risk")
@@ -165,12 +165,12 @@ def test_audit_names_each_changed_column(tmp_path):
     cells[_WALL] = "12.5"
     fresh = tmp_path / recorded.name
     fresh.write_text(f"{header}\n{','.join(cells)}\n", encoding="utf-8")
-    assert audit(recorded, recorded) == "train-bbr-naive.csv: identical"
+    assert audit(recorded, recorded) == "train-bbr-w-star.csv: identical"
     assert audit(fresh, recorded) == (
-        "train-bbr-naive.csv: phi_risk 1 cells, largest relative change 9.1e-13"
+        "train-bbr-w-star.csv: phi_risk 1 cells, largest relative change 9.1e-13"
     )
-    model = GOLDEN_DIR / "train-bbr-naive.bin"
-    assert audit(model, model) == "train-bbr-naive.bin: identical"
+    model = GOLDEN_DIR / "train-bbr-w-star.bin"
+    assert audit(model, model) == "train-bbr-w-star.bin: identical"
 
 
 def regenerate(names: list[str]) -> None:
