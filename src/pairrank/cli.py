@@ -22,7 +22,8 @@ the training set with :func:`~pairrank.core.scale_to_ball` and the
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset, unwritable output path, an input
 too large to allocate), 3 numerical failure (solver non-convergence,
-invalid moments).
+invalid moments).  A warning raised under a command prints as one
+``pairrank: warning:`` line on stderr.
 
 Determinism: every command takes seeds explicitly.  Sub-streams (spec
 draw, train draw, test draw, pair draw, SGD draw, split draw) are
@@ -48,6 +49,7 @@ import os
 import struct
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn, Sequence
@@ -284,8 +286,6 @@ def _write_out(out: str, rows: list, write: Callable[[list, Path], None]) -> int
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.algorithm == "lcbr" and args.pairs is None:
         raise UsageError("lcbr requires --pairs")
-    if args.algorithm == "lcbr" and args.naive:
-        raise UsageError("--naive only applies to bbr")
     if args.algorithm == "bbr" and args.pairs is not None:
         raise UsageError("--pairs only applies to lcbr")
 
@@ -301,20 +301,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     cfg = ProblemConfig(x_star=args.x_star or 1.0, w_star=args.w_star)
     s = args.pairs or 0
-    fit = _fit(data, cfg, s, derived_seed(args.seed, ROLE_PAIRS), args.naive)
+    fit = _fit(data, cfg, s, derived_seed(args.seed, ROLE_PAIRS))
     seconds = fit.moment_seconds + fit.solve_seconds
 
     weights, evaluate_on, eval_name = fit.weights, data, "train"
     if args.test is not None:
         # Features that only the test file names get weight zero.
         evaluate_on = parse_libsvm(args.test, dim_hint=data.dim).scaled(factor)
+        if evaluate_on.n1 == 0 or evaluate_on.n0 == 0:
+            raise PairRankError(f"--test file {args.test} needs both classes non-empty for "
+                                f"evaluation, got n1={evaluate_on.n1}, n0={evaluate_on.n0}")
         weights = RankerWeights(np.pad(weights.w, (0, evaluate_on.dim - data.dim)))
         eval_name = "test"
     extra = {"eval_on": eval_name, "multiplier": fit.diagnostics.multiplier}
     if args.sample_ratio is not None:
         extra["sample_ratio"] = args.sample_ratio
-    algorithm = "bbr-naive" if args.naive else args.algorithm
-    row = _row("train", algorithm, Path(args.data).name, data, s, args.seed,
+    row = _row("train", args.algorithm, Path(args.data).name, data, s, args.seed,
                weights, evaluate_on, seconds, extra)
 
     if args.model_out is not None:
@@ -323,7 +325,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         write_results_csv([row], _resolve_out(args.csv_out))
 
     print(
-        f"{algorithm}: n1={data.n1} n0={data.n0} dim={data.dim} "
+        f"{args.algorithm}: n1={data.n1} n0={data.n0} dim={data.dim} "
         f"{eval_name}_auc={row.auc:.6f} {eval_name}_phi_risk={row.phi_risk:.6f} "
         f"constrained={fit.diagnostics.constrained_active} seconds={seconds:.3f}"
     )
@@ -363,7 +365,7 @@ def _cmd_synth_sweep(args: argparse.Namespace) -> int:
         )
         population = analytic_pair_moments(spec)
         optimal, _ = solve_erm(population, cfg)
-        optimum = expected_phi_risk(population.sigma, population.mu, optimal)
+        optimum = expected_phi_risk(population, optimal)
         extra = {"k": k, "sigma": sigma, "replicate": replicate, "optimal_phi_risk": optimum}
         experiment = f"synth-k{k}-sigma{sigma:g}-rep{replicate}"
         pair_draws = [
@@ -459,8 +461,6 @@ def _build_parser() -> _Parser:
                        help="pair-subsample size (lcbr only, required there)")
     train.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="base seed; sub-streams are derived per role")
-    train.add_argument("--naive", action="store_true",
-                       help="bbr only: force the literal all-pairs accumulation")
     train.add_argument("--w-star", type=_positive_float, default=1.0,
                        help="weight-ball radius (default 1.0)")
     train.add_argument("--x-star", type=_positive_float, default=None,
@@ -546,7 +546,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # The parser, PairMoments and the metrics name every non-finite
         # result; numpy's overflow warnings would only precede that message.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Other warnings print as one line each, without a source line.
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"pairrank: warning: {message}",
+                                                             file=sys.stderr)
             return args.handler(args)
     except UsageError as exc:
         print(f"pairrank: usage error: {exc}", file=sys.stderr)

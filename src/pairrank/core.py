@@ -252,9 +252,6 @@ class RankerWeights:
     def dim(self) -> int:
         return self.w.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
-
 
 def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
     """Largest Euclidean norm among the rows of ``rows * factor``; 0 if none."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, PairRankError, RankerWeights
+from .core import Dataset, DimensionMismatchError, PairMoments, PairRankError, RankerWeights
 
 __all__ = [
     "EvalReport",
@@ -123,19 +123,17 @@ def phi_risk(data: Dataset, w: RankerWeights) -> float:
     return _phi(*_scores(data, w))
 
 
-def expected_phi_risk(sigma: np.ndarray, mu: np.ndarray, w: RankerWeights) -> float:
+def expected_phi_risk(moments: PairMoments, w: RankerWeights) -> float:
     """Population squared-loss risk 0.5 + 0.5 * w' sigma w - mu' w.
 
-    `sigma` and `mu` are population difference moments, for example the
+    `moments` are population difference moments, for example the
     closed-form mixture moments from the synthetic-data module.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    if sigma.shape != (mu.shape[0], mu.shape[0]) or w.dim != mu.shape[0]:
+    if w.dim != moments.dim:
         raise DimensionMismatchError(
-            f"shapes disagree: sigma {sigma.shape}, mu {mu.shape}, w dim {w.dim}"
+            f"weights of dimension {w.dim} cannot score {moments.dim}-dim moments"
         )
-    return float(0.5 + 0.5 * w.w @ sigma @ w.w - mu @ w.w)
+    return float(0.5 + 0.5 * w.w @ moments.sigma @ w.w - moments.mu @ w.w)
 
 
 def evaluate_ranker(data: Dataset, w: RankerWeights) -> EvalReport:

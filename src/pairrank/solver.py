@@ -79,14 +79,13 @@ class SolveDiagnostics:
     iterations: int
 
 
-def objective_value(moments: PairMoments, w: RankerWeights | np.ndarray) -> float:
+def objective_value(moments: PairMoments, w: RankerWeights) -> float:
     """Evaluate 0.5 * w' sigma w - mu' w (no constant term)."""
-    vec = w.w if isinstance(w, RankerWeights) else np.asarray(w, dtype=np.float64)
-    if vec.shape != (moments.dim,):
+    if w.dim != moments.dim:
         raise DimensionMismatchError(
-            f"weights of shape {vec.shape} cannot score {moments.dim}-dim moments"
+            f"weights of dimension {w.dim} cannot score {moments.dim}-dim moments"
         )
-    return float(0.5 * vec @ moments.sigma @ vec - moments.mu @ vec)
+    return float(0.5 * w.w @ moments.sigma @ w.w - moments.mu @ w.w)
 
 
 def _secular_norm(lam: float, eigs: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -15,9 +15,7 @@ documented order, so equal seeds give equal bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "sample_dataset",
     "analytic_pair_moments",
     "optimal_phi_ranker",
-    "save_gmm_spec",
-    "load_gmm_spec",
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -143,31 +139,3 @@ def optimal_phi_ranker(spec: GmmSpec, cfg: ProblemConfig) -> RankerWeights:
     weights, _ = solve_erm(analytic_pair_moments(spec), cfg)
     return weights
 
-
-def save_gmm_spec(spec: GmmSpec, path: str | Path) -> None:
-    """Write a spec as JSON with keys dim, k, weights, sigma, means_pos, means_neg."""
-    payload = {
-        "dim": spec.dim,
-        "k": spec.k,
-        "weights": spec.weights.tolist(),
-        "sigma": spec.sigma,
-        "means_pos": spec.means_pos.tolist(),
-        "means_neg": spec.means_neg.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_gmm_spec(path: str | Path) -> GmmSpec:
-    """Load a spec saved by :func:`save_gmm_spec` (schema in its docstring)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return GmmSpec(
-            dim=int(payload["dim"]),
-            k=int(payload["k"]),
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            sigma=float(payload["sigma"]),
-            means_pos=np.asarray(payload["means_pos"], dtype=np.float64),
-            means_neg=np.asarray(payload["means_neg"], dtype=np.float64),
-        )
-    except KeyError as exc:
-        raise ValueError(f"mixture spec file {path} is missing key {exc}") from exc

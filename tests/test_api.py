@@ -28,6 +28,8 @@ REMOVED = (
     "BatchProvenance",
     "SubsampleProvenance",
     "PopulationProvenance",
+    "save_gmm_spec",
+    "load_gmm_spec",
 )
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: seeds, model files, subcommands, exit codes."""
 
+import argparse
 import csv
 import os
 import struct
@@ -379,9 +380,6 @@ class TestExitCodes:
         assert main(["train", "lcbr", str(toy_file)]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_naive_with_lcbr_is_usage_error(self, toy_file):
-        assert main(["train", "lcbr", str(toy_file), "--pairs", "10", "--naive"]) == 1
-
     def test_pairs_with_bbr_is_usage_error(self, toy_file, capsys):
         assert main(["train", "bbr", str(toy_file), "--pairs", "3"]) == 1
         assert "usage error: --pairs only applies to lcbr" in capsys.readouterr().err
@@ -416,6 +414,35 @@ class TestExitCodes:
         (line,) = result.stderr.splitlines()
         assert line.startswith("pairrank: data error: training needs both classes non-empty")
 
+    def test_one_class_test_file_is_data_error_naming_it(self, toy_file, tmp_path):
+        held = tmp_path / "positives.txt"
+        held.write_text("+1 1:1\n+1 2:1\n", encoding="ascii")
+        model = tmp_path / "model.bin"
+        result = _run_cli(["train", "bbr", str(toy_file), "--test", str(held),
+                           "--model-out", str(model)], tmp_path)
+        assert result.returncode == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("pairrank: data error: --test file ")
+        assert str(held) in line and "evaluation" in line and "n1=2, n0=0" in line
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "role, index, code",
+        [("--test", 5001, 0), ("train", 10**15, 2)],
+        ids=["wide-test-file-trains", "unallocatable-train-file"],
+    )
+    def test_dense_storage_warning_is_one_line(self, role, index, code, toy_file, tmp_path):
+        wide = tmp_path / "wide.txt"
+        wide.write_text(f"+1 1:1\n-1 {index}:1\n", encoding="ascii")
+        files = [str(toy_file), "--test", str(wide)] if role == "--test" else [str(wide)]
+        result = _run_cli(["train", "bbr", *files], tmp_path)
+        assert result.returncode == code
+        warning, *error = result.stderr.splitlines()
+        assert warning == (f"pairrank: warning: densifying {index} columns; "
+                           "this format is parsed into dense storage")
+        assert len(error) == code // 2
+        assert all(line.startswith("pairrank: data error: ") for line in error)
+
     def test_allocation_failure_is_data_error(self, tmp_path):
         # No 64-bit address space holds a row of 10**15 doubles, whatever the
         # overcommit policy, so densifying this file always fails to allocate.
@@ -428,6 +455,7 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, toy_file, capsys):
         assert main(["train", "bbr", str(toy_file), "--frobnicate"]) == 1
+        assert main(["train", "bbr", str(toy_file), "--naive"]) == 1
         capsys.readouterr()
 
     def test_bad_flag_value_is_usage_error(self, toy_file, capsys):
@@ -483,6 +511,29 @@ class TestExitCodes:
         assert main(["train", "bbr", str(toy_file), "--w-star", "0.01"]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "bracket: [" in err
+
+    def test_option_strings_per_command(self):
+        (commands,) = [action for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        options = {
+            name: [option for action in command._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for option in action.option_strings]
+            for name, command in commands.choices.items()
+        }
+        assert options == {
+            "train": ["--pairs", "--seed", "--w-star", "--x-star", "--sample-ratio", "--test",
+                      "--model-out", "--csv-out"],
+            "synth-sweep": ["--out", "--dim", "--w-star", "--k-grid", "--sigma-grid",
+                            "--pairs-grid", "--replicates", "--n1", "--n0", "--test-per-class",
+                            "--base-seed", "--sgd-step-size", "--sgd-budget"],
+            "skew-sweep": ["--out", "--dim", "--w-star", "--rho-grid", "--total-n", "--pairs",
+                           "--replicates", "--k", "--sigma", "--test-per-class", "--base-seed"],
+            "bounds-table": ["--out", "--dim", "--w-star", "--x-star", "--rho-grid", "--n-grid",
+                             "--epsilon-grid", "--delta", "--sigma-opnorm"],
+            "timing": ["--out", "--dim", "--w-star", "--n1", "--n0", "--k", "--sigma",
+                       "--pairs-grid", "--repeats", "--base-seed"],
+        }
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

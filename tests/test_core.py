@@ -107,9 +107,6 @@ class TestPairMoments:
 
 
 class TestRankerWeights:
-    def test_norm(self):
-        assert RankerWeights(w=[3.0, 4.0]).norm() == 5.0
-
     def test_rejects_matrix(self):
         with pytest.raises(DimensionMismatchError):
             RankerWeights(w=[[1.0]])

@@ -212,11 +212,13 @@ class TestPhiRisk:
 
 class TestExpectedPhiRisk:
     def test_zero_weights_score_half(self):
-        assert expected_phi_risk(np.eye(2), np.zeros(2), RankerWeights(w=[0.0, 0.0])) == 0.5
+        assert expected_phi_risk(PairMoments(mu=np.zeros(2), sigma=np.eye(2)),
+                                 RankerWeights(w=[0.0, 0.0])) == 0.5
 
     def test_identity_instance_scores_zero(self):
         assert (
-            expected_phi_risk(np.eye(2), np.array([1.0, 0.0]), RankerWeights(w=[1.0, 0.0]))
+            expected_phi_risk(PairMoments(mu=np.array([1.0, 0.0]), sigma=np.eye(2)),
+                              RankerWeights(w=[1.0, 0.0]))
             == 0.0
         )
 
@@ -229,12 +231,13 @@ class TestExpectedPhiRisk:
         losses = 0.5 * (1.0 - margins) ** 2
         estimate = float(np.mean(losses))
         stderr = float(np.std(losses) / np.sqrt(losses.shape[0]))
-        exact = expected_phi_risk(population.sigma, population.mu, w)
+        exact = expected_phi_risk(population, w)
         assert abs(exact - estimate) <= 3.0 * stderr
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            expected_phi_risk(np.eye(2), np.zeros(3), RankerWeights(w=[1.0, 0.0]))
+            expected_phi_risk(PairMoments(mu=np.zeros(3), sigma=np.eye(3)),
+                              RankerWeights(w=[1.0, 0.0]))
 
 
 class TestEvalReport:

@@ -187,10 +187,6 @@ class TestObjectiveValue:
         got = objective_value(moments, RankerWeights(w=w))
         assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
-    def test_accepts_plain_arrays(self):
-        moments = _moments([1.0], np.eye(1))
-        assert objective_value(moments, np.array([2.0])) == 0.0
-
     def test_dimension_mismatch_rejected(self):
         moments = _moments([1.0, 0.0], np.eye(2))
         with pytest.raises(DimensionMismatchError):

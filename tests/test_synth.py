@@ -9,12 +9,10 @@ from pairrank import (
     RankerWeights,
     analytic_pair_moments,
     expected_phi_risk,
-    load_gmm_spec,
     optimal_phi_ranker,
     batch_moments_fast,
     random_gmm_spec,
     sample_dataset,
-    save_gmm_spec,
     solve_erm,
 )
 
@@ -155,15 +153,13 @@ class TestOptimalRanker:
         cfg = ProblemConfig(x_star=1.0, w_star=1.0)
         ranker = optimal_phi_ranker(spec, cfg)
         population = analytic_pair_moments(spec)
-        optimal = expected_phi_risk(population.sigma, population.mu, ranker)
+        optimal = expected_phi_risk(population, ranker)
         rng = np.random.default_rng(611)
         directions = rng.standard_normal((1000, 4))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         radii = cfg.w_star * rng.random(1000) ** 0.25
         for point in directions * radii[:, None]:
-            assert optimal <= expected_phi_risk(
-                population.sigma, population.mu, RankerWeights(w=point)
-            ) + 1e-9
+            assert optimal <= expected_phi_risk(population, RankerWeights(w=point)) + 1e-9
 
     def test_shrinking_ball_shrinks_solution(self):
         spec = random_gmm_spec(dim=3, k=1, sigma=1.0, seed=612)
@@ -171,34 +167,16 @@ class TestOptimalRanker:
         ranker = optimal_phi_ranker(spec, cfg)
         assert np.linalg.norm(ranker.w) <= 1e-6 * (1.0 + 1e-9)
         population = analytic_pair_moments(spec)
-        assert expected_phi_risk(population.sigma, population.mu, ranker) <= 0.5
+        assert expected_phi_risk(population, ranker) <= 0.5
 
     def test_trained_risk_dominates_optimal_risk(self):
         spec = random_gmm_spec(dim=5, k=2, sigma=2.0, seed=613)
         cfg = ProblemConfig(x_star=1.0, w_star=1.0)
         population = analytic_pair_moments(spec)
         reference = optimal_phi_ranker(spec, cfg)
-        optimal_risk = expected_phi_risk(population.sigma, population.mu, reference)
+        optimal_risk = expected_phi_risk(population, reference)
         train = sample_dataset(spec, 500, 500, seed=614)
         trained, _ = solve_erm(batch_moments_fast(train), cfg)
-        trained_risk = expected_phi_risk(population.sigma, population.mu, trained)
+        trained_risk = expected_phi_risk(population, trained)
         assert trained_risk >= optimal_risk - 1e-9
 
-
-class TestSpecSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        spec = random_gmm_spec(dim=3, k=2, sigma=2.5, seed=615)
-        path = tmp_path / "spec.json"
-        save_gmm_spec(spec, path)
-        loaded = load_gmm_spec(path)
-        assert loaded.dim == spec.dim and loaded.k == spec.k
-        assert loaded.sigma == spec.sigma
-        assert np.array_equal(loaded.weights, spec.weights)
-        assert np.array_equal(loaded.means_pos, spec.means_pos)
-        assert np.array_equal(loaded.means_neg, spec.means_neg)
-
-    def test_missing_key_reported(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{"dim": 2, "k": 1}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_gmm_spec(path)
