@@ -455,7 +455,11 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, toy_file, capsys):
         assert main(["train", "bbr", str(toy_file), "--frobnicate"]) == 1
-        assert main(["train", "bbr", str(toy_file), "--naive"]) == 1
+        capsys.readouterr()
+
+    def test_naive_with_lcbr_is_usage_error(self, toy_file, capsys):
+        # train has no --naive flag, so argparse refuses it like any unknown option.
+        assert main(["train", "lcbr", str(toy_file), "--pairs", "10", "--naive"]) == 1
         capsys.readouterr()
 
     def test_bad_flag_value_is_usage_error(self, toy_file, capsys):
