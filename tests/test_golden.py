@@ -36,6 +36,8 @@ RUNS = {
                   "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
     "train-bbr-w-star": ["train", "bbr", "{train}", "--w-star", "0.5",
                          "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
+    "train-bbr-w-star-active": ["train", "bbr", "{train}", "--w-star", "0.05",
+                                "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
     "train-lcbr": ["train", "lcbr", "{train}", "--pairs", "300", "--sample-ratio", "0.7",
                    "--x-star", "1", "--test", "{test}", "--seed", "9",
                    "--model-out", "{out}.bin", "--csv-out", "{out}.csv"],
