@@ -77,7 +77,8 @@ from .moments import (
     subsample_moments,
 )
 from .solver import SolveDiagnostics, solve_erm
-from .synth import GmmSpec, analytic_pair_moments, random_gmm_spec, sample_dataset
+from .synth import (GmmSpec, analytic_pair_moments, optimal_phi_ranker, random_gmm_spec,
+                    sample_dataset)
 
 __all__ = [
     "UsageError",
@@ -226,17 +227,14 @@ class _Fit(NamedTuple):
     solve_seconds: float
 
 
-def _fit(train: Dataset, cfg: ProblemConfig, s: int, seed: int, naive: bool = False) -> _Fit:
-    """Pair moments of `train`, then the ball-constrained solve, timed.
-
-    `s == 0` uses all n1 * n0 pairs (the literal accumulation when
-    `naive`); otherwise s pairs are drawn with `seed`.
-    """
+def _fit(train: Dataset, cfg: ProblemConfig, algorithm: str, s: int, seed: int) -> _Fit:
+    """Moments of `train` by `algorithm` (bbr's all pairs, bbr-naive's literal
+    sum over them, or lcbr's s pairs drawn with `seed`), then the solve, timed."""
     started = time.perf_counter()
-    if s == 0:
-        moments = (batch_moments_naive if naive else batch_moments_fast)(train)
-    else:
+    if algorithm == "lcbr":
         moments = subsample_moments(train, SubsampleConfig(s=s, seed=seed))
+    else:
+        moments = (batch_moments_naive if algorithm == "bbr-naive" else batch_moments_fast)(train)
     built = time.perf_counter()
     weights, diagnostics = solve_erm(moments, cfg)
     return _Fit(weights, diagnostics, built - started, time.perf_counter() - built)
@@ -294,14 +292,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         data = subsample_ratio_split(
             data, args.sample_ratio, derived_seed(args.seed, ROLE_SPLIT)
         )
-    data.require_trainable()
     factor = 1.0
     if args.x_star is not None:
         data, factor = scale_to_ball(data, args.x_star)
 
     cfg = ProblemConfig(x_star=args.x_star or 1.0, w_star=args.w_star)
     s = args.pairs or 0
-    fit = _fit(data, cfg, s, derived_seed(args.seed, ROLE_PAIRS))
+    fit = _fit(data, cfg, args.algorithm, s, derived_seed(args.seed, ROLE_PAIRS))
     seconds = fit.moment_seconds + fit.solve_seconds
 
     weights, evaluate_on, eval_name = fit.weights, data, "train"
@@ -348,13 +345,16 @@ def _fit_rows(experiment: str, train: Dataset, test: Dataset, cfg: ProblemConfig
     """A bbr row seeded `seed`, then one lcbr row per (s, pair seed) in `pair_draws`, on `test`."""
     rows: list[ResultRow] = []
     for s, row_seed in [(0, seed), *pair_draws]:
-        fit = _fit(train, cfg, s, row_seed)
-        rows.append(_row(experiment, "lcbr" if s else "bbr", "gmm", train, s, row_seed,
+        algorithm = "lcbr" if s else "bbr"
+        fit = _fit(train, cfg, algorithm, s, row_seed)
+        rows.append(_row(experiment, algorithm, "gmm", train, s, row_seed,
                          fit.weights, test, fit.moment_seconds + fit.solve_seconds, extra))
     return rows
 
 
 def _cmd_synth_sweep(args: argparse.Namespace) -> int:
+    if args.sgd_budget is not None and args.sgd_step_size is None:
+        raise UsageError("--sgd-budget only applies with --sgd-step-size")
     cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
     rows: list[ResultRow] = []
     grid = itertools.product(args.k_grid, args.sigma_grid, range(args.replicates))
@@ -363,9 +363,7 @@ def _cmd_synth_sweep(args: argparse.Namespace) -> int:
         test = sample_dataset(
             spec, args.test_per_class, args.test_per_class, derived_seed(seed, ROLE_TEST)
         )
-        population = analytic_pair_moments(spec)
-        optimal, _ = solve_erm(population, cfg)
-        optimum = expected_phi_risk(population, optimal)
+        optimum = expected_phi_risk(analytic_pair_moments(spec), optimal_phi_ranker(spec, cfg))
         extra = {"k": k, "sigma": sigma, "replicate": replicate, "optimal_phi_risk": optimum}
         experiment = f"synth-k{k}-sigma{sigma:g}-rep{replicate}"
         pair_draws = [
@@ -376,7 +374,7 @@ def _cmd_synth_sweep(args: argparse.Namespace) -> int:
         if args.sgd_step_size is not None:
             sgd = SgdConfig(
                 step_size=args.sgd_step_size,
-                pair_budget=args.sgd_budget,
+                pair_budget=args.sgd_budget or 5000,
                 seed=derived_seed(seed, ROLE_SGD),
                 w_star=args.w_star,
             )
@@ -416,7 +414,7 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     ]
     rows: list[ResultRow] = []
     for algorithm, s, seed in routes:
-        fits = [_fit(data, cfg, s, seed, algorithm == "bbr-naive") for _ in range(args.repeats)]
+        fits = [_fit(data, cfg, algorithm, s, seed) for _ in range(args.repeats)]
         extra = {"solve_seconds": min(fit.solve_seconds for fit in fits), "repeats": args.repeats}
         rows.append(_row(f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}", algorithm, "gmm", data,
                          s, seed, fits[-1].weights, data,
@@ -497,8 +495,9 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--base-seed", type=_nonnegative_int, default=0)
     sweep.add_argument("--sgd-step-size", type=_positive_float, default=None,
                        help="also run the projected-SGD comparator at this step size")
-    sweep.add_argument("--sgd-budget", type=_positive_int, default=5000,
-                       help="pair budget for the SGD comparator")
+    sweep.add_argument("--sgd-budget", type=_positive_int, default=None,
+                       help="pair budget for the SGD comparator (default 5000; "
+                            "needs --sgd-step-size)")
 
     skew = add_csv_command(
         "skew-sweep", _cmd_skew_sweep, "class-imbalance sweep at fixed total sample count"

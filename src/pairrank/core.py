@@ -254,11 +254,24 @@ class RankerWeights:
 
 
 def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
-    """Largest Euclidean norm among the rows of ``rows * factor``; 0 if none."""
+    """Largest Euclidean norm among the rows of ``rows * factor``; 0 if none.
+
+    Raises PairRankError on a nan or inf entry.  A block of finite rows
+    whose squares overflow is measured again after an exact power-of-two
+    prescale, so the result is inf only for a norm beyond the float range.
+    """
     largest = 0.0
     for start in range(0, rows.shape[0], _NORM_BLOCK):
         block = rows[start : start + _NORM_BLOCK] * factor
-        largest = max(largest, float(np.max(np.linalg.norm(block, axis=1))))
+        with np.errstate(over="ignore"):
+            top = float(np.max(np.linalg.norm(block, axis=1)))
+        if not np.isfinite(top):
+            peak = float(np.max(np.abs(block)))
+            if not np.isfinite(peak):
+                raise PairRankError("scale_to_ball found a non-finite feature (nan or inf)")
+            shift = 2.0 ** -int(np.frexp(peak)[1])
+            top = float(np.max(np.linalg.norm(block * shift, axis=1))) / shift
+        largest = max(largest, top)
     return largest
 
 
@@ -275,16 +288,23 @@ def scale_to_ball(data: Dataset, x_star: float) -> tuple[Dataset, float]:
     returned as-is with factor 1.0.  A single shared factor preserves
     the ranking geometry: orderings by any fixed weight vector are
     unchanged.
+
+    A row whose squared norm overflows (features of about 1e154 and up) is
+    measured after an exact power-of-two prescale, so it scales like any
+    other.  Raises PairRankError on a nan or inf feature, and when the
+    factor would round to zero, as it does for a norm beyond the float
+    range.
     """
     if not (np.isfinite(x_star) and x_star > 0.0):
         raise ValueError(f"x_star must be finite and > 0, got {x_star!r}")
-    if not (np.all(np.isfinite(data.positives)) and np.all(np.isfinite(data.negatives))):
-        raise PairRankError("scale_to_ball found a non-finite feature (nan or inf)")
     classes = (data.positives, data.negatives)
     max_norm = max(_max_row_norm(m) for m in classes)
     if max_norm <= x_star:
         return data, 1.0
     factor = x_star / max_norm
+    if factor == 0.0:
+        raise PairRankError(f"scale_to_ball cannot scale a feature norm of {max_norm:.6g} "
+                            f"to at most {x_star!r}: the factor rounds to zero")
     while max(_max_row_norm(m, factor) for m in classes) > x_star:
         factor = float(np.nextafter(factor, 0.0))
     return data.scaled(factor), factor

@@ -124,16 +124,6 @@ def solve_erm(moments: PairMoments, cfg: ProblemConfig) -> tuple[RankerWeights, 
     b = basis.T @ moments.mu
     mu_norm = float(np.linalg.norm(moments.mu))
 
-    if mu_norm == 0.0:
-        w = RankerWeights(np.zeros(moments.dim))
-        return w, SolveDiagnostics(
-            constrained_active=False,
-            multiplier=0.0,
-            kkt_residual=0.0,
-            objective_value=0.0,
-            iterations=0,
-        )
-
     # Minimum-norm stationary point: invert on the range, zero on the null.
     w_range = np.where(null_mask, 0.0, b / np.where(null_mask, 1.0, eigs))
     range_norm = float(np.linalg.norm(w_range))

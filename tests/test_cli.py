@@ -323,6 +323,20 @@ class TestTrainCommand:
         np.testing.assert_array_equal(tested.positives, held_raw.positives * factor)
         np.testing.assert_array_equal(tested.negatives, held_raw.negatives * factor)
 
+    def test_x_star_scales_features_whose_squares_overflow(self, tmp_path, capsys):
+        # Row norms near 1e200 are finite, though their squares are not.
+        path = tmp_path / "big.svm"
+        path.write_text("+1 1:1e200 2:1e200\n+1 1:2e200 2:-1e200\n"
+                        "-1 1:-1e200 2:1e200\n-1 1:-3e200 2:-2e200\n", encoding="ascii")
+        model = tmp_path / "big.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "bbr", str(path), "--x-star", "1",
+                         "--model-out", str(model)]) == 0
+        assert "train_auc=1.000000" in capsys.readouterr().out
+        weights, _ = load_weights(model)
+        assert np.linalg.norm(weights.w) > 0.5
+
     def test_outputs_match_per_line_reference_parser(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(443)
         train_path, test_path = tmp_path / "train.txt", tmp_path / "test.txt"
@@ -473,8 +487,10 @@ class TestExitCodes:
             ["synth-sweep", "--pairs-grid", ""],
             ["synth-sweep", "--replicates", "0"],
             ["skew-sweep", "--rho-grid", "1.0"],
+            ["synth-sweep", "--sgd-budget", "10"],
         ],
-        ids=["empty-k-grid", "empty-pairs-grid", "zero-replicates", "rho-of-one"],
+        ids=["empty-k-grid", "empty-pairs-grid", "zero-replicates", "rho-of-one",
+             "sgd-budget-without-step-size"],
     )
     def test_bad_sweep_grid_is_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -600,6 +616,15 @@ class TestSynthSweep:
         assert [row[1] for row in rows] == ["bbr", "lcbr", "pairwise-sgd"]
         assert rows[2][5] == "40"
         assert int(rows[2][6]) == derived_seed(0, ROLE_SGD)
+
+    def test_sgd_budget_defaults_to_5000(self, tmp_path):
+        out = tmp_path / "sweep_sgd.csv"
+        assert main(["synth-sweep", "--out", str(out), "--k-grid", "1", "--sigma-grid", "2.0",
+                     "--pairs-grid", "50", "--replicates", "1", "--dim", "2", "--n1", "20",
+                     "--n0", "20", "--test-per-class", "30", "--sgd-step-size", "0.01"]) == 0
+        _, rows = _read_csv(out)
+        assert [row[1] for row in rows] == ["bbr", "lcbr", "pairwise-sgd"]
+        assert rows[2][5] == "5000"
 
 
 class TestSkewSweep:

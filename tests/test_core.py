@@ -144,8 +144,29 @@ class TestScaleToBall:
         assert np.array_equal(before, after)
 
     def test_rejects_non_finite_features(self):
-        data = Dataset.from_arrays([[np.inf]], [[1.0]])
-        with pytest.raises(PairRankError, match="non-finite feature"):
+        for bad in (np.inf, -np.inf, np.nan):
+            for pos, neg in (([[bad]], [[1.0]]), ([[1.0]], [[bad]]), ([[1e200], [bad]], [[1.0]])):
+                data = Dataset.from_arrays(pos, neg)
+                with pytest.raises(PairRankError, match=r"non-finite feature \(nan or inf\)"):
+                    scale_to_ball(data, 1.0)
+
+    def test_norms_whose_squares_overflow_scale_exactly(self):
+        # The squares of these features overflow, but their norms do not.
+        # Measuring them after an exact power-of-two prescale gives the
+        # factor of the same data stored 2**600 smaller, times 2**-600.
+        rng = np.random.default_rng(13)
+        small = random_dataset(rng, 3, 10, 12, scale=2.0)
+        big = small.scaled(2.0**600)
+        assert np.abs(big.positives).max() > np.sqrt(np.finfo(float).max)
+        scaled, factor = scale_to_ball(big, 1.0)
+        assert np.isfinite(factor) and factor > 0.0
+        assert factor == scale_to_ball(small, 1.0)[1] * 2.0**-600
+        norms = np.linalg.norm(np.vstack([scaled.positives, scaled.negatives]), axis=1)
+        assert 1.0 - 1e-12 <= norms.max() <= 1.0
+
+    def test_norm_beyond_float_range_is_refused(self):
+        data = Dataset.from_arrays([[1.5e308, 1.5e308]], [[1.0, 0.0]])
+        with pytest.raises(PairRankError, match="factor rounds to zero"):
             scale_to_ball(data, 1.0)
 
     def test_rejects_bad_cap(self):

@@ -281,9 +281,15 @@ class TestVectorisedPassCoverage:
             np.testing.assert_array_equal(back.negatives, original.negatives)
 
     def test_unusual_index_spelling_parses_line_by_line(self, line_calls):
-        data = _parse("+1 +5:1\n")
-        assert len(line_calls) >= 1
-        np.testing.assert_array_equal(data.positives, [[0.0, 0.0, 0.0, 0.0, 1.0]])
+        # So do a value and a label longer than the byte matrix's 40 columns.
+        long_value, long_label = "9" * 45, "+1." + "0" * 38
+        assert len(long_label) == 41 and float(long_label) == 1.0
+        for text, value in (("+1 +5:1\n", 1.0), (f"+1 5:{long_value}\n", float(long_value)),
+                            (f"{long_label} 5:1\n", 1.0)):
+            before = len(line_calls)
+            data = _parse(text)
+            assert len(line_calls) > before, text
+            np.testing.assert_array_equal(data.positives, [[0.0, 0.0, 0.0, 0.0, value]])
 
     @pytest.fixture()
     def float_calls(self, monkeypatch):

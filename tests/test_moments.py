@@ -226,10 +226,39 @@ class TestDrawPairIndices:
         freqs = np.bincount(pos, minlength=3) / 30000
         assert np.max(np.abs(freqs - 1.0 / 3.0)) <= 0.02
 
+    def test_rejected_words_are_redrawn_positives_first(self):
+        # At these class sizes about a quarter of the words are rejected.
+        n1, n0 = 2**62 + 1, 2**62 + 3
+        (pos_ref, neg_ref), rejected = _contract_pair_indices(5, 64, n1, n0)
+        assert min(rejected) > 0
+        pos, neg = draw_pair_indices(5, 64, n1, n0)
+        assert pos.tolist() == pos_ref
+        assert neg.tolist() == neg_ref
+
     def test_seed_changes_stream(self):
         a = draw_pair_indices(1, 64, 1000, 1000)
         b = draw_pair_indices(2, 64, 1000, 1000)
         assert not np.array_equal(a[0], b[0])
+
+
+def _contract_pair_indices(seed, s, n1, n0):
+    """The documented pair-draw contract, word by word, in plain Python.
+
+    Returns the indices and the first-pass rejection count per class.
+    """
+    words = iter(int(word) for word in np.random.Philox(key=seed).random_raw(8 * s))
+    first = [next(words) for _ in range(2 * s)]
+    indices, rejected = [], []
+    for raw, n in ((first[0::2], n1), (first[1::2], n0)):
+        cutoff = 2**64 - 2**64 % n
+        pending = [t for t in range(s) if raw[t] >= cutoff]
+        rejected.append(len(pending))
+        while pending:
+            for t in pending:
+                raw[t] = next(words)
+            pending = [t for t in pending if raw[t] >= cutoff]
+        indices.append([word % n for word in raw])
+    return indices, rejected
 
 
 class TestSubsampleMoments:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from pairrank import (
+    Dataset,
     DimensionMismatchError,
     PairMoments,
     ProblemConfig,
     RankerWeights,
+    SolveDiagnostics,
+    batch_moments_fast,
     objective_value,
     solve_erm,
 )
@@ -64,11 +67,26 @@ class TestAnalyticCases:
         assert abs(diag.multiplier - 0.5) <= 1e-12
 
     def test_zero_mean_returns_zero_weights(self):
-        moments = _moments([0.0, 0.0], np.eye(2))
-        weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1.0))
-        assert np.array_equal(weights.w, [0.0, 0.0])
-        assert diag.objective_value == 0.0
-        assert not diag.constrained_active
+        # A zero mu, with signed zeros too, takes the interior branch and
+        # gets +0.0 weights with an all-zero certificate, whatever sigma is.
+        rng = np.random.default_rng(404)
+        signed = rng.choice([0.0, -0.0], size=(4, 3))
+        cases = [
+            _moments([0.0, 0.0], np.eye(2)),
+            _moments([-0.0, -0.0], np.zeros((2, 2))),
+            _moments([0.0, -0.0, 0.0], np.diag([2.0, 0.0, 1.0])),
+            *(_moments(mu, _random_psd_instance(rng, 3).sigma) for mu in signed),
+            batch_moments_fast(Dataset.from_arrays(np.full((3, 2), -0.0), np.full((4, 2), -0.0))),
+        ]
+        certificate = SolveDiagnostics(constrained_active=False, multiplier=0.0, kkt_residual=0.0,
+                                       objective_value=0.0, iterations=0)
+        for moments in cases:
+            weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1.0))
+            assert np.array_equal(weights.w, np.zeros(moments.dim))
+            assert not np.any(np.signbit(weights.w))
+            assert diag == certificate
+            assert not np.any(np.signbit([diag.multiplier, diag.kkt_residual,
+                                          diag.objective_value]))
 
     def test_null_space_mass_forces_boundary(self):
         # The second coordinate of mu sees zero curvature, so the
