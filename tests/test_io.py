@@ -281,7 +281,8 @@ class TestVectorisedPassCoverage:
             np.testing.assert_array_equal(back.negatives, original.negatives)
 
     def test_unusual_index_spelling_parses_line_by_line(self, line_calls):
-        # So do a value and a label longer than the byte matrix's 40 columns.
+        # A signed index, and a value or a label longer than _MAX_TOKEN (40
+        # bytes), each send their input down the per-line path.
         long_value, long_label = "9" * 45, "+1." + "0" * 38
         assert len(long_label) == 41 and float(long_label) == 1.0
         for text, value in (("+1 +5:1\n", 1.0), (f"+1 5:{long_value}\n", float(long_value)),

@@ -196,6 +196,26 @@ class TestFastMatchesNaive:
                 assert error <= Fraction(1e-9) * scale, (i, j, float(error / scale))
 
 
+def _contract_pair_indices(seed, s, n1, n0):
+    """The documented pair-draw contract, word by word, in plain Python.
+
+    Returns the indices and the first-pass rejection count per class.
+    """
+    words = iter(int(word) for word in np.random.Philox(key=seed).random_raw(8 * s))
+    first = [next(words) for _ in range(2 * s)]
+    indices, rejected = [], []
+    for raw, n in ((first[0::2], n1), (first[1::2], n0)):
+        cutoff = 2**64 - 2**64 % n
+        pending = [t for t in range(s) if raw[t] >= cutoff]
+        rejected.append(len(pending))
+        while pending:
+            for t in pending:
+                raw[t] = next(words)
+            pending = [t for t in pending if raw[t] >= cutoff]
+        indices.append([word % n for word in raw])
+    return indices, rejected
+
+
 class TestDrawPairIndices:
     def test_deterministic_and_in_range(self):
         first = draw_pair_indices(99, 500, 7, 13)
@@ -239,26 +259,6 @@ class TestDrawPairIndices:
         a = draw_pair_indices(1, 64, 1000, 1000)
         b = draw_pair_indices(2, 64, 1000, 1000)
         assert not np.array_equal(a[0], b[0])
-
-
-def _contract_pair_indices(seed, s, n1, n0):
-    """The documented pair-draw contract, word by word, in plain Python.
-
-    Returns the indices and the first-pass rejection count per class.
-    """
-    words = iter(int(word) for word in np.random.Philox(key=seed).random_raw(8 * s))
-    first = [next(words) for _ in range(2 * s)]
-    indices, rejected = [], []
-    for raw, n in ((first[0::2], n1), (first[1::2], n0)):
-        cutoff = 2**64 - 2**64 % n
-        pending = [t for t in range(s) if raw[t] >= cutoff]
-        rejected.append(len(pending))
-        while pending:
-            for t in pending:
-                raw[t] = next(words)
-            pending = [t for t in pending if raw[t] >= cutoff]
-        indices.append([word % n for word in raw])
-    return indices, rejected
 
 
 class TestSubsampleMoments:
