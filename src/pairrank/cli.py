@@ -77,8 +77,7 @@ from .moments import (
     subsample_moments,
 )
 from .solver import SolveDiagnostics, solve_erm
-from .synth import (GmmSpec, analytic_pair_moments, optimal_phi_ranker, random_gmm_spec,
-                    sample_dataset)
+from .synth import GmmSpec, analytic_pair_moments, random_gmm_spec, sample_dataset
 
 __all__ = [
     "UsageError",
@@ -234,7 +233,7 @@ def _fit(train: Dataset, cfg: ProblemConfig, algorithm: str, s: int, seed: int) 
     if algorithm == "lcbr":
         moments = subsample_moments(train, SubsampleConfig(s=s, seed=seed))
     else:
-        moments = (batch_moments_naive if algorithm == "bbr-naive" else batch_moments_fast)(train)
+        moments = {"bbr": batch_moments_fast, "bbr-naive": batch_moments_naive}[algorithm](train)
     built = time.perf_counter()
     weights, diagnostics = solve_erm(moments, cfg)
     return _Fit(weights, diagnostics, built - started, time.perf_counter() - built)
@@ -344,8 +343,8 @@ def _fit_rows(experiment: str, train: Dataset, test: Dataset, cfg: ProblemConfig
               pair_draws: list[tuple[int, int]], extra: dict[str, object]) -> list[ResultRow]:
     """A bbr row seeded `seed`, then one lcbr row per (s, pair seed) in `pair_draws`, on `test`."""
     rows: list[ResultRow] = []
-    for s, row_seed in [(0, seed), *pair_draws]:
-        algorithm = "lcbr" if s else "bbr"
+    routes = [("bbr", 0, seed)] + [("lcbr", s, pair_seed) for s, pair_seed in pair_draws]
+    for algorithm, s, row_seed in routes:
         fit = _fit(train, cfg, algorithm, s, row_seed)
         rows.append(_row(experiment, algorithm, "gmm", train, s, row_seed,
                          fit.weights, test, fit.moment_seconds + fit.solve_seconds, extra))
@@ -363,7 +362,9 @@ def _cmd_synth_sweep(args: argparse.Namespace) -> int:
         test = sample_dataset(
             spec, args.test_per_class, args.test_per_class, derived_seed(seed, ROLE_TEST)
         )
-        optimum = expected_phi_risk(analytic_pair_moments(spec), optimal_phi_ranker(spec, cfg))
+        population = analytic_pair_moments(spec)
+        optimal, _ = solve_erm(population, cfg)
+        optimum = expected_phi_risk(population, optimal)
         extra = {"k": k, "sigma": sigma, "replicate": replicate, "optimal_phi_risk": optimum}
         experiment = f"synth-k{k}-sigma{sigma:g}-rep{replicate}"
         pair_draws = [

@@ -122,7 +122,11 @@ def solve_erm(moments: PairMoments, cfg: ProblemConfig) -> tuple[RankerWeights, 
     eigs = np.where(null_mask, 0.0, eigs)
 
     b = basis.T @ moments.mu
-    mu_norm = float(np.linalg.norm(moments.mu))
+    # ||mu|| measured after an exact power-of-two prescale: bit for bit the
+    # plain norm unless a square under- or overflows, and 0 only for mu = 0,
+    # so the boundary bracket below never collapses to [0, 0].
+    exponent = int(np.frexp(np.max(np.abs(moments.mu), initial=0.0))[1])
+    mu_norm = float(np.ldexp(np.linalg.norm(np.ldexp(moments.mu, -exponent)), exponent))
 
     # Minimum-norm stationary point: invert on the range, zero on the null.
     w_range = np.where(null_mask, 0.0, b / np.where(null_mask, 1.0, eigs))

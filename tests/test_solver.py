@@ -88,6 +88,18 @@ class TestAnalyticCases:
             assert not np.any(np.signbit([diag.multiplier, diag.kkt_residual,
                                           diag.objective_value]))
 
+    def test_nonzero_mean_whose_square_underflows_reaches_boundary(self):
+        # mu is about 6.8e-167, so the plain ||mu|| rounds to 0; sigma is
+        # 1e-300, so the unconstrained optimum lies far outside the ball.
+        data = Dataset.from_arrays([[1e-150], [-1e-150 + 2.0**-551]], [[0.0]])
+        moments = batch_moments_fast(data)
+        assert moments.mu[0] > 0.0 and np.linalg.norm(moments.mu) == 0.0
+        for radius in (0.5, 1.0, 4.0):
+            weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=radius))
+            assert diag.constrained_active
+            assert diag.multiplier > 0.0
+            assert radius * (1.0 - 1e-12) <= np.linalg.norm(weights.w) <= radius
+
     def test_null_space_mass_forces_boundary(self):
         # The second coordinate of mu sees zero curvature, so the
         # unconstrained problem is unbounded and the ball must bind.
