@@ -230,10 +230,14 @@ def _fit(train: Dataset, cfg: ProblemConfig, algorithm: str, s: int, seed: int) 
     """Moments of `train` by `algorithm` (bbr's all pairs, bbr-naive's literal
     sum over them, or lcbr's s pairs drawn with `seed`), then the solve, timed."""
     started = time.perf_counter()
-    if algorithm == "lcbr":
+    if algorithm == "bbr":
+        moments = batch_moments_fast(train)
+    elif algorithm == "bbr-naive":
+        moments = batch_moments_naive(train)
+    elif algorithm == "lcbr":
         moments = subsample_moments(train, SubsampleConfig(s=s, seed=seed))
     else:
-        moments = {"bbr": batch_moments_fast, "bbr-naive": batch_moments_naive}[algorithm](train)
+        raise ValueError(f"no moment route named {algorithm!r}")
     built = time.perf_counter()
     weights, diagnostics = solve_erm(moments, cfg)
     return _Fit(weights, diagnostics, built - started, time.perf_counter() - built)

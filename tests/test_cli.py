@@ -740,6 +740,22 @@ class TestTimingCommand:
             assert float(extra["solve_seconds"]) >= 0.0
             assert extra["repeats"] == "1"
 
+    def test_each_route_name_picks_its_own_builder(self, monkeypatch):
+        data = random_dataset(np.random.default_rng(5), dim=3, n1=6, n0=5)
+        cfg = ProblemConfig(x_star=1.0, w_star=1.0)
+        calls = []
+        for name in ("batch_moments_fast", "batch_moments_naive", "subsample_moments"):
+            def spy(*args, _real=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(cli, name, spy)
+        for algorithm in ("bbr", "bbr-naive", "lcbr"):
+            cli._fit(data, cfg, algorithm, 20, 1)
+        assert calls == ["batch_moments_fast", "batch_moments_naive", "subsample_moments"]
+        with pytest.raises(ValueError, match="no moment route named 'bbr-fast'"):
+            cli._fit(data, cfg, "bbr-fast", 0, 1)
+        assert len(calls) == 3
+
 
 class TestOutDirRedirect:
     def test_relative_outputs_land_in_out_dir(self, toy_file, tmp_path, monkeypatch):
