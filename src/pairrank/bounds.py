@@ -274,22 +274,29 @@ def evaluate_bounds(inputs: BoundInputs) -> BoundReport:
     """Evaluate every calculator once on shared inputs.
 
     The moment-deviation tails are evaluated at s = the empirical-gap
-    pair count, which is the pair budget the other outputs assume.
+    pair count, which is the pair budget the other outputs assume.  A
+    calculator that leaves the float range (x_star**2 overflows, epsilon**2
+    underflows) raises ArithmeticError naming it and the inputs.
     """
-    c = risk_constants(inputs.x_star, inputs.w_star)
-    s = min_pairs_empirical_gap(inputs)
+    def run(calc, *args):
+        try:
+            return calc(*args)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{calc.__name__} leaves the float range at {inputs}") from exc
+
+    c = run(risk_constants, inputs.x_star, inputs.w_star)
+    s = run(min_pairs_empirical_gap, inputs)
     return BoundReport(
         covering_sensitivity=c.covering_sensitivity,
         deviation_scale=c.deviation_scale,
-        batch_excess_risk_log_tail=batch_excess_risk_log_tail(inputs),
-        uniform_deviation_log_tail=uniform_deviation_log_tail(inputs),
-        subsampled_excess_risk_log_tail=subsampled_excess_risk_log_tail(inputs),
+        batch_excess_risk_log_tail=run(batch_excess_risk_log_tail, inputs),
+        uniform_deviation_log_tail=run(uniform_deviation_log_tail, inputs),
+        subsampled_excess_risk_log_tail=run(subsampled_excess_risk_log_tail, inputs),
         min_pairs_empirical_gap=s,
-        min_pairs_excess_risk=min_pairs_excess_risk(inputs),
-        second_moment_deviation_tail=second_moment_deviation_tail(
-            s, inputs.epsilon, inputs.x_star, inputs.w_star, inputs.sigma_n_opnorm, inputs.dim
-        ),
-        mean_deviation_tail=mean_deviation_tail(
-            s, inputs.epsilon, inputs.x_star, inputs.w_star
-        ),
+        min_pairs_excess_risk=run(min_pairs_excess_risk, inputs),
+        second_moment_deviation_tail=run(second_moment_deviation_tail, s, inputs.epsilon,
+                                         inputs.x_star, inputs.w_star, inputs.sigma_n_opnorm,
+                                         inputs.dim),
+        mean_deviation_tail=run(mean_deviation_tail, s, inputs.epsilon, inputs.x_star,
+                                inputs.w_star),
     )

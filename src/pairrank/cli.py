@@ -21,9 +21,10 @@ the training set with :func:`~pairrank.core.scale_to_ball` and the
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset, unwritable output path, an input
-too large to allocate), 3 numerical failure (solver non-convergence,
-invalid moments).  A warning raised under a command prints as one
-``pairrank: warning:`` line on stderr.
+too large to allocate), 3 numerical failure (solver non-convergence, a
+multiplier or guarantee value beyond the float range, invalid moments).
+A warning raised under a command prints as one ``pairrank: warning:``
+line on stderr.
 
 Determinism: every command takes seeds explicitly.  Sub-streams (spec
 draw, train draw, test draw, pair draw, SGD draw, split draw) are
@@ -558,7 +559,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"pairrank: usage error: {exc}", file=sys.stderr)
         return 1
-    except (SolverConvergenceError, InvalidMomentsError, np.linalg.LinAlgError) as exc:
+    except (SolverConvergenceError, InvalidMomentsError, np.linalg.LinAlgError,
+            ArithmeticError) as exc:
         print(f"pairrank: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (PairRankError, OSError, ValueError, MemoryError) as exc:

@@ -253,12 +253,21 @@ class RankerWeights:
         return self.w.shape[0]
 
 
+def _prescaled_norm(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` taken on x / 2^k, 2^k just above max |x|, then
+    times 2^k: bit for bit the plain norm unless a square under- or overflows, 0 only
+    for zero entries and inf only for a norm beyond the float range."""
+    exponent = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -exponent), axis=axis), exponent)
+
+
 def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
     """Largest Euclidean norm among the rows of ``rows * factor``; 0 if none.
 
     Raises PairRankError on a nan or inf entry.  A block of finite rows
-    whose squares overflow is measured again after an exact power-of-two
-    prescale, so the result is inf only for a norm beyond the float range.
+    whose squares overflow is measured again with :func:`_prescaled_norm`,
+    so the result is inf only for a norm beyond the float range.
     """
     largest = 0.0
     for start in range(0, rows.shape[0], _NORM_BLOCK):
@@ -266,11 +275,9 @@ def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
         with np.errstate(over="ignore"):
             top = float(np.max(np.linalg.norm(block, axis=1)))
         if not np.isfinite(top):
-            peak = float(np.max(np.abs(block)))
-            if not np.isfinite(peak):
+            if not np.isfinite(np.max(np.abs(block))):
                 raise PairRankError("scale_to_ball found a non-finite feature (nan or inf)")
-            shift = 2.0 ** -int(np.frexp(peak)[1])
-            top = float(np.max(np.linalg.norm(block * shift, axis=1))) / shift
+            top = float(np.max(_prescaled_norm(block, axis=1)))
         largest = max(largest, top)
     return largest
 

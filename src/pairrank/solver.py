@@ -27,6 +27,7 @@ from the smallest feasible multiplier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .core import (
     ProblemConfig,
     RankerWeights,
     SolverConvergenceError,
+    _prescaled_norm,
 )
 
 __all__ = [
@@ -88,125 +90,107 @@ def objective_value(moments: PairMoments, w: RankerWeights) -> float:
     return float(0.5 * w.w @ moments.sigma @ w.w - moments.mu @ w.w)
 
 
-def _secular_norm(lam: float, eigs: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Return (||w(lam)||, d||w||/dlam) for w(lam) = (sigma + lam I)^-1 mu.
-
-    In the eigenbasis ||w(lam)||^2 = sum_i b_i^2 / (eigs_i + lam)^2.
-    """
+def _secular(lam: float, eigs: np.ndarray, b: np.ndarray,
+             radius: float) -> tuple[float, float, float]:
+    """Return (||w||, f, df/dlam) at lam, where f = 1 / ||w|| - 1 / radius and
+    w = (sigma + lam I)^-1 mu, in the eigenbasis w_i = b_i / (eigs_i + lam):
+    df/dlam = sum_i w_i^2 / (eigs_i + lam) / ||w||^3."""
     denom = eigs + lam
     terms = (b / denom) ** 2
     norm = float(np.sqrt(np.sum(terms)))
-    if norm == 0.0:
-        return 0.0, 0.0
-    deriv = float(-np.sum(terms / denom) / norm)
-    return norm, deriv
+    return norm, 1.0 / norm - 1.0 / radius, float(np.sum(terms / denom)) / norm / (norm * norm)
 
 
-def solve_erm(moments: PairMoments, cfg: ProblemConfig) -> tuple[RankerWeights, SolveDiagnostics]:
-    """Minimize the pair-moment quadratic over the ball of radius cfg.w_star.
+def _boundary_multiplier(eigs: np.ndarray, b: np.ndarray, bound: float,
+                         radius: float) -> tuple[float, int]:
+    """Return (lam, iterations) for the root lam > 0 of f, with bound = ||mu|| / radius.
 
-    Returns the minimum-norm minimizer together with a KKT certificate.
-    Raises SolverConvergenceError (carrying the final bracket) if the
-    secular iteration exhausts its budget, which for PSD moments
-    indicates a tolerance tighter than the arithmetic supports.  Sigma is
-    not re-checked here: `PairMoments` rejects a non-PSD sigma at
-    construction.
+    ||w(lam)|| is strictly decreasing in lam and is >= radius as lam -> 0+
+    (either the min-norm stationary point is too long, or unseen mass in
+    the null space sends the norm to infinity), while at lam = bound it is
+    <= radius since every denominator is >= lam.  f is increasing and
+    nearly linear in lam; Newton steps are clipped to a bisection bracket
+    that is revalidated every iteration.
     """
-    radius = cfg.w_star
-    eigs, basis = moments.eigh
-    opnorm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    # Clamp rounding-level negatives and split range from null space.
-    eigs = np.maximum(eigs, 0.0)
-    null_cut = opnorm * _NULL_REL_TOL
-    null_mask = eigs <= null_cut
-    eigs = np.where(null_mask, 0.0, eigs)
-
-    b = basis.T @ moments.mu
-    # ||mu|| measured after an exact power-of-two prescale: bit for bit the
-    # plain norm unless a square under- or overflows, and 0 only for mu = 0,
-    # so the boundary bracket below never collapses to [0, 0].
-    exponent = int(np.frexp(np.max(np.abs(moments.mu), initial=0.0))[1])
-    mu_norm = float(np.ldexp(np.linalg.norm(np.ldexp(moments.mu, -exponent)), exponent))
-
-    # Minimum-norm stationary point: invert on the range, zero on the null.
-    w_range = np.where(null_mask, 0.0, b / np.where(null_mask, 1.0, eigs))
-    range_norm = float(np.linalg.norm(w_range))
-    stationarity_gap = float(np.linalg.norm(np.where(null_mask, b, 0.0)))
-
-    if stationarity_gap <= _INTERIOR_GAP_REL * mu_norm and range_norm <= radius:
-        w = RankerWeights(basis @ w_range)
-        residual = float(np.linalg.norm(moments.sigma @ w.w - moments.mu))
-        return w, SolveDiagnostics(
-            constrained_active=False,
-            multiplier=0.0,
-            kkt_residual=residual,
-            objective_value=objective_value(moments, w),
-            iterations=0,
-        )
-
-    # Boundary case: find lam > 0 with ||(sigma + lam I)^-1 mu|| = radius.
-    # The norm is strictly decreasing in lam and is >= radius as lam -> 0+
-    # (either the min-norm stationary point is too long, or unseen mass in
-    # the null space sends the norm to infinity), while at lam = ||mu|| /
-    # radius it is <= radius since every denominator is >= lam.  Root-find
-    # on f(lam) = 1 / ||w(lam)|| - 1 / radius, which is increasing and
-    # nearly linear in lam, with Newton steps clipped to a bisection
-    # bracket that is revalidated every iteration.
-    lo, f_lo = 0.0, -1.0  # sign only; f < 0 at the left edge by case analysis
-    hi = mu_norm / radius
-    norm_hi, _ = _secular_norm(hi, eigs, b)
-    f_hi = 1.0 / norm_hi - 1.0 / radius
-    while f_hi < 0.0:
+    if not 0.0 < bound < math.inf:
+        raise SolverConvergenceError(f"the multiplier bound ||mu|| / radius = {bound!r} "
+                                     "does not fit a float")
+    # Search on w / 2^k with radius / 2^k in [0.5, 1): each step is the unscaled
+    # one bit for bit, but no square of w under- or overflows at any radius.
+    radius, exponent = math.frexp(radius)
+    b = np.ldexp(b, -exponent)
+    lo, hi = 0.0, bound
+    while _secular(hi, eigs, b, radius)[1] < 0.0:
         # Rounding can push the analytic upper bound a hair short; widen.
         hi *= 2.0
-        norm_hi, _ = _secular_norm(hi, eigs, b)
-        f_hi = 1.0 / norm_hi - 1.0 / radius
-
-    # Start from the isotropic-case root ||mu|| / radius - min eig, an
-    # upper bound for the true root, clipped into the open bracket.
-    lam = min(hi, max(lo, mu_norm / radius - float(np.min(eigs))))
+    # Start from the isotropic-case root bound - min eig, an upper bound
+    # for the true root, clipped into the open bracket.
+    lam = min(hi, max(lo, bound - float(np.min(eigs))))
     if not (lo < lam < hi):
         lam = 0.5 * (lo + hi)
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > _MAX_SECULAR_ITERS:
-            raise SolverConvergenceError(
-                "secular iteration exhausted its budget", bracket=(lo, hi)
-            )
-        norm, dnorm = _secular_norm(lam, eigs, b)
-        f = 1.0 / norm - 1.0 / radius
+    for iterations in range(1, _MAX_SECULAR_ITERS + 1):
+        norm, f, df = _secular(lam, eigs, b, radius)
         if abs(norm - radius) <= _BOUNDARY_REL_TOL * radius:
-            break
-        if f < 0.0:
-            lo, f_lo = lam, f
+            return lam, iterations
+        # The bracket moves on the norm itself, so ||w(hi)|| <= radius holds
+        # exactly, not only up to the rounding of 1 / ||w||.
+        if norm > radius:
+            lo = lam
+        elif norm < radius:
+            hi = lam
         else:
-            hi, f_hi = lam, f
-        assert f_lo < 0.0 <= f_hi, "bracket lost its sign change"
-        df = -dnorm / (norm * norm)
+            raise SolverConvergenceError("the secular norm is nan", bracket=(lo, hi))
         step = lam - f / df if df > 0.0 else None
         # The right endpoint is admissible (the root can sit exactly at
         # the analytic upper bound); the left one is not, since the
         # norm may be singular at 0 when mu has null-space mass.
         if step is None or not (lo < step <= hi):
             step = 0.5 * (lo + hi)
-        if step == lam:
-            # Bracket collapsed to adjacent floats before the tolerance
-            # was met; take the endpoint with ||w|| <= radius so the
-            # feasibility invariant survives.
-            lam = hi
-            break
+        if step in (lam, lo):
+            # The bracket collapsed to adjacent floats (the step repeats lam or
+            # the midpoint rounds onto lo) before the tolerance was met; keep
+            # the endpoint with ||w|| <= radius, the feasibility invariant.
+            return hi, iterations
         lam = step
+    raise SolverConvergenceError("secular iteration exhausted its budget", bracket=(lo, hi))
 
-    w_vec = basis @ (b / (eigs + lam))
-    w = RankerWeights(w_vec)
-    residual = float(
-        np.linalg.norm(moments.sigma @ w_vec - moments.mu + lam * w_vec)
-    )
+
+def solve_erm(moments: PairMoments, cfg: ProblemConfig) -> tuple[RankerWeights, SolveDiagnostics]:
+    """Minimize the pair-moment quadratic over the ball of radius cfg.w_star.
+
+    Returns the minimum-norm minimizer together with a KKT certificate.
+    Any radius whose multiplier fits a double solves, since every norm is
+    taken after an exact power-of-two prescale.  Raises
+    SolverConvergenceError if ||mu|| / radius leaves the float range, or
+    (carrying the final bracket) if the secular iteration exhausts its
+    budget, which for PSD moments indicates a tolerance tighter than the
+    arithmetic supports.  Sigma is not re-checked here: `PairMoments`
+    rejects a non-PSD sigma at construction.
+    """
+    radius = cfg.w_star
+    eigs, basis = moments.eigh
+    opnorm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    # Clamp rounding-level negatives and split range from null space.
+    eigs = np.maximum(eigs, 0.0)
+    null_mask = eigs <= opnorm * _NULL_REL_TOL
+    eigs = np.where(null_mask, 0.0, eigs)
+
+    b = basis.T @ moments.mu
+    mu_norm = float(_prescaled_norm(moments.mu))
+    # Minimum-norm stationary point: invert on the range, zero on the null.
+    coef = np.where(null_mask, 0.0, b / np.where(null_mask, 1.0, eigs))
+    lam, iterations = 0.0, 0
+    if (_prescaled_norm(np.where(null_mask, b, 0.0)) > _INTERIOR_GAP_REL * mu_norm
+            or _prescaled_norm(coef) > radius):
+        # Boundary case: find lam > 0 with ||(sigma + lam I)^-1 mu|| = radius.
+        lam, iterations = _boundary_multiplier(eigs, b, mu_norm / radius, radius)
+        coef = b / (eigs + lam)
+
+    w = RankerWeights(basis @ coef)
     return w, SolveDiagnostics(
-        constrained_active=True,
-        multiplier=float(lam),
-        kkt_residual=residual,
+        constrained_active=lam > 0.0,
+        multiplier=lam,
+        kkt_residual=float(np.linalg.norm(moments.sigma @ w.w - moments.mu + lam * w.w)),
         objective_value=objective_value(moments, w),
         iterations=iterations,
     )

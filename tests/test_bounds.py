@@ -287,8 +287,12 @@ class TestMomentDeviationTails:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             second_moment_deviation_tail(0, 0.5, 1.0, 1.0, 1.0, 2)
+        with pytest.raises(ValueError, match="epsilon"):
+            second_moment_deviation_tail(10, 0.0, 1.0, 1.0, 1.0, 2)
         with pytest.raises(ValueError):
             mean_deviation_tail(10, -0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="s >= 1"):
+            mean_deviation_tail(0, 0.5, 1.0, 1.0)
 
 
 class TestBoundReport:

@@ -337,6 +337,20 @@ class TestTrainCommand:
         weights, _ = load_weights(model)
         assert np.linalg.norm(weights.w) > 0.5
 
+    def test_tiny_w_star_trains_on_the_boundary(self, toy_file, tmp_path, capsys):
+        # The squares of weights near 1e-200 underflow; the solve used to
+        # divide by zero here and exit 1 with a traceback.
+        model = tmp_path / "tiny.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "bbr", str(toy_file), "--w-star", "1e-200",
+                         "--model-out", str(model)]) == 0
+        assert "constrained=True" in capsys.readouterr().out
+        weights, radius = load_weights(model)
+        assert radius == 1e-200
+        norm = float(np.linalg.norm(np.ldexp(weights.w, 664)))
+        assert abs(norm - np.ldexp(1e-200, 664)) <= 1e-12 * np.ldexp(1e-200, 664)
+
     def test_outputs_match_per_line_reference_parser(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(443)
         train_path, test_path = tmp_path / "train.txt", tmp_path / "test.txt"
@@ -513,6 +527,30 @@ class TestExitCodes:
             assert main(["train", *algorithm, str(path)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("pairrank: numerical failure: ")
+
+    def test_multiplier_beyond_float_range_is_numerical_failure(self, toy_file, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "bbr", str(toy_file), "--w-star", "1e-320",
+                         "--model-out", str(model)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("pairrank: numerical failure: the multiplier bound")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flags, calculator, named", [
+        (["--epsilon-grid", "1e-160"], "min_pairs_empirical_gap", "epsilon=1e-160"),
+        (["--epsilon-grid", "1e-200"], "min_pairs_empirical_gap", "epsilon=1e-200"),
+        (["--x-star", "1e200"], "risk_constants", "x_star=1e+200"),
+    ], ids=["pair-count-overflows", "epsilon-squared-underflows", "x-star-squared-overflows"])
+    def test_bounds_outside_float_range_are_numerical_failure(self, flags, calculator, named,
+                                                              tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds-table", "--out", str(out), *flags]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"pairrank: numerical failure: {calculator} ")
+        assert named in line
+        assert not out.exists()
 
     def test_diverging_sgd_is_numerical_failure(self, tmp_path):
         out = tmp_path / "sweep.csv"

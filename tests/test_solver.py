@@ -1,8 +1,13 @@
 """Ball-constrained quadratic solver: analytic cases, KKT, search oracle."""
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pairrank.solver as solver
 from pairrank import (
     Dataset,
     DimensionMismatchError,
@@ -10,6 +15,7 @@ from pairrank import (
     ProblemConfig,
     RankerWeights,
     SolveDiagnostics,
+    SolverConvergenceError,
     batch_moments_fast,
     objective_value,
     solve_erm,
@@ -100,6 +106,15 @@ class TestAnalyticCases:
             assert diag.multiplier > 0.0
             assert radius * (1.0 - 1e-12) <= np.linalg.norm(weights.w) <= radius
 
+    def test_null_space_mean_whose_norm_underflows_reaches_boundary(self):
+        # The null-space gap is 1e-200, whose plain norm underflows to 0; it
+        # must still send the optimum to the boundary, at multiplier 1e-200.
+        moments = _moments([1e-200, 0.0], np.diag([0.0, 1.0]))
+        weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1.0))
+        assert diag.constrained_active
+        assert np.all(np.abs(weights.w - [1.0, 0.0]) <= 1e-12)
+        assert abs(diag.multiplier - 1e-200) <= 1e-12 * 1e-200
+
     def test_null_space_mass_forces_boundary(self):
         # The second coordinate of mu sees zero curvature, so the
         # unconstrained problem is unbounded and the ball must bind.
@@ -153,6 +168,111 @@ class TestRandomInstances:
         moments = _random_psd_instance(rng, 5)
         weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=0.7))
         assert diag.objective_value == objective_value(moments, weights)
+
+
+def _rescaled_norm(w, radius):
+    """||w|| / radius, both scaled exactly by the radius's power of two first."""
+    exponent = math.frexp(radius)[1]
+    return float(np.linalg.norm(np.ldexp(w, -exponent))) / math.ldexp(radius, -exponent)
+
+
+def _load_reference():
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Cases whose bracket [0, ||mu|| / radius] rounds a hair short and is widened
+# once, with (multiplier, iterations) as the solver returned them before the
+# search moved into the radius's binade.  With zero sigma the widened
+# bracket's midpoint is the bound itself; the last case, with a tiny
+# isotropic sigma, starts elsewhere if the start is taken from the widened bound.
+_WIDENING = [
+    ([0.1, 0.4], 0.0, 0.3, 1.3743685418725535, 1),
+    ([2.5, 3.0, 0.9], 0.0, 0.7, 5.724989974146822, 1),
+    ([-1.79, -0.78], 5e-16, 0.6, 3.2542706982944387, 1),
+]
+
+
+class TestBoundarySearch:
+    @pytest.mark.parametrize("mu, eig, radius, multiplier, iterations", _WIDENING)
+    def test_widened_bracket_keeps_the_unwidened_start(self, mu, eig, radius, multiplier,
+                                                        iterations, monkeypatch):
+        seen, real = [], solver._secular
+        monkeypatch.setattr(solver, "_secular",
+                            lambda lam, *rest: seen.append(lam) or real(lam, *rest))
+        moments = _moments(mu, eig * np.eye(len(mu)))
+        weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=radius))
+        assert seen[1] == 2.0 * seen[0]
+        assert (diag.multiplier, diag.iterations) == (multiplier, iterations)
+        assert diag.constrained_active
+        assert abs(np.linalg.norm(weights.w) - radius) <= 1e-12 * radius
+
+    @pytest.mark.parametrize("mu, eig, radius, multiplier, iterations", _WIDENING)
+    def test_widened_cases_match_the_brent_reference(self, mu, eig, radius, multiplier, iterations):
+        reference = _load_reference()
+        sigma = eig * np.eye(len(mu))
+        weights, _ = solve_erm(_moments(mu, sigma), ProblemConfig(x_star=1.0, w_star=radius))
+        expected = reference.solve_ball(np.asarray(mu, float), sigma, radius)
+        assert np.all(np.abs(weights.w - expected) <= 1e-9 * np.abs(expected))
+
+    def test_collapsed_bracket_returns_the_feasible_endpoint(self, monkeypatch):
+        # With no tolerance the search ends when the bracket collapses to
+        # adjacent floats (a bisection midpoint that rounds onto lo counts:
+        # without it, steps cycle between the two ends until the budget is
+        # spent), and then it must keep the side inside the ball:
+        # exactly so for the norm it searches on, and to rounding once the
+        # weights are rotated out of the eigenbasis.
+        monkeypatch.setattr(solver, "_BOUNDARY_REL_TOL", 0.0)
+        rng = np.random.default_rng(405)
+        for _ in range(300):
+            moments = _random_psd_instance(rng, int(rng.integers(1, 8)), allow_rank_deficient=False)
+            stationary = float(np.linalg.norm(np.linalg.solve(moments.sigma, moments.mu)))
+            radius = float(rng.uniform(0.01, 0.99)) * stationary
+            weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=radius))
+            assert diag.constrained_active
+            assert diag.iterations < solver._MAX_SECULAR_ITERS
+            eigs, basis = moments.eigh
+            assert solver._secular(diag.multiplier, eigs, basis.T @ moments.mu, radius)[0] <= radius
+            assert np.linalg.norm(weights.w) <= radius * (1.0 + 1e-15)
+
+    def test_nan_norm_is_a_convergence_error(self, monkeypatch):
+        # PairMoments keeps nan out, so only a broken evaluation yields one;
+        # the search must then fail with its bracket, not move it.
+        real = solver._secular
+        calls = []
+
+        def nan_after_widening(lam, *rest):
+            calls.append(lam)
+            return real(lam, *rest) if len(calls) == 1 else (math.nan, math.nan, math.nan)
+
+        monkeypatch.setattr(solver, "_secular", nan_after_widening)
+        moments = _moments([2.0, 0.0], np.eye(2))
+        with pytest.raises(SolverConvergenceError, match=r"nan \(bracket: \[0\.0, 2\.0\]\)"):
+            solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1.0))
+
+    def test_tiny_radii_reach_the_boundary(self):
+        # The squares of w underflow at these radii unless the search runs
+        # on w / 2^k; before it did, 1e-170 divided by zero and 1e-160 ended
+        # 7e-5 outside the ball after 52 iterations.
+        moments = _moments([1.0, 0.5], [[2.0, 0.3], [0.3, 1.0]])
+        for radius in (1e-150, 1e-160, 1e-170, 1e-200, 1e-250, 1e-300):
+            weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=radius))
+            assert diag.constrained_active and diag.iterations <= 3
+            assert abs(_rescaled_norm(weights.w, radius) - 1.0) <= 1e-12
+        # A subnormal radius solves too while ||mu|| / radius fits a double.
+        weights, diag = solve_erm(_moments([1e-10, 0.5e-10], moments.sigma),
+                                  ProblemConfig(x_star=1.0, w_star=1e-310))
+        assert diag.constrained_active and 1e299 < diag.multiplier < 1e301
+        assert abs(_rescaled_norm(weights.w, 1e-310) - 1.0) <= 1e-12
+
+    def test_multiplier_beyond_float_range_is_refused(self):
+        moments = _moments([1.0, 0.5], [[2.0, 0.3], [0.3, 1.0]])
+        with pytest.raises(SolverConvergenceError, match="does not fit a float"):
+            solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1e-310))
 
 
 class TestSharedEigendecomposition:

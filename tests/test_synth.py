@@ -34,6 +34,8 @@ class TestGmmSpecValidation:
         with pytest.raises(ValueError):
             _spec(k=2, weights=[0.5, 0.4], means_pos=np.zeros((2, 2)),
                   means_neg=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="weights shape"):
+            _spec(k=2, weights=[1.0], means_pos=np.zeros((2, 2)), means_neg=np.zeros((2, 2)))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -47,6 +49,8 @@ class TestGmmSpecValidation:
     def test_mean_shape_must_match(self):
         with pytest.raises(ValueError):
             _spec(means_pos=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="dim >= 1"):
+            _spec(dim=0)
 
     def test_non_finite_mean_rejected(self):
         with pytest.raises(ValueError):
