@@ -11,30 +11,34 @@ Three routes to the same object, a :class:`~pairrank.core.PairMoments`:
 * :func:`subsample_moments` averages over s pairs drawn uniformly with
   replacement from the n1 * n0 grid, (s, seed) given as a
   :class:`SubsampleConfig`, using a counter-based generator so the
-  drawn index sequence is a pure function of (seed, s, n1, n0).
+  drawn index sequence is a pure function of (seed, s, n1, n0).  It
+  never forms the s pair differences: the moments come from how often
+  each row was drawn, in Theta(min(s, n1 + n0) d^2 + s d) time.
 
 The moments carry no record of their route; a caller that needs one
 (the CLI's result rows) keeps the route, s and seed it chose.
 
 Numerical policy, chosen for run-to-run determinism: mean vectors are
 accumulated with a chunked Neumaier compensated sum.  Each second-moment
-entry is the plain row-order sum of x_si * x_sj, computed by einsum with
-optimization disabled, never by BLAS.  Matrices wider than one tile are
-computed as square output tiles of the upper triangle, mirrored into the
-lower one, on one thread per usable CPU; every entry is still the same
-row-order sum as a single einsum over the whole matrix gives, so the
-result is independent of BLAS vendor, BLAS thread count and pool size.
-The linear-time routes stream rows (centered class rows, pair
-differences) through one _BLOCK_ROWS x d buffer; the Neumaier state runs
-across blocks, and block second moments are added in block order.
+entry is the plain row-order sum of x_si * y_sj (y = x, or a second
+matrix of the same shape), computed by einsum with optimization
+disabled, never by BLAS.  Matrices wider than one tile are computed as
+square output tiles, on one thread per usable CPU: with y = x only the
+tiles of the upper triangle, mirrored into the lower one.  Every entry is
+still the same row-order sum as a single einsum over the whole matrix
+gives, so the result is independent of BLAS vendor, BLAS thread count
+and pool size.  The linear-time routes stream centered class rows
+(for :func:`subsample_moments`, only the drawn ones) through one buffer
+of at most _BLOCK_ROWS x d; the Neumaier state runs across blocks, and
+block second moments are added in block order.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +56,7 @@ __all__ = [
 _CHUNK = 512
 # Width of the square output tiles of the second-moment kernel.
 _TILE = 64
-# Pairs whose differences are formed per gather in subsample_moments.
-_GATHER_ROWS = 4096
-# Rows per streaming block; a multiple of _CHUNK and of _GATHER_ROWS.
+# Rows per streaming block; a multiple of _CHUNK.
 _BLOCK_ROWS = 16384
 
 
@@ -105,58 +107,81 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _second_moment(rows: np.ndarray) -> np.ndarray:
+def _second_moment(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
     """Plain row-order sum of row outer products (not BLAS-reordered).
 
-    Up to _TILE columns this is one einsum call.  Wider inputs are cut
-    into _TILE-wide column blocks; each upper-triangle block pair is one
-    einsum over the column slices (which releases the GIL), written to
-    its own output tile and mirrored below the diagonal.  An entry's sum
-    runs over the same rows in the same order either way, and tiles
-    write disjoint slices, so neither the tiling nor the worker count
-    nor the completion order changes a bit.
+    With `other` (same shape as `rows`) the sum of rows[k] other[k]'
+    instead, which need not be symmetric.  Up to _TILE columns this is
+    one einsum call.  Wider inputs are cut into _TILE-wide column blocks;
+    each block pair is one einsum over the column slices (which releases
+    the GIL), written to its own output tile: every block pair of the
+    grid with `other`, else the upper-triangle pairs, mirrored below the
+    diagonal.  An entry's sum runs over the same rows in the same order
+    either way, and tiles write disjoint slices, so neither the tiling
+    nor the worker count nor the completion order changes a bit.
     """
+    right = rows if other is None else other
     dim = rows.shape[1]
     if dim <= _TILE:
-        return np.einsum("si,sj->ij", rows, rows, optimize=False)
+        return np.einsum("si,sj->ij", rows, right, optimize=False)
     out = np.empty((dim, dim), dtype=np.float64)
     starts = range(0, dim, _TILE)
 
     def fill(tile: tuple[int, int]) -> None:
         a, c = tile
         block = np.einsum(
-            "si,sj->ij", rows[:, a : a + _TILE], rows[:, c : c + _TILE], optimize=False
+            "si,sj->ij", rows[:, a : a + _TILE], right[:, c : c + _TILE], optimize=False
         )
         out[a : a + _TILE, c : c + _TILE] = block
-        out[c : c + _TILE, a : a + _TILE] = block.T
+        if other is None:
+            out[c : c + _TILE, a : a + _TILE] = block.T
 
-    tiles = [(a, c) for a in starts for c in starts if c >= a]
+    tiles = [(a, c) for a in starts for c in starts if other is not None or c >= a]
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         # Reading every result re-raises any worker's exception here.
         list(pool.map(fill, tiles))
     return out
 
 
-def _stream_moments(count: int, dim: int, terms: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """Row sum and summed row outer products of `count` rows, streamed.
+def _centered_blocks(rows: np.ndarray, shift: np.ndarray, take: np.ndarray | None = None):
+    """Yield (at, block): `rows`, or rows[take], minus `shift`, _BLOCK_ROWS at a time.
 
-    Rows are formed as differences, `np.subtract(*terms(rows))` for a
-    slice `rows` of up to _GATHER_ROWS, into one reused _BLOCK_ROWS x d
-    buffer.  The row sum is one Neumaier sum; the second moment adds each
-    block's _second_moment in block order.
+    Every block is a leading slice of one buffer of min(count, _BLOCK_ROWS)
+    rows, valid until the next block is yielded; `at` is the position of
+    its first row among all yielded rows.
     """
-    buffer = np.empty((min(count, _BLOCK_ROWS), dim), dtype=np.float64)
-    state = (np.zeros(dim), np.zeros(dim))
+    count = rows.shape[0] if take is None else take.size
+    buffer = np.empty((min(count, _BLOCK_ROWS), rows.shape[1]), dtype=np.float64)
+    for at in range(0, count, _BLOCK_ROWS):
+        block = buffer[: min(_BLOCK_ROWS, count - at)]
+        source = rows[at : at + block.shape[0]]
+        if take is not None:
+            # The indices are in range; mode "clip" writes straight into the
+            # block, where the default mode would buffer a copy.
+            source = np.take(rows, take[at : at + block.shape[0]], axis=0, out=block, mode="clip")
+        np.subtract(source, shift, out=block)
+        yield at, block
+
+
+def _add(total: np.ndarray | None, moment: np.ndarray) -> np.ndarray:
+    """Running block-order sum of second moments."""
+    return moment if total is None else np.add(total, moment, out=total)
+
+
+def _square_sum(rows: np.ndarray, shift: np.ndarray, take: np.ndarray | None = None,
+                counts: np.ndarray | None = None) -> np.ndarray:
+    """Summed outer products of the rows (rows[take]) minus `shift`, streamed.
+
+    With `counts`, row k's product is counted counts[k] times: the row is
+    scaled by the square root of its count, so the symmetric kernel serves.
+    Block second moments are added in block order.
+    """
     second = None
-    for start in range(0, count, _BLOCK_ROWS):
-        block = buffer[: min(_BLOCK_ROWS, count - start)]
-        for at in range(0, block.shape[0], _GATHER_ROWS):
-            rows = slice(start + at, start + at + _GATHER_ROWS)
-            np.subtract(*terms(rows), out=block[at : at + _GATHER_ROWS])
-        total = _neumaier_over_rows(block, state)
-        moment = _second_moment(block)
-        second = moment if second is None else np.add(second, moment, out=second)
-    return total, second
+    for at, block in _centered_blocks(rows, shift, take):
+        if counts is not None:
+            block *= np.sqrt(counts[at : at + block.shape[0]])[:, None]
+        second = _add(second, _second_moment(block))
+    return second
 
 
 def batch_moments_naive(data: Dataset) -> PairMoments:
@@ -201,12 +226,11 @@ def batch_moments_fast(data: Dataset) -> PairMoments:
     to rounding.
     """
     data.require_trainable()
-    n1, n0, dim = data.n1, data.n0, data.dim
-    pos, neg = data.positives, data.negatives
-    m1 = _neumaier_over_rows(pos) / n1
-    m0 = _neumaier_over_rows(neg) / n0
-    _, c1 = _stream_moments(n1, dim, lambda rows: (pos[rows], m1))
-    _, c0 = _stream_moments(n0, dim, lambda rows: (neg[rows], m0))
+    n1, n0 = data.n1, data.n0
+    m1 = _neumaier_over_rows(data.positives) / n1
+    m0 = _neumaier_over_rows(data.negatives) / n0
+    c1 = _square_sum(data.positives, m1)
+    c0 = _square_sum(data.negatives, m0)
     mu = m1 - m0
     sigma = c1 / n1 + c0 / n0 + np.outer(mu, mu)
     return PairMoments(mu=mu, sigma=sigma)
@@ -254,21 +278,124 @@ def draw_pair_indices(seed: int, s: int, n1: int, n0: int) -> tuple[np.ndarray, 
     return out[0], out[1]
 
 
+class _Draws(NamedTuple):
+    """One class's side of the s drawn pairs."""
+
+    rows: np.ndarray  # the class's feature rows
+    drawn: np.ndarray  # the rows drawn at least once, ascending
+    counts: np.ndarray  # how often each drawn row was drawn, as floats
+    slot: np.ndarray  # each draw's position in `drawn`, in draw order
+    shift: np.ndarray  # the count-weighted mean of the drawn rows
+
+
+def _draws(rows: np.ndarray, idx: np.ndarray, s: int) -> _Draws:
+    """Count the draws of each row of one class, and their mean."""
+    counts = np.bincount(idx, minlength=rows.shape[0])
+    drawn = np.flatnonzero(counts)
+    slot = np.empty(rows.shape[0], dtype=np.intp)
+    slot[drawn] = np.arange(drawn.size)
+    weights = counts[drawn].astype(np.float64)
+    state = (np.zeros(rows.shape[1]), np.zeros(rows.shape[1]))
+    for lo in range(0, drawn.size, _CHUNK):
+        part = rows[drawn[lo : lo + _CHUNK]] * weights[lo : lo + _CHUNK, None]
+        total = _neumaier_over_rows(part, state)
+    return _Draws(rows, drawn, weights, slot[idx], total / s)
+
+
+def _cross_sums(g: _Draws, o: _Draws, budget: int) -> np.ndarray:
+    """G: row r sums o's centered rows over the draws of g's r-th drawn row.
+
+    One np.bincount per column.  Its weights are gathered from a group of
+    o's centered drawn columns, held transposed so that each gather reads
+    one contiguous row; a group holds at most `budget` entries, or one
+    column.
+    """
+    dim = o.rows.shape[1]
+    cross = np.empty((g.drawn.size, dim), dtype=np.float64)
+    width = min(dim, max(1, budget // o.drawn.size))
+    group = np.empty((width, o.drawn.size), dtype=np.float64)
+    for first in range(0, dim, width):
+        cols = slice(first, first + width)
+        part = group[: cross[:, cols].shape[1]]
+        for lo in range(0, o.drawn.size, _CHUNK):
+            rows = o.rows[o.drawn[lo : lo + _CHUNK], cols]
+            rows -= o.shift[cols]
+            part[:, lo : lo + _CHUNK] = rows.T
+        for k, column in enumerate(part, first):
+            cross[:, k] = np.bincount(g.slot, weights=column[o.slot], minlength=g.drawn.size)
+    return cross
+
+
+def _mixed_sum(g: _Draws, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A'(diag(c) A - 2G) and A'c for g's centered drawn rows A, streamed.
+
+    diag(c) A - 2G overwrites G (`cross`) block by block; the weighted row
+    sum A'c is one Neumaier sum over the same weighted rows.
+    """
+    dim = g.rows.shape[1]
+    state = (np.zeros(dim), np.zeros(dim))
+    mixed = None
+    for at, block in _centered_blocks(g.rows, g.shift, g.drawn):
+        right = cross[at : at + block.shape[0]]
+        for lo in range(0, block.shape[0], _CHUNK):
+            weighted = block[lo : lo + _CHUNK] * g.counts[at + lo : at + lo + _CHUNK, None]
+            total = _neumaier_over_rows(weighted, state)
+            part = right[lo : lo + _CHUNK]
+            part *= -2.0
+            part += weighted
+        mixed = _add(mixed, _second_moment(block, right))
+    return mixed, total
+
+
 def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     """Difference moments over s uniformly drawn pairs, with replacement.
 
     Each of the s draws picks one positive and one negative index
     independently and uniformly, so the expectation of the returned
-    moments under the seed equals the all-pairs moments.  Cost is
-    Theta(s * d^2) time.  The differences, gathered _GATHER_ROWS pairs at
-    a time, stream through one _BLOCK_ROWS x d buffer, so memory is
-    Theta(_BLOCK_ROWS * d + d^2 + s) for the buffer, sigma and indices.
-    Above _BLOCK_ROWS pairs sigma adds per-block second moments in block
-    order; mu is one Neumaier sum for every s.
+    moments under the seed equals the all-pairs moments.
+
+    The moments come from how often each row was drawn, not from the s
+    differences.  Write A and B for the drawn rows of each class, centered
+    on m1 and m0, the count-weighted means of those rows; mu = m1 - m0;
+    c and c' for the draw counts of the rows of A and B; and G for the
+    matrix whose row i sums the rows of B over the draws of A's row i.
+    With u = A'c - B'c' and sym(M) = (M + M') / 2,
+
+        s mu_s    = u + s mu
+        s sigma_s = sym(A'(diag(c) A - 2G)) + B' diag(c') B
+                    + u mu' + mu u' + s mu mu'
+
+    G is built for whichever class has fewer drawn rows: sigma's formula
+    holds with the classes' roles swapped.  With r <= min(2s, n1 + n0)
+    drawn rows, r_g of them in G's class, time is Theta(r d^2 + s d): the
+    kernel sums over drawn rows (for A'(...) over the full tile grid), and
+    G takes one np.bincount over the s draws per column.  Each class's
+    drawn rows stream, gathered and centered, through one
+    min(r, _BLOCK_ROWS) x d buffer, so memory is
+    Theta(min(r, _BLOCK_ROWS) d + r_g d + d^2 + s)
+    for that buffer, G, sigma and the pair indices.  As in
+    :func:`batch_moments_fast`, centering keeps a common feature offset
+    out of every product; the result equals the plain sum over the s pair
+    differences up to rounding.
     """
     data.require_trainable()
-    i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
-    total, second = _stream_moments(
-        cfg.s, data.dim, lambda pairs: (data.positives[i_idx[pairs]], data.negatives[j_idx[pairs]])
-    )
-    return PairMoments(mu=total / cfg.s, sigma=second / cfg.s)
+    s = cfg.s
+    i_idx, j_idx = draw_pair_indices(cfg.seed, s, data.n1, data.n0)
+    pos, neg = _draws(data.positives, i_idx, s), _draws(data.negatives, j_idx, s)
+    del i_idx, j_idx
+    g, o = (pos, neg) if pos.drawn.size <= neg.drawn.size else (neg, pos)
+    cross = _cross_sums(g, o, min(g.drawn.size, _BLOCK_ROWS) * data.dim)
+    o_sum = _neumaier_over_rows(cross)
+    mixed, g_sum = _mixed_sum(g, cross)
+    del cross
+    sigma = mixed + mixed.T
+    sigma *= 0.5
+    sigma += _square_sum(o.rows, o.shift, o.drawn, o.counts)
+    u = g_sum - o_sum if g is pos else o_sum - g_sum
+    mu = pos.shift - neg.shift
+    # Added as one matrix, u mu' + mu u' keeps sigma exactly symmetric.
+    spread = np.outer(u, mu)
+    sigma += spread + spread.T
+    sigma /= s
+    sigma += np.outer(mu, mu)
+    return PairMoments(mu=mu + u / s, sigma=sigma)

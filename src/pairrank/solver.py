@@ -178,7 +178,9 @@ def solve_erm(moments: PairMoments, cfg: ProblemConfig) -> tuple[RankerWeights, 
     b = basis.T @ moments.mu
     mu_norm = float(_prescaled_norm(moments.mu))
     # Minimum-norm stationary point: invert on the range, zero on the null.
-    coef = np.where(null_mask, 0.0, b / np.where(null_mask, 1.0, eigs))
+    # An entry that overflows is inf, and its norm then picks the boundary.
+    with np.errstate(over="ignore"):
+        coef = np.where(null_mask, 0.0, b / np.where(null_mask, 1.0, eigs))
     lam, iterations = 0.0, 0
     if (_prescaled_norm(np.where(null_mask, b, 0.0)) > _INTERIOR_GAP_REL * mu_norm
             or _prescaled_norm(coef) > radius):
@@ -190,7 +192,7 @@ def solve_erm(moments: PairMoments, cfg: ProblemConfig) -> tuple[RankerWeights, 
     return w, SolveDiagnostics(
         constrained_active=lam > 0.0,
         multiplier=lam,
-        kkt_residual=float(np.linalg.norm(moments.sigma @ w.w - moments.mu + lam * w.w)),
+        kkt_residual=float(_prescaled_norm(moments.sigma @ w.w - moments.mu + lam * w.w)),
         objective_value=objective_value(moments, w),
         iterations=iterations,
     )

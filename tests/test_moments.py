@@ -339,57 +339,186 @@ class TestSubsampleMoments:
         with pytest.raises(UntrainableDatasetError):
             subsample_moments(data, SubsampleConfig(s=5, seed=0))
 
-    def test_blockwise_gather_matches_whole_gather_bit_for_bit(self):
+    def test_count_route_bits_across_block_edges(self, monkeypatch):
+        # Both classes span three 1024-row blocks, the last ones partial.
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", 2 * moments._CHUNK)
         rng = np.random.default_rng(311)
-        data = random_dataset(rng, _TILE + 3, 50, 70, scale=3.0)
-        cfg = SubsampleConfig(s=2 * moments._GATHER_ROWS + 3, seed=17)
+        data = random_dataset(rng, _TILE + 3, 2500, 3000, scale=3.0)
+        cfg = SubsampleConfig(s=20000, seed=17)
         sub = subsample_moments(data, cfg)
-        i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
-        diffs = data.positives[i_idx] - data.negatives[j_idx]
-        assert np.array_equal(sub.mu, moments._neumaier_over_rows(diffs) / cfg.s)
-        sigma = _einsum_reference(diffs) / cfg.s
-        assert np.array_equal(sub.sigma, (sigma + sigma.T) / 2.0)
+        mu, sigma = _count_route_by_blocks(data, cfg, moments._BLOCK_ROWS)
+        assert np.array_equal(sub.mu, mu)
+        assert np.array_equal(sub.sigma, sigma)
 
-    def test_block_edges_keep_mu_and_add_sigma_in_block_order(self):
-        rng = np.random.default_rng(313)
-        data = random_dataset(rng, _TILE + 3, 50, 70, scale=3.0)
-        block = moments._BLOCK_ROWS
-        cfg = SubsampleConfig(s=2 * block + 3, seed=19)
-        sub = subsample_moments(data, cfg)
-        i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
-        diffs = data.positives[i_idx] - data.negatives[j_idx]
-        assert np.array_equal(sub.mu, moments._neumaier_over_rows(diffs) / cfg.s)
-        sigma = moments._second_moment(diffs[:block])
-        for start in range(block, cfg.s, block):
-            sigma += moments._second_moment(diffs[start : start + block])
-        sigma /= cfg.s
-        assert np.array_equal(sub.sigma, (sigma + sigma.T) / 2.0)
-
-    def test_one_full_block_is_one_einsum(self):
+    def test_one_block_per_class_is_one_kernel_call(self):
         rng = np.random.default_rng(314)
-        data = random_dataset(rng, 5, 40, 30)
-        cfg = SubsampleConfig(s=moments._BLOCK_ROWS, seed=23)
+        data = random_dataset(rng, _TILE + 3, 40, 30)
+        cfg = SubsampleConfig(s=moments._BLOCK_ROWS + 5, seed=23)
         sub = subsample_moments(data, cfg)
-        i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
-        sigma = _einsum_reference(data.positives[i_idx] - data.negatives[j_idx]) / cfg.s
-        assert np.array_equal(sub.sigma, (sigma + sigma.T) / 2.0)
+        mu, sigma = _count_route_by_blocks(data, cfg, max(data.n1, data.n0))
+        assert np.array_equal(sub.mu, mu)
+        assert np.array_equal(sub.sigma, sigma)
+
+    def test_block_size_keeps_mu_and_moves_sigma_by_rounding_only(self, monkeypatch):
+        rng = np.random.default_rng(313)
+        data = random_dataset(rng, 5, 2500, 3000, scale=3.0)
+        cfg = SubsampleConfig(s=20000, seed=19)
+        whole = subsample_moments(data, cfg)
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", moments._CHUNK)
+        blocked = subsample_moments(data, cfg)
+        assert np.array_equal(blocked.mu, whole.mu)
+        assert _entrywise_close(blocked.sigma, whole.sigma, 1e-13)
+
+    @pytest.mark.parametrize("case", ["offset-1e6", "one-pair", "one-row-per-class",
+                                      "undrawn-rows", "above-block-rows", "tile-minus-one",
+                                      "tile-plus-one", "two-tiles-plus-one"])
+    def test_matches_long_double_pair_sum(self, case):
+        dim, n1, n0, s, offset = {
+            "offset-1e6": (4, 40, 60, 300, 1e6),
+            "one-pair": (6, 30, 20, 1, 0.0),
+            "one-row-per-class": (5, 1, 1, 9, 0.0),
+            "undrawn-rows": (7, 500, 700, 50, 0.0),
+            "above-block-rows": (3, 20000, 30, 40000, 0.0),
+            "tile-minus-one": (_TILE - 1, 60, 80, 500, 0.0),
+            "tile-plus-one": (_TILE + 1, 60, 80, 500, 0.0),
+            "two-tiles-plus-one": (2 * _TILE + 1, 60, 80, 500, 0.0),
+        }[case]
+        rng = np.random.default_rng(320)
+        base = random_dataset(rng, dim, n1, n0, scale=3.0)
+        data = Dataset.from_arrays(base.positives + offset, base.negatives + offset)
+        cfg = SubsampleConfig(s=s, seed=29)
+        if case == "undrawn-rows":
+            drawn = draw_pair_indices(cfg.seed, s, n1, n0)
+            assert np.unique(drawn[0]).size < n1 and np.unique(drawn[1]).size < n0
+        if case == "above-block-rows":
+            assert np.unique(draw_pair_indices(cfg.seed, s, n1, n0)[0]).size > moments._BLOCK_ROWS
+        sub = subsample_moments(data, cfg)
+        mu, sigma = _long_double_pair_sum(data, cfg)
+        assert _entrywise_close(sub.mu, mu, 1e-12)
+        assert _entrywise_close(sub.sigma, sigma, 1e-12)
 
     def test_peak_memory_is_one_block_buffer(self):
         # Memory must not grow with s beyond the pair indices: one block
-        # buffer, two gathered blocks, 48 bytes per pair and sigma.
+        # buffer, G (a row per drawn row of one class), 48 bytes per pair
+        # and sigma.
         rng = np.random.default_rng(312)
-        dim, s = 8, 400_000
-        data = random_dataset(rng, dim, 300, 300)
+        dim, s, n = 8, 400_000, 300
+        data = random_dataset(rng, dim, n, n)
         tracemalloc.start()
         try:
             subsample_moments(data, SubsampleConfig(s=s, seed=5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        buffer = 8 * moments._BLOCK_ROWS * dim
-        gather_blocks = 2 * 8 * moments._GATHER_ROWS * dim
-        limit = buffer + gather_blocks + 48 * s + 64 * dim * dim
+        buffer = 8 * min(n, moments._BLOCK_ROWS) * dim
+        cross = 8 * n * dim
+        limit = buffer + cross + 48 * s + 64 * dim * dim
         assert peak <= limit, f"peak {peak} B above {limit} B"
+
+
+def _long_double_pair_sum(data, cfg):
+    """The literal pair-difference moments, summed in long double: the lcbr oracle."""
+    i_idx, j_idx = draw_pair_indices(cfg.seed, cfg.s, data.n1, data.n0)
+    mu = np.zeros(data.dim, dtype=np.longdouble)
+    sigma = np.zeros((data.dim, data.dim), dtype=np.longdouble)
+    for start in range(0, cfg.s, 4096):
+        pairs = slice(start, start + 4096)
+        diffs = (data.positives[i_idx[pairs]].astype(np.longdouble)
+                 - data.negatives[j_idx[pairs]].astype(np.longdouble))
+        mu += diffs.sum(axis=0)
+        sigma += np.einsum("si,sj->ij", diffs, diffs)
+    return (mu / cfg.s).astype(np.float64), (sigma / cfg.s).astype(np.float64)
+
+
+def _count_route_by_blocks(data, cfg, block):
+    """subsample_moments' arithmetic written out whole, its sums cut at `block` rows.
+
+    G comes from np.add.at, which adds in draw order as np.bincount does.
+    """
+    s = cfg.s
+    sides = []
+    for rows, idx in zip((data.positives, data.negatives),
+                         draw_pair_indices(cfg.seed, s, data.n1, data.n0)):
+        counts = np.bincount(idx, minlength=rows.shape[0])
+        drawn = np.flatnonzero(counts)
+        weights = counts[drawn].astype(np.float64)
+        shift = moments._neumaier_over_rows(rows[drawn] * weights[:, None]) / s
+        slot = np.searchsorted(drawn, idx)
+        sides.append((rows[drawn] - shift, weights, slot, shift))
+    (a, c, a_slot, m1), (b, c0, b_slot, m0) = sides
+    swap = a.shape[0] > b.shape[0]
+    if swap:
+        (a, c, a_slot), (b, c0, b_slot) = (b, c0, b_slot), (a, c, a_slot)
+    cross = np.zeros_like(a)
+    np.add.at(cross, a_slot, b[b_slot])
+    b_sum = moments._neumaier_over_rows(cross)
+    weighted = a * c[:, None]
+    a_sum = moments._neumaier_over_rows(weighted)
+    right = weighted - 2.0 * cross
+    root = b * np.sqrt(c0)[:, None]
+    mixed = square = None
+    for start in range(0, max(a.shape[0], b.shape[0]), block):
+        rows = slice(start, start + block)
+        if start < a.shape[0]:
+            moment = moments._second_moment(a[rows], right[rows])
+            mixed = moment if mixed is None else mixed + moment
+        if start < b.shape[0]:
+            moment = moments._second_moment(root[rows])
+            square = moment if square is None else square + moment
+    u = b_sum - a_sum if swap else a_sum - b_sum
+    mu = m1 - m0
+    spread = np.outer(u, mu)
+    sigma = (mixed + mixed.T) * 0.5 + square + (spread + spread.T)
+    return mu + u / s, sigma / s + np.outer(mu, mu)
+
+
+def _badly_scaled_dataset(rng, dim, n1, n0):
+    """Columns scaled by powers of two from 2**-30 to 2**30, some offset by 1e6 of their scale."""
+    scale = np.exp2(rng.integers(-30, 31, size=dim))
+    offset = np.where(rng.random(dim) < 0.5, 1e6, 0.0)
+    return Dataset.from_arrays((rng.standard_normal((n1, dim)) + offset) * scale,
+                               (rng.standard_normal((n0, dim)) + offset) * scale)
+
+
+_ROUTES = {
+    "batch_moments_fast": batch_moments_fast,
+    "subsample_moments": lambda data: subsample_moments(data, SubsampleConfig(s=150, seed=41)),
+}
+
+
+class TestEquivariance:
+    """Exact symmetries of the moment routes; none needs an oracle."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 2]),
+        route=st.sampled_from(sorted(_ROUTES)),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_permuting_columns_permutes_the_moments(self, seed, dim, route):
+        rng = np.random.default_rng(seed)
+        data = _badly_scaled_dataset(rng, dim, 40, 30)
+        perm = rng.permutation(dim)
+        moved = Dataset.from_arrays(data.positives[:, perm], data.negatives[:, perm])
+        got, want = _ROUTES[route](moved), _ROUTES[route](data)
+        assert np.array_equal(got.mu, want.mu[perm])
+        assert np.array_equal(got.sigma, want.sigma[np.ix_(perm, perm)])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 2]),
+        route=st.sampled_from(sorted(_ROUTES)),
+        exponent=st.integers(-40, 40),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_scaling_by_a_power_of_two_scales_the_moments(self, seed, dim, route, exponent):
+        rng = np.random.default_rng(seed)
+        data = _badly_scaled_dataset(rng, dim, 40, 30)
+        factor = 2.0 ** exponent
+        scaled = Dataset.from_arrays(data.positives * factor, data.negatives * factor)
+        got, want = _ROUTES[route](scaled), _ROUTES[route](data)
+        assert np.array_equal(got.mu, want.mu * factor)
+        assert np.array_equal(got.sigma, want.sigma * factor**2)
 
 
 class TestSubsampleConfig:

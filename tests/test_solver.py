@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,34 @@ class TestBoundarySearch:
         moments = _moments([1.0, 0.5], [[2.0, 0.3], [0.3, 1.0]])
         with pytest.raises(SolverConvergenceError, match="does not fit a float"):
             solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1e-310))
+
+
+class TestOverflowingIntermediates:
+    """Solves whose intermediate products overflow; run with warnings as errors."""
+
+    def test_tiny_eigenvalues_under_a_large_mean(self):
+        # b / eigs overflows to inf; the inf entries must only pick the boundary.
+        moments = _moments([1e10, 0.0], 1e-300 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1.0))
+        assert np.array_equal(weights.w, [1.0, 0.0])
+        assert diag.constrained_active and diag.multiplier == 1e10
+
+    def test_kkt_residual_whose_squares_overflow(self):
+        # Residual entries near 1e165: their squares overflow a plain norm.
+        rng = np.random.default_rng(3)
+        factor = rng.standard_normal((4, 4))
+        moments = _moments(rng.standard_normal(4) * 1e180, factor @ factor.T * 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, diag = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1.0))
+        residual = moments.sigma @ weights.w - moments.mu + diag.multiplier * weights.w
+        assert np.max(np.abs(residual)) > 1e155
+        assert math.isfinite(diag.kkt_residual)
+        assert diag.kkt_residual <= 1e-12 * float(np.max(np.abs(moments.mu)))
+        scale = 2.0 ** -600
+        assert diag.kkt_residual * scale == pytest.approx(np.linalg.norm(residual * scale), rel=1e-15)
 
 
 class TestSharedEigendecomposition:
