@@ -154,8 +154,9 @@ def _centered_blocks(rows: np.ndarray, shift: np.ndarray, take: np.ndarray | Non
     buffer = np.empty((min(count, _BLOCK_ROWS), rows.shape[1]), dtype=np.float64)
     for at in range(0, count, _BLOCK_ROWS):
         block = buffer[: min(_BLOCK_ROWS, count - at)]
-        source = rows[at : at + block.shape[0]]
-        if take is not None:
+        if take is None:
+            source = rows[at : at + block.shape[0]]
+        else:
             # The indices are in range; mode "clip" writes straight into the
             # block, where the default mode would buffer a copy.
             source = np.take(rows, take[at : at + block.shape[0]], axis=0, out=block, mode="clip")
@@ -316,7 +317,7 @@ def _cross_sums(g: _Draws, o: _Draws, budget: int) -> np.ndarray:
     group = np.empty((width, o.drawn.size), dtype=np.float64)
     for first in range(0, dim, width):
         cols = slice(first, first + width)
-        part = group[: cross[:, cols].shape[1]]
+        part = group[: min(width, dim - first)]
         for lo in range(0, o.drawn.size, _CHUNK):
             rows = o.rows[o.drawn[lo : lo + _CHUNK], cols]
             rows -= o.shift[cols]
@@ -382,12 +383,12 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     s = cfg.s
     i_idx, j_idx = draw_pair_indices(cfg.seed, s, data.n1, data.n0)
     pos, neg = _draws(data.positives, i_idx, s), _draws(data.negatives, j_idx, s)
-    del i_idx, j_idx
+    del i_idx, j_idx  # the draws' slots replace them
     g, o = (pos, neg) if pos.drawn.size <= neg.drawn.size else (neg, pos)
     cross = _cross_sums(g, o, min(g.drawn.size, _BLOCK_ROWS) * data.dim)
     o_sum = _neumaier_over_rows(cross)
     mixed, g_sum = _mixed_sum(g, cross)
-    del cross
+    del cross  # before the next pass allocates its buffer
     sigma = mixed + mixed.T
     sigma *= 0.5
     sigma += _square_sum(o.rows, o.shift, o.drawn, o.counts)

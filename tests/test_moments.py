@@ -49,21 +49,31 @@ class TestSecondMomentKernel:
         dim=st.sampled_from([1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 3 * _TILE + 1]),
         layout=st.sampled_from(["contiguous", "row-step", "column-offset", "column-step",
                                 "fortran"]),
+        two_operands=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_single_einsum_bit_for_bit(self, seed, n, dim, layout):
+    def test_matches_single_einsum_bit_for_bit(self, seed, n, dim, layout, two_operands):
         rng = np.random.default_rng(seed)
-        base = _wide_range_rows(rng, 2 * n + 1, 2 * dim + 1)
-        rows = {
-            "contiguous": np.ascontiguousarray(base[:n, :dim]),
-            "row-step": base[1::2][:n, :dim],
-            "column-offset": base[:n, 1 : dim + 1],
-            "column-step": base[:n, ::2][:, :dim],
-            "fortran": np.asfortranarray(base[:n, :dim]),
-        }[layout]
-        got = moments._second_moment(rows)
-        assert np.array_equal(got, _einsum_reference(rows))
-        assert np.array_equal(got, got.T)
+
+        def operand():
+            base = _wide_range_rows(rng, 2 * n + 1, 2 * dim + 1)
+            return {
+                "contiguous": np.ascontiguousarray(base[:n, :dim]),
+                "row-step": base[1::2][:n, :dim],
+                "column-offset": base[:n, 1 : dim + 1],
+                "column-step": base[:n, ::2][:, :dim],
+                "fortran": np.asfortranarray(base[:n, :dim]),
+            }[layout]
+
+        rows = operand()
+        if two_operands:
+            other = operand()
+            got = moments._second_moment(rows, other)
+            assert np.array_equal(got, np.einsum("si,sj->ij", rows, other, optimize=False))
+        else:
+            got = moments._second_moment(rows)
+            assert np.array_equal(got, _einsum_reference(rows))
+            assert np.array_equal(got, got.T)
 
     def test_worker_count_does_not_change_a_bit(self, monkeypatch):
         rng = np.random.default_rng(310)
