@@ -191,9 +191,10 @@ class PairMoments:
     `mu` is the mean difference vector and `sigma` the mean of difference
     outer products, so the empirical surrogate risk of weights w is
     0.5 + 0.5 * w' sigma w - mu' w.  Construction symmetrizes `sigma`
-    after checking the asymmetry is at rounding level, runs one
+    after checking the asymmetry is at rounding level (an entry pair
+    whose sum overflows is averaged from its halves), runs one
     ``np.linalg.eigh`` of it, and rejects matrices with an eigenvalue
-    below -1e-9 times the spectral norm.  The decomposition is kept,
+    beyond the float range or below -1e-9 times the spectral norm.  The decomposition is kept,
     read-only, as `eigh` = (eigs, basis): every solve of these moments
     shares it, so a path of k radii costs one O(d^3) decomposition.
     """
@@ -214,13 +215,20 @@ class PairMoments:
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise InvalidMomentsError("moments contain non-finite entries")
         scale = float(np.max(np.abs(sigma))) if sigma.size else 0.0
-        asym = float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0
+        with np.errstate(over="ignore"):
+            asym = float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0
+            sym = (sigma + sigma.T) / 2.0
         if asym > _SYMMETRY_TOL * max(1.0, scale):
             raise InvalidMomentsError(
                 f"sigma asymmetry {asym:.3e} exceeds tolerance at scale {scale:.3e}"
             )
-        sigma = (sigma + sigma.T) / 2.0
+        if not np.all(np.isfinite(sym)):
+            # Entries above half the float maximum: their halves add without overflow.
+            sym = np.where(np.isfinite(sym), sym, sigma / 2.0 + sigma.T / 2.0)
+        sigma = sym
         eigs, basis = np.linalg.eigh(sigma)
+        if not np.all(np.isfinite(eigs)):
+            raise InvalidMomentsError("sigma has an eigenvalue beyond the float range")
         if eigs.size and eigs[0] < -_PSD_REL_TOL * max(1.0, float(np.max(np.abs(eigs)))):
             raise InvalidMomentsError(
                 f"sigma has eigenvalue {eigs[0]:.3e}, below PSD tolerance"

@@ -22,15 +22,17 @@ Numerical policy, chosen for run-to-run determinism: mean vectors are
 accumulated with a chunked Neumaier compensated sum.  Each second-moment
 entry is the plain row-order sum of x_si * y_sj (y = x, or a second
 matrix of the same shape), computed by einsum with optimization
-disabled, never by BLAS.  Matrices wider than one tile are computed as
-square output tiles, on one thread per usable CPU: with y = x only the
-tiles of the upper triangle, mirrored into the lower one.  Every entry is
-still the same row-order sum as a single einsum over the whole matrix
-gives, so the result is independent of BLAS vendor, BLAS thread count
-and pool size.  The linear-time routes stream centered class rows
-(for :func:`subsample_moments`, only the drawn ones) through one buffer
-of at most _BLOCK_ROWS x d; the Neumaier state runs across blocks, and
-block second moments are added in block order.
+disabled, never by BLAS.  Matrices of more than 64 columns are computed
+as strips of 8 output rows, on one thread per usable CPU: with y = x each
+strip runs from the diagonal to the last column and is mirrored below the
+diagonal, about d (d + 8) / 2 entries for the d (d + 1) / 2 distinct
+ones, and with a second matrix the strips cover the d^2 entries once.
+Every entry is still the same row-order sum as a single einsum over the
+whole matrix gives, so the result is independent of BLAS vendor, BLAS
+thread count and pool size.  The linear-time routes stream centered
+class rows (for :func:`subsample_moments`, only the drawn ones) through
+one buffer of at most _BLOCK_ROWS x d; the Neumaier state runs across
+blocks, and block second moments are added in block order.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ __all__ = [
 
 # Rows per partial sum in the compensated mean accumulator.
 _CHUNK = 512
-# Width of the square output tiles of the second-moment kernel.
-_TILE = 64
+# Outputs of at most this many columns are one second-moment einsum call.
+_ONE_CALL_COLS = 64
+# Rows per output strip of the second-moment kernel above _ONE_CALL_COLS.
+_STRIP = 8
 # Rows per streaming block; a multiple of _CHUNK.
 _BLOCK_ROWS = 16384
 
@@ -111,35 +115,35 @@ def _second_moment(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndar
     """Plain row-order sum of row outer products (not BLAS-reordered).
 
     With `other` (same shape as `rows`) the sum of rows[k] other[k]'
-    instead, which need not be symmetric.  Up to _TILE columns this is
-    one einsum call.  Wider inputs are cut into _TILE-wide column blocks;
-    each block pair is one einsum over the column slices (which releases
-    the GIL), written to its own output tile: every block pair of the
-    grid with `other`, else the upper-triangle pairs, mirrored below the
-    diagonal.  An entry's sum runs over the same rows in the same order
-    either way, and tiles write disjoint slices, so neither the tiling
-    nor the worker count nor the completion order changes a bit.
+    instead, which need not be symmetric.  Up to _ONE_CALL_COLS columns
+    this is one einsum call.  Wider outputs are cut into _STRIP-row
+    strips, each one einsum (which releases the GIL) of _STRIP columns of
+    `rows` against `other` whole, or with y = x against the columns from
+    the strip's first one on: the strip of the upper triangle, mirrored
+    below the diagonal.  With y = x that is about d (d + _STRIP) / 2
+    entries for d (d + 1) / 2 distinct ones, with `other` exactly d^2.
+    An entry's sum runs over the same rows in the same order either way,
+    and strips write disjoint slices (a diagonal block's mirror repeats
+    its own, equal entries), so neither the strips nor the worker count
+    nor the completion order changes a bit.
     """
-    right = rows if other is None else other
     dim = rows.shape[1]
-    if dim <= _TILE:
-        return np.einsum("si,sj->ij", rows, right, optimize=False)
+    if dim <= _ONE_CALL_COLS:
+        return np.einsum("si,sj->ij", rows, rows if other is None else other, optimize=False)
     out = np.empty((dim, dim), dtype=np.float64)
-    starts = range(0, dim, _TILE)
 
-    def fill(tile: tuple[int, int]) -> None:
-        a, c = tile
-        block = np.einsum(
-            "si,sj->ij", rows[:, a : a + _TILE], right[:, c : c + _TILE], optimize=False
-        )
-        out[a : a + _TILE, c : c + _TILE] = block
-        if other is None:
-            out[c : c + _TILE, a : a + _TILE] = block.T
+    def fill(a: int) -> None:
+        strip = slice(a, a + _STRIP)
+        if other is not None:
+            out[strip] = np.einsum("si,sj->ij", rows[:, strip], other, optimize=False)
+            return
+        block = np.einsum("si,sj->ij", rows[:, strip], rows[:, a:], optimize=False)
+        out[strip, a:] = block
+        out[a:, strip] = block.T
 
-    tiles = [(a, c) for a in starts for c in starts if other is not None or c >= a]
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         # Reading every result re-raises any worker's exception here.
-        list(pool.map(fill, tiles))
+        list(pool.map(fill, range(0, dim, _STRIP)))
     return out
 
 
@@ -369,7 +373,7 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     G is built for whichever class has fewer drawn rows: sigma's formula
     holds with the classes' roles swapped.  With r <= min(2s, n1 + n0)
     drawn rows, r_g of them in G's class, time is Theta(r d^2 + s d): the
-    kernel sums over drawn rows (for A'(...) over the full tile grid), and
+    kernel sums over drawn rows (for A'(...) over all d^2 entries), and
     G takes one np.bincount over the s draws per column.  Each class's
     drawn rows stream, gathered and centered, through one
     min(r, _BLOCK_ROWS) x d buffer, so memory is

@@ -337,6 +337,18 @@ class TestTrainCommand:
         weights, _ = load_weights(model)
         assert np.linalg.norm(weights.w) > 0.5
 
+    def test_moments_above_half_the_float_maximum_train(self, tmp_path, capsys):
+        # sigma_11 = 1.44e308 is finite, though sigma_11 + sigma_11 is not.
+        path = tmp_path / "huge.svm"
+        path.write_text("+1 1:1.2e154\n-1 2:1\n", encoding="ascii")
+        model = tmp_path / "huge.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "bbr", str(path), "--model-out", str(model)]) == 0
+        assert "train_auc=1.000000" in capsys.readouterr().out
+        weights, _ = load_weights(model)
+        assert np.all(np.isfinite(weights.w)) and weights.w[0] > 0.0
+
     def test_tiny_w_star_trains_on_the_boundary(self, toy_file, tmp_path, capsys):
         # The squares of weights near 1e-200 underflow; the solve used to
         # divide by zero here and exit 1 with a traceback.

@@ -105,6 +105,23 @@ class TestPairMoments:
         with pytest.raises(DimensionMismatchError):
             PairMoments(mu=np.zeros(3), sigma=np.eye(2))
 
+    def test_entries_above_half_the_float_maximum_stay_finite(self):
+        # sigma_00 + sigma_00 overflows though sigma_00 = 1.44e308 does not.
+        # The subnormal pair keeps its bits: halving it first would give 0.
+        sigma = np.array([[1.44e308, -1.2e154, 5e-324],
+                          [-1.2e154, 1.0, 0.0],
+                          [5e-324, 0.0, 1.0]])
+        moments = PairMoments(mu=np.array([1.2e154, -1.0, 0.0]), sigma=sigma)
+        assert np.array_equal(moments.sigma, sigma)
+        eigs, basis = moments.eigh
+        assert np.all(np.isfinite(eigs)) and np.all(np.isfinite(basis))
+        assert eigs[-1] == pytest.approx(1.44e308)
+
+    def test_rejects_eigenvalue_beyond_float_range(self):
+        # PSD and rank one, with top eigenvalue 3.4e308.
+        with pytest.raises(InvalidMomentsError, match="float range"):
+            PairMoments(mu=np.zeros(2), sigma=np.full((2, 2), 1.7e308))
+
 
 class TestRankerWeights:
     def test_rejects_matrix(self):

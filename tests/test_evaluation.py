@@ -31,6 +31,7 @@ from pairrank import (
     analytic_pair_moments,
 )
 
+from pairrank import moments
 from pairrank.evaluation import _auc
 
 from conftest import integer_dataset, random_dataset
@@ -165,6 +166,25 @@ class TestAucInvariances:
         reference = auc_fast(data, RankerWeights(w=w))
         for factor in (1e-6, 3.7, 1e6):
             assert auc_fast(data, RankerWeights(w=factor * w)) == reference
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # Across the moment kernel's strip width and one-call limit and the
+        # compensated sum's chunk, as the moment properties are.
+        dim=st.sampled_from([1, moments._STRIP + 1, moments._ONE_CALL_COLS + 1, 130]),
+        n1=st.sampled_from([3, moments._CHUNK + 3]),
+        exponent=st.integers(-60, 60),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_scaling_keeps_the_value_bit_for_bit(self, seed, dim, n1, exponent,
+                                                              ties):
+        # The scores scale exactly, ties included, so the value cannot move.
+        rng = np.random.default_rng(seed)
+        data = (integer_dataset if ties else random_dataset)(rng, dim, n1, 40)
+        w = rng.integers(-2, 3, size=dim).astype(float) if ties else rng.standard_normal(dim)
+        reference = auc_fast(data, RankerWeights(w=w))
+        assert auc_fast(data, RankerWeights(w=w * 2.0**exponent)) == reference
 
 
 class TestPhiRisk:

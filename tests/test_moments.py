@@ -25,7 +25,11 @@ from pairrank import (
 
 from conftest import random_dataset
 
-_TILE = moments._TILE
+_STRIP = moments._STRIP
+_ONE_CALL = moments._ONE_CALL_COLS
+# Widths across the strip width, the one-call limit and the strip remainders.
+_KERNEL_DIMS = [_STRIP - 1, _STRIP, _STRIP + 1, _ONE_CALL, _ONE_CALL + 1,
+                _ONE_CALL + _STRIP + 3, 2 * _ONE_CALL + 2]
 
 
 def _entrywise_close(a, b, rel):
@@ -33,7 +37,7 @@ def _entrywise_close(a, b, rel):
 
 
 def _einsum_reference(rows):
-    """The single-call kernel the tiled one must reproduce bit for bit."""
+    """The single-call kernel the strip kernel must reproduce bit for bit."""
     return np.einsum("si,sj->ij", rows, rows, optimize=False)
 
 
@@ -46,7 +50,7 @@ class TestSecondMomentKernel:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 300),
-        dim=st.sampled_from([1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 3 * _TILE + 1]),
+        dim=st.sampled_from([1, *_KERNEL_DIMS, 3 * _ONE_CALL + 1]),
         layout=st.sampled_from(["contiguous", "row-step", "column-offset", "column-step",
                                 "fortran"]),
         two_operands=st.booleans(),
@@ -77,7 +81,7 @@ class TestSecondMomentKernel:
 
     def test_worker_count_does_not_change_a_bit(self, monkeypatch):
         rng = np.random.default_rng(310)
-        rows = _wide_range_rows(rng, 257, 3 * _TILE + 1)
+        rows = _wide_range_rows(rng, 257, 3 * _ONE_CALL + 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         single = moments._second_moment(rows)
         assert np.array_equal(single, _einsum_reference(rows))
@@ -113,19 +117,46 @@ class TestSecondMomentKernel:
             assert np.array_equal(result, single)
 
     def test_worker_exception_surfaces(self, monkeypatch):
-        class TileFailure(Exception):
+        class StripFailure(Exception):
             pass
 
         real_einsum = np.einsum
+        dim = 2 * _ONE_CALL + 1  # the last strip is one column wide
+        seen = []
 
-        def failing_on_remainder_tile(subscripts, left, right, **kwargs):
-            if right.shape[1] == 1:
-                raise TileFailure("remainder tile failed")
+        def failing_on_last_strip(subscripts, left, right, **kwargs):
+            seen.append(left.shape[1])
+            if left.shape[1] < _STRIP:
+                raise StripFailure("last strip failed")
             return real_einsum(subscripts, left, right, **kwargs)
 
-        monkeypatch.setattr(moments.np, "einsum", failing_on_remainder_tile)
-        with pytest.raises(TileFailure):
-            moments._second_moment(np.ones((4, 2 * _TILE + 1)))
+        monkeypatch.setattr(moments.np, "einsum", failing_on_last_strip)
+        rows = np.ones((4, dim))
+        for other in (None, rows.copy()):
+            seen.clear()
+            with pytest.raises(StripFailure):
+                moments._second_moment(rows, other)
+            assert seen.count(dim % _STRIP) == 1
+
+    @pytest.mark.parametrize("dim", [_ONE_CALL + 1, 123, 2 * _ONE_CALL + _STRIP - 1, 600])
+    def test_work_is_the_upper_triangle_plus_half_a_strip(self, monkeypatch, dim):
+        # Output entries each einsum call computes.  With y = x the strips
+        # hold d (d + 1) / 2 entries plus at most half a strip per row; the
+        # two-operand strips hold every entry once.
+        real_einsum = np.einsum
+        entries = []
+
+        def recording(subscripts, left, right, **kwargs):
+            entries.append(left.shape[1] * right.shape[1])
+            return real_einsum(subscripts, left, right, **kwargs)
+
+        monkeypatch.setattr(moments.np, "einsum", recording)
+        rows = np.random.default_rng(dim).standard_normal((3, dim))
+        moments._second_moment(rows)
+        assert sum(entries) <= dim * (dim + 1) // 2 + dim * _STRIP // 2
+        entries.clear()
+        moments._second_moment(rows, rows[::-1].copy())
+        assert sum(entries) == dim * dim
 
 
 class TestBatchNaive:
@@ -353,7 +384,7 @@ class TestSubsampleMoments:
         # Both classes span three 1024-row blocks, the last ones partial.
         monkeypatch.setattr(moments, "_BLOCK_ROWS", 2 * moments._CHUNK)
         rng = np.random.default_rng(311)
-        data = random_dataset(rng, _TILE + 3, 2500, 3000, scale=3.0)
+        data = random_dataset(rng, _ONE_CALL + 3, 2500, 3000, scale=3.0)
         cfg = SubsampleConfig(s=20000, seed=17)
         sub = subsample_moments(data, cfg)
         mu, sigma = _count_route_by_blocks(data, cfg, moments._BLOCK_ROWS)
@@ -362,7 +393,7 @@ class TestSubsampleMoments:
 
     def test_one_block_per_class_is_one_kernel_call(self):
         rng = np.random.default_rng(314)
-        data = random_dataset(rng, _TILE + 3, 40, 30)
+        data = random_dataset(rng, _ONE_CALL + 3, 40, 30)
         cfg = SubsampleConfig(s=moments._BLOCK_ROWS + 5, seed=23)
         sub = subsample_moments(data, cfg)
         mu, sigma = _count_route_by_blocks(data, cfg, max(data.n1, data.n0))
@@ -389,9 +420,9 @@ class TestSubsampleMoments:
             "one-row-per-class": (5, 1, 1, 9, 0.0),
             "undrawn-rows": (7, 500, 700, 50, 0.0),
             "above-block-rows": (3, 20000, 30, 40000, 0.0),
-            "tile-minus-one": (_TILE - 1, 60, 80, 500, 0.0),
-            "tile-plus-one": (_TILE + 1, 60, 80, 500, 0.0),
-            "two-tiles-plus-one": (2 * _TILE + 1, 60, 80, 500, 0.0),
+            "tile-minus-one": (_ONE_CALL - 1, 60, 80, 500, 0.0),
+            "tile-plus-one": (_ONE_CALL + 1, 60, 80, 500, 0.0),
+            "two-tiles-plus-one": (2 * _ONE_CALL + 1, 60, 80, 500, 0.0),
         }[case]
         rng = np.random.default_rng(320)
         base = random_dataset(rng, dim, n1, n0, scale=3.0)
@@ -491,9 +522,16 @@ def _badly_scaled_dataset(rng, dim, n1, n0):
 
 
 _ROUTES = {
+    "batch_moments_naive": batch_moments_naive,
     "batch_moments_fast": batch_moments_fast,
     "subsample_moments": lambda data: subsample_moments(data, SubsampleConfig(s=150, seed=41)),
 }
+
+
+# Positive-class sizes on both sides of the compensated sum's chunk edge,
+# against a small negative class so the naive route stays cheap.
+_CLASS_SIZES = [40, moments._CHUNK + 3]
+_N0 = 7
 
 
 class TestEquivariance:
@@ -501,13 +539,14 @@ class TestEquivariance:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        dim=st.sampled_from([_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 2]),
+        dim=st.sampled_from(_KERNEL_DIMS),
+        n1=st.sampled_from(_CLASS_SIZES),
         route=st.sampled_from(sorted(_ROUTES)),
     )
     @settings(max_examples=24, deadline=None)
-    def test_permuting_columns_permutes_the_moments(self, seed, dim, route):
+    def test_permuting_columns_permutes_the_moments(self, seed, dim, n1, route):
         rng = np.random.default_rng(seed)
-        data = _badly_scaled_dataset(rng, dim, 40, 30)
+        data = _badly_scaled_dataset(rng, dim, n1, _N0)
         perm = rng.permutation(dim)
         moved = Dataset.from_arrays(data.positives[:, perm], data.negatives[:, perm])
         got, want = _ROUTES[route](moved), _ROUTES[route](data)
@@ -516,19 +555,34 @@ class TestEquivariance:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        dim=st.sampled_from([_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 2]),
+        dim=st.sampled_from(_KERNEL_DIMS),
+        n1=st.sampled_from(_CLASS_SIZES),
         route=st.sampled_from(sorted(_ROUTES)),
         exponent=st.integers(-40, 40),
     )
     @settings(max_examples=24, deadline=None)
-    def test_scaling_by_a_power_of_two_scales_the_moments(self, seed, dim, route, exponent):
+    def test_scaling_by_a_power_of_two_scales_the_moments(self, seed, dim, n1, route, exponent):
         rng = np.random.default_rng(seed)
-        data = _badly_scaled_dataset(rng, dim, 40, 30)
+        data = _badly_scaled_dataset(rng, dim, n1, _N0)
         factor = 2.0 ** exponent
         scaled = Dataset.from_arrays(data.positives * factor, data.negatives * factor)
         got, want = _ROUTES[route](scaled), _ROUTES[route](data)
         assert np.array_equal(got.mu, want.mu * factor)
         assert np.array_equal(got.sigma, want.sigma * factor**2)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from(_KERNEL_DIMS),
+        n1=st.sampled_from(_CLASS_SIZES),
+    )
+    @settings(max_examples=24, deadline=None)
+    def test_swapping_the_classes_negates_mu_and_keeps_sigma(self, seed, dim, n1):
+        rng = np.random.default_rng(seed)
+        data = _badly_scaled_dataset(rng, dim, n1, _N0)
+        swapped = Dataset.from_arrays(data.negatives, data.positives)
+        got, want = batch_moments_fast(swapped), batch_moments_fast(data)
+        assert np.array_equal(got.mu, -want.mu)
+        assert np.array_equal(got.sigma, want.sigma)
 
 
 class TestSubsampleConfig:
