@@ -194,9 +194,10 @@ class PairMoments:
     after checking the asymmetry is at rounding level (an entry pair
     whose sum overflows is averaged from its halves), runs one
     ``np.linalg.eigh`` of it, and rejects matrices with an eigenvalue
-    beyond the float range or below -1e-9 times the spectral norm.  The decomposition is kept,
-    read-only, as `eigh` = (eigs, basis): every solve of these moments
-    shares it, so a path of k radii costs one O(d^3) decomposition.
+    beyond the float range or below -1e-9 times the spectral norm.  The
+    decomposition is kept, read-only, as `eigh` = (eigs, basis): every
+    solve of these moments shares it, so a path of k radii costs one
+    O(d^3) decomposition.
     """
 
     mu: np.ndarray
@@ -225,8 +226,7 @@ class PairMoments:
         if not np.all(np.isfinite(sym)):
             # Entries above half the float maximum: their halves add without overflow.
             sym = np.where(np.isfinite(sym), sym, sigma / 2.0 + sigma.T / 2.0)
-        sigma = sym
-        eigs, basis = np.linalg.eigh(sigma)
+        eigs, basis = np.linalg.eigh(sym)
         if not np.all(np.isfinite(eigs)):
             raise InvalidMomentsError("sigma has an eigenvalue beyond the float range")
         if eigs.size and eigs[0] < -_PSD_REL_TOL * max(1.0, float(np.max(np.abs(eigs)))):
@@ -234,7 +234,7 @@ class PairMoments:
                 f"sigma has eigenvalue {eigs[0]:.3e}, below PSD tolerance"
             )
         object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "sigma", _freeze(sigma))
+        object.__setattr__(self, "sigma", _freeze(sym))
         object.__setattr__(self, "eigh", (_freeze(eigs), _freeze(basis)))
 
     @property
