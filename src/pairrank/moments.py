@@ -13,7 +13,9 @@ Three routes to the same object, a :class:`~pairrank.core.PairMoments`:
   :class:`SubsampleConfig`, using a counter-based generator so the
   drawn index sequence is a pure function of (seed, s, n1, n0).  It
   never forms the s pair differences: the moments come from how often
-  each row was drawn, in Theta(min(s, n1 + n0) d^2 + s d) time.
+  each row was drawn, in Theta(min(s, n1 + n0) d^2 + s d) time.  Its
+  cross sums G are built a column at a time, holding G plus r + s floats
+  for the r drawn rows.
 
 The moments carry no record of their route; a caller that needs one
 (the CLI's result rows) keeps the route, s and seed it chose.
@@ -21,18 +23,17 @@ The moments carry no record of their route; a caller that needs one
 Numerical policy, chosen for run-to-run determinism: mean vectors are
 accumulated with a chunked Neumaier compensated sum.  Each second-moment
 entry is the plain row-order sum of x_si * y_sj (y = x, or a second
-matrix of the same shape), computed by einsum with optimization
-disabled, never by BLAS.  Matrices of more than 64 columns are computed
-as strips of 8 output rows, on one thread per usable CPU: with y = x each
-strip runs from the diagonal to the last column and is mirrored below the
-diagonal, about d (d + 8) / 2 entries for the d (d + 1) / 2 distinct
-ones, and with a second matrix the strips cover the d^2 entries once.
-Every entry is still the same row-order sum as a single einsum over the
-whole matrix gives, so the result is independent of BLAS vendor, BLAS
-thread count and pool size.  The linear-time routes stream centered
-class rows (for :func:`subsample_moments`, only the drawn ones) through
-one buffer of at most _BLOCK_ROWS x d; the Neumaier state runs across
-blocks, and block second moments are added in block order.
+matrix of the same shape), by einsum with optimization disabled, never
+by BLAS.  Above 64 columns the output is cut into strips of 8 rows from
+column 0 on, a one-column remainder joining the last strip, run on one
+thread per usable CPU; with y = x a strip runs from the diagonal on and
+is mirrored below it.  einsum keeps row order in every output of two or
+more entries (a 1 x 1 output it reduces its own way), so for d >= 2 each
+entry equals one whole-matrix einsum's, whatever the BLAS or pool size.
+The linear-time routes stream centered class rows (for
+:func:`subsample_moments`, only the drawn ones) through one buffer of at
+most _BLOCK_ROWS x d; the Neumaier state runs across blocks, and block
+second moments are added in block order.
 """
 
 from __future__ import annotations
@@ -117,23 +118,27 @@ def _second_moment(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndar
     With `other` (same shape as `rows`) the sum of rows[k] other[k]'
     instead, which need not be symmetric.  Up to _ONE_CALL_COLS columns
     this is one einsum call.  Wider outputs are cut into _STRIP-row
-    strips, each one einsum (which releases the GIL) of _STRIP columns of
-    `rows` against `other` whole, or with y = x against the columns from
-    the strip's first one on: the strip of the upper triangle, mirrored
-    below the diagonal.  With y = x that is about d (d + _STRIP) / 2
-    entries for d (d + 1) / 2 distinct ones, with `other` exactly d^2.
-    An entry's sum runs over the same rows in the same order either way,
-    and strips write disjoint slices (a diagonal block's mirror repeats
-    its own, equal entries), so neither the strips nor the worker count
-    nor the completion order changes a bit.
+    strips from column 0 on, a one-column remainder joining the last
+    strip.  Each strip is one einsum (which releases the GIL) of its
+    columns of `rows` against `other` whole, or with y = x against the
+    columns from its first one on, mirrored below the diagonal: about
+    d (d + _STRIP) / 2 entries for d (d + 1) / 2 distinct ones, with
+    `other` exactly d^2.  einsum sums each entry of an output of two or
+    more entries in row order, but reduces a 1 x 1 output with a loop of
+    its own: always for a contiguous column, and for a strided one above
+    8192 rows (numpy's buffer size).  With no one-column strip, every
+    entry for d >= 2 is the one a single whole-matrix einsum gives.
+    Strips write disjoint slices (a diagonal block's mirror repeats its
+    own, equal entries), so neither the strips nor the worker count nor
+    the completion order changes a bit.
     """
     dim = rows.shape[1]
     if dim <= _ONE_CALL_COLS:
         return np.einsum("si,sj->ij", rows, rows if other is None else other, optimize=False)
     out = np.empty((dim, dim), dtype=np.float64)
 
-    def fill(a: int) -> None:
-        strip = slice(a, a + _STRIP)
+    def fill(a: int, b: int) -> None:
+        strip = slice(a, b)
         if other is not None:
             out[strip] = np.einsum("si,sj->ij", rows[:, strip], other, optimize=False)
             return
@@ -141,9 +146,10 @@ def _second_moment(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndar
         out[strip, a:] = block
         out[a:, strip] = block.T
 
+    edges = [*range(0, dim - 1, _STRIP), dim]
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
         # Reading every result re-raises any worker's exception here.
-        list(pool.map(fill, range(0, dim, _STRIP)))
+        list(pool.map(fill, edges[:-1], edges[1:]))
     return out
 
 
@@ -307,27 +313,19 @@ def _draws(rows: np.ndarray, idx: np.ndarray, s: int) -> _Draws:
     return _Draws(rows, drawn, weights, slot[idx], total / s)
 
 
-def _cross_sums(g: _Draws, o: _Draws, budget: int) -> np.ndarray:
+def _cross_sums(g: _Draws, o: _Draws) -> np.ndarray:
     """G: row r sums o's centered rows over the draws of g's r-th drawn row.
 
-    One np.bincount per column.  Its weights are gathered from a group of
-    o's centered drawn columns, held transposed so that each gather reads
-    one contiguous row; a group holds at most `budget` entries, or one
-    column.
+    Column by column: o's drawn entries of the column, centered, are
+    gathered in draw order and summed by one np.bincount over g's slots.
+    Beyond G that holds r_o + s + r_g floats: the centered column, its
+    draws and their sums.
     """
-    dim = o.rows.shape[1]
-    cross = np.empty((g.drawn.size, dim), dtype=np.float64)
-    width = min(dim, max(1, budget // o.drawn.size))
-    group = np.empty((width, o.drawn.size), dtype=np.float64)
-    for first in range(0, dim, width):
-        cols = slice(first, first + width)
-        part = group[: min(width, dim - first)]
-        for lo in range(0, o.drawn.size, _CHUNK):
-            rows = o.rows[o.drawn[lo : lo + _CHUNK], cols]
-            rows -= o.shift[cols]
-            part[:, lo : lo + _CHUNK] = rows.T
-        for k, column in enumerate(part, first):
-            cross[:, k] = np.bincount(g.slot, weights=column[o.slot], minlength=g.drawn.size)
+    cross = np.empty((g.drawn.size, o.rows.shape[1]), dtype=np.float64)
+    for k in range(o.rows.shape[1]):
+        column = o.rows[:, k].take(o.drawn)
+        column -= o.shift[k]
+        cross[:, k] = np.bincount(g.slot, weights=column.take(o.slot), minlength=g.drawn.size)
     return cross
 
 
@@ -374,14 +372,14 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     holds with the classes' roles swapped.  With r <= min(2s, n1 + n0)
     drawn rows, r_g of them in G's class, time is Theta(r d^2 + s d): the
     kernel sums over drawn rows (for A'(...) over all d^2 entries), and
-    G takes one np.bincount over the s draws per column.  Each class's
+    each column of G is one np.bincount over the s draws.  Each class's
     drawn rows stream, gathered and centered, through one
     min(r, _BLOCK_ROWS) x d buffer, so memory is
-    Theta(min(r, _BLOCK_ROWS) d + r_g d + d^2 + s)
-    for that buffer, G, sigma and the pair indices.  As in
-    :func:`batch_moments_fast`, centering keeps a common feature offset
-    out of every product; the result equals the plain sum over the s pair
-    differences up to rounding.
+    Theta(min(r, _BLOCK_ROWS) d + r_g d + d^2 + s) for that buffer, G,
+    sigma and the pair indices; building G holds r + s floats beyond it.
+    As in :func:`batch_moments_fast`, centering keeps a common feature
+    offset out of every product; the result equals the plain sum over the
+    s pair differences up to rounding.
     """
     data.require_trainable()
     s = cfg.s
@@ -389,7 +387,7 @@ def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:
     pos, neg = _draws(data.positives, i_idx, s), _draws(data.negatives, j_idx, s)
     del i_idx, j_idx  # the draws' slots replace them
     g, o = (pos, neg) if pos.drawn.size <= neg.drawn.size else (neg, pos)
-    cross = _cross_sums(g, o, min(g.drawn.size, _BLOCK_ROWS) * data.dim)
+    cross = _cross_sums(g, o)
     o_sum = _neumaier_over_rows(cross)
     mixed, g_sum = _mixed_sum(g, cross)
     del cross  # before the next pass allocates its buffer

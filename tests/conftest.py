@@ -8,10 +8,12 @@ ACCEPTANCE line per criterion at the end of the run.
 
 from __future__ import annotations
 
+import importlib.util
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pairrank import Dataset
 from pairrank.io import _parse_line
@@ -90,6 +92,16 @@ def parse_libsvm_reference(source, dim_hint=None) -> Dataset:
             target[cursors[label], index - 1] = value
         cursors[label] += 1
     return Dataset(positives=pos, negatives=neg, dim=dim)
+
+
+def load_perfbench_reference():
+    """perfbench/reference.py, loaded by path; skips the test without scipy."""
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _criterion_number(nodeid: str) -> int | None:

@@ -414,6 +414,29 @@ class TestTrainCommand:
         (row,) = rows
         assert row[1] == "bbr" and np.isfinite(float(row[7])) and 0.0 <= float(row[8]) <= 1.0
 
+    @pytest.mark.parametrize("argv", [["bbr"], ["lcbr", "--pairs", "3000", "--x-star", "1"]],
+                             ids=["bbr", "lcbr-x-star"])
+    def test_relabelling_feature_indices_relabels_the_weights(self, argv, tmp_path):
+        # d = 130 crosses the moment kernel's strips; a third of the entries
+        # are absent from the file, and every column keeps one entry.  The
+        # moments permute bit for bit, but the solve only to rounding times
+        # sigma's condition number, so the columns share one scale (scaled
+        # by 2**-8 to 2**8, sigma's condition number 1.7e10 moved w by 3e-10).
+        rng = np.random.default_rng(447)
+        dim = 130
+        rows = rng.standard_normal((260, dim))
+        rows[rng.random(rows.shape) < 1 / 3] = 0.0
+        rows[0] = 1.0
+        perm = rng.permutation(dim)
+        weights = []
+        for name, columns in (("plain", rows), ("relabelled", rows[:, perm])):
+            path, model = tmp_path / f"{name}.txt", tmp_path / f"{name}.bin"
+            write_libsvm(Dataset.from_arrays(columns[:110], columns[110:]), path)
+            assert main(["train", argv[0], str(path), *argv[1:], "--model-out", str(model)]) == 0
+            weights.append(load_weights(model)[0].w)
+        plain, relabelled = weights
+        assert np.max(np.abs(relabelled - plain[perm])) <= 1e-12 * np.max(np.abs(plain))
+
 
 class TestExitCodes:
     def test_lcbr_without_pairs_is_usage_error(self, toy_file, capsys):

@@ -121,7 +121,7 @@ class TestSecondMomentKernel:
             pass
 
         real_einsum = np.einsum
-        dim = 2 * _ONE_CALL + 1  # the last strip is one column wide
+        dim = 2 * _ONE_CALL + 3  # the last strip is three columns wide
         seen = []
 
         def failing_on_last_strip(subscripts, left, right, **kwargs):
@@ -137,6 +137,23 @@ class TestSecondMomentKernel:
             with pytest.raises(StripFailure):
                 moments._second_moment(rows, other)
             assert seen.count(dim % _STRIP) == 1
+
+    @pytest.mark.parametrize("dim", [_ONE_CALL + 1, _ONE_CALL + _STRIP + 1, 2 * _ONE_CALL + 1])
+    def test_no_strip_is_one_column_wide(self, monkeypatch, dim):
+        # einsum sums a 1 x 1 output of more than 8192 strided rows out of
+        # row order, so a one-column remainder joins the strip before it.
+        real_einsum = np.einsum
+        widths = []
+
+        def recording(subscripts, left, right, **kwargs):
+            widths.append(left.shape[1])
+            return real_einsum(subscripts, left, right, **kwargs)
+
+        monkeypatch.setattr(moments.np, "einsum", recording)
+        rows = _wide_range_rows(np.random.default_rng(dim), 9000, dim)
+        got = moments._second_moment(rows)
+        assert sorted(widths) == [_STRIP] * (dim // _STRIP - 1) + [_STRIP + 1]
+        assert np.array_equal(got, _einsum_reference(rows))
 
     @pytest.mark.parametrize("dim", [_ONE_CALL + 1, 123, 2 * _ONE_CALL + _STRIP - 1, 600])
     def test_work_is_the_upper_triangle_plus_half_a_strip(self, monkeypatch, dim):
@@ -583,6 +600,25 @@ class TestEquivariance:
         got, want = batch_moments_fast(swapped), batch_moments_fast(data)
         assert np.array_equal(got.mu, -want.mu)
         assert np.array_equal(got.sigma, want.sigma)
+
+    @pytest.mark.parametrize("route", ["batch_moments_fast", "subsample_moments"])
+    def test_rolling_the_columns_past_a_lone_last_column(self, route):
+        # d = 65 leaves one column after the 8-row strips, and a class of
+        # 9000 rows runs the symmetric kernel on more than 8192 rows.
+        dim = _ONE_CALL + 1
+        data = _badly_scaled_dataset(np.random.default_rng(330), dim, 9000, 40)
+        if route == "batch_moments_fast":
+            build = batch_moments_fast
+        else:
+            # G is built for the 40 positives; the 9000 negatives' squares
+            # run the symmetric kernel.
+            data = Dataset.from_arrays(data.negatives, data.positives)
+            build = lambda d: subsample_moments(d, SubsampleConfig(s=60000, seed=43))
+        perm = np.roll(np.arange(dim), 1)
+        moved = Dataset.from_arrays(data.positives[:, perm], data.negatives[:, perm])
+        got, want = build(moved), build(data)
+        assert np.array_equal(got.mu, want.mu[perm])
+        assert np.array_equal(got.sigma, want.sigma[np.ix_(perm, perm)])
 
 
 class TestSubsampleConfig:

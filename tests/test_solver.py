@@ -1,9 +1,7 @@
 """Ball-constrained quadratic solver: analytic cases, KKT, search oracle."""
 
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +19,8 @@ from pairrank import (
     objective_value,
     solve_erm,
 )
+
+from conftest import load_perfbench_reference
 
 
 def _moments(mu, sigma):
@@ -177,15 +177,6 @@ def _rescaled_norm(w, radius):
     return float(np.linalg.norm(np.ldexp(w, -exponent))) / math.ldexp(radius, -exponent)
 
 
-def _load_reference():
-    pytest.importorskip("scipy")
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # Cases whose bracket [0, ||mu|| / radius] rounds a hair short and is widened
 # once, with (multiplier, iterations) as the solver returned them before the
 # search moved into the radius's binade.  With zero sigma the widened
@@ -214,7 +205,7 @@ class TestBoundarySearch:
 
     @pytest.mark.parametrize("mu, eig, radius, multiplier, iterations", _WIDENING)
     def test_widened_cases_match_the_brent_reference(self, mu, eig, radius, multiplier, iterations):
-        reference = _load_reference()
+        reference = load_perfbench_reference()
         sigma = eig * np.eye(len(mu))
         weights, _ = solve_erm(_moments(mu, sigma), ProblemConfig(x_star=1.0, w_star=radius))
         expected = reference.solve_ball(np.asarray(mu, float), sigma, radius)
