@@ -33,12 +33,12 @@ class SgdConfig:
     w_star: float
 
     def __post_init__(self) -> None:
-        if not self.step_size >= 0.0:
-            raise ValueError(f"step_size must be >= 0, got {self.step_size!r}")
+        if not (math.isfinite(self.step_size) and self.step_size >= 0.0):
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size!r}")
         if self.pair_budget < 1:
             raise ValueError(f"pair_budget must be >= 1, got {self.pair_budget}")
-        if not self.w_star > 0.0:
-            raise ValueError(f"w_star must be > 0, got {self.w_star!r}")
+        if not (math.isfinite(self.w_star) and self.w_star > 0.0):
+            raise ValueError(f"w_star must be finite and > 0, got {self.w_star!r}")
 
 
 def train_pairwise_sgd(data: Dataset, cfg: SgdConfig) -> RankerWeights:

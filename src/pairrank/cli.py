@@ -53,7 +53,7 @@ import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,29 +155,21 @@ def _resolve_out(path: str) -> Path:
     return resolved
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
+def _int_at_least(minimum: int) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -392,8 +384,6 @@ def _cmd_synth_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_skew_sweep(args: argparse.Namespace) -> int:
-    if args.total_n < 2:
-        raise UsageError("--total-n must be at least 2 so that both classes are non-empty")
     cfg = ProblemConfig(x_star=1.0, w_star=args.w_star)
     rows: list[ResultRow] = []
     grid = itertools.product(args.rho_grid, range(args.replicates))
@@ -449,8 +439,8 @@ def _cmd_bounds_table(args: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="pairrank",
         description="Linear bipartite ranking via pair moments: train, sweep, bound, time.",
     )
@@ -510,7 +500,8 @@ def _build_parser() -> _Parser:
     )
     skew.add_argument("--rho-grid", type=_grid(_open_unit),
                       default=(0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95))
-    skew.add_argument("--total-n", type=_positive_int, default=2000)
+    skew.add_argument("--total-n", type=_int_at_least(2), default=2000,
+                      help="examples per replicate, at least 2 so both classes are non-empty")
     skew.add_argument("--pairs", type=_positive_int, default=5000)
     skew.add_argument("--replicates", type=_positive_int, default=20)
     skew.add_argument("--k", type=_positive_int, default=1)
@@ -547,7 +538,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 2 on a usage failure, and 0 after --help.
+        return 1 if exc.code else 0
     try:
         # The parser, PairMoments and the metrics name every non-finite
         # result; numpy's overflow warnings would only precede that message.

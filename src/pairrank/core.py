@@ -5,6 +5,8 @@ evaluators, the experiment harness) speaks in terms of the types defined
 here.  The two load-bearing containers are :class:`Dataset`, a pair of
 dense feature matrices split by class, and :class:`PairMoments`, the
 first and second moments of positive-minus-negative difference vectors.
+No container stores a dimension: :class:`Dataset`, :class:`PairMoments`
+and :class:`RankerWeights` each read it from their arrays' shape.
 
 Arrays stored on frozen dataclasses are coerced to contiguous float64
 and marked read-only, so instances can be shared freely between threads
@@ -99,42 +101,42 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Dataset:
     """Feature vectors partitioned by class.
 
-    `positives` has shape (n1, dim) and `negatives` (n0, dim).  Either
-    class may be empty; operations that need at least one pair call
+    `positives` has shape (n1, dim) and `negatives` (n0, dim); `dim` is
+    read from them, and an empty class (even one built from ``[]``)
+    takes the other class's width.  Either class may be empty;
+    operations that need at least one pair call
     :meth:`require_trainable` first.  Construction enforces the shared
-    dimension but does not scan for non-finite entries, which would cost
-    a pass over every row of every dataset built: `parse_libsvm` rejects
+    width but does not scan for non-finite entries, which would cost a
+    pass over every row of every dataset built: `parse_libsvm` rejects
     them in files, :func:`scale_to_ball` refuses them, and the metrics
     refuse the non-finite scores they produce.
     """
 
     positives: np.ndarray
     negatives: np.ndarray
-    dim: int
 
     def __post_init__(self) -> None:
         pos = _as_float_matrix(self.positives, "positives")
         neg = _as_float_matrix(self.negatives, "negatives")
-        for name, arr in (("positives", pos), ("negatives", neg)):
-            if arr.shape[0] > 0 and arr.shape[1] != self.dim:
-                raise DimensionMismatchError(
-                    f"{name} have dimension {arr.shape[1]}, dataset says {self.dim}"
-                )
-        # Empty classes keep the declared dimension so downstream shapes work.
         if pos.shape[0] == 0:
-            pos = pos.reshape(0, self.dim)
+            pos = pos.reshape(0, neg.shape[1])
         if neg.shape[0] == 0:
-            neg = neg.reshape(0, self.dim)
+            neg = neg.reshape(0, pos.shape[1])
+        if pos.shape[1] != neg.shape[1]:
+            raise DimensionMismatchError(
+                f"positives have dimension {pos.shape[1]}, negatives {neg.shape[1]}"
+            )
         object.__setattr__(self, "positives", _freeze(pos))
         object.__setattr__(self, "negatives", _freeze(neg))
 
     @classmethod
     def from_arrays(cls, positives: object, negatives: object) -> "Dataset":
-        """Build a dataset from two row-matrices, inferring the dimension."""
-        pos = _as_float_matrix(positives, "positives")
-        neg = _as_float_matrix(negatives, "negatives")
-        dim = pos.shape[1] if pos.shape[0] > 0 else neg.shape[1]
-        return cls(positives=pos, negatives=neg, dim=dim)
+        """Build a dataset from two row-matrices (the same as ``Dataset(positives, negatives)``)."""
+        return cls(positives, negatives)
+
+    @property
+    def dim(self) -> int:
+        return self.positives.shape[1]
 
     @property
     def n1(self) -> int:
@@ -152,11 +154,7 @@ class Dataset:
         """Both classes multiplied by one common factor (self when it is 1)."""
         if factor == 1.0:
             return self
-        return Dataset(
-            positives=self.positives * factor,
-            negatives=self.negatives * factor,
-            dim=self.dim,
-        )
+        return Dataset(self.positives * factor, self.negatives * factor)
 
     def require_trainable(self) -> None:
         """Raise unless both classes are non-empty (so at least one pair exists)."""

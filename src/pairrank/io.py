@@ -414,7 +414,7 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     to_pos = positive[rows]
     pos[class_row[rows[to_pos]], indices[to_pos] - 1] = values[to_pos]
     neg[class_row[rows[~to_pos]], indices[~to_pos] - 1] = values[~to_pos]
-    return Dataset(positives=pos, negatives=neg, dim=dim)
+    return Dataset(pos, neg)
 
 
 def write_libsvm(data: Dataset, path: str | Path) -> None:
@@ -465,8 +465,4 @@ def subsample_ratio_split(data: Dataset, ratio: float, seed: int) -> Dataset:
     chosen = rng.permutation(total)[:keep]
     pos_idx = np.sort(chosen[chosen < data.n1])
     neg_idx = np.sort(chosen[chosen >= data.n1]) - data.n1
-    return Dataset(
-        positives=data.positives[pos_idx],
-        negatives=data.negatives[neg_idx],
-        dim=data.dim,
-    )
+    return Dataset(data.positives[pos_idx], data.negatives[neg_idx])

@@ -3,9 +3,10 @@
 Three routes to the same object, a :class:`~pairrank.core.PairMoments`:
 
 * :func:`batch_moments_naive` walks every positive-negative pair and
-  accumulates difference moments literally.  Quadratic in the sample
-  counts; kept as the reference implementation and the honest cost
-  model for the all-pairs trainer.
+  accumulates difference moments literally, one plain einsum per
+  positive row, without the strips or threads below.  Quadratic in the
+  sample counts; kept as the reference implementation and the honest
+  cost model for the all-pairs trainer.
 * :func:`batch_moments_fast` produces the algebraically identical
   result from centered per-class moments in linear time.
 * :func:`subsample_moments` averages over s pairs drawn uniformly with
@@ -201,8 +202,10 @@ def batch_moments_naive(data: Dataset) -> PairMoments:
     For every positive row i the full block of n0 differences is formed
     and folded into the accumulators, so time is Theta(n1 * n0 * d) for
     the mean and Theta(n1 * n0 * d^2) for the second moment, with
-    Theta(d^2) working memory.  Exists as the ground-truth oracle and
-    for cost measurement; use :func:`batch_moments_fast` otherwise.
+    Theta(d^2) working memory.  Each block's second moment is one plain
+    whole-matrix einsum on one thread, sharing no strip code with the
+    other routes.  Exists as the ground-truth oracle and for cost
+    measurement; use :func:`batch_moments_fast` otherwise.
     """
     data.require_trainable()
     n1, n0, dim = data.n1, data.n0, data.dim
@@ -212,7 +215,7 @@ def batch_moments_naive(data: Dataset) -> PairMoments:
     for i in range(n1):
         diffs = pos[i] - neg
         row_sums[i] = np.sum(diffs, axis=0)
-        sigma += _second_moment(diffs)
+        sigma += np.einsum("si,sj->ij", diffs, diffs, optimize=False)
     count = float(n1) * float(n0)
     mu = _neumaier_over_rows(row_sums) / count
     sigma /= count

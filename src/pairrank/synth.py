@@ -1,8 +1,10 @@
 """Gaussian-mixture synthetic data with closed-form pair moments.
 
-Each class draws from a K-component isotropic Gaussian mixture; the
-positive class's component means live in the unit cube of the positive
-orthant and the negative class's in the mirrored cube.  Because the
+Each class draws from a K-component isotropic Gaussian mixture whose
+components weigh equally; the positive class's component means live in
+the unit cube of the positive orthant and the negative class's in the
+mirrored cube.  A spec stores only the noise scale and the two mean
+matrices: K and the dimension are read from their shape.  Because the
 moments of a mixture are weight-averages of component moments, the
 population difference moments (and from them the population-optimal
 ranker under the squared pairwise loss) are available in closed form,
@@ -30,65 +32,61 @@ __all__ = [
     "optimal_phi_ranker",
 ]
 
-_WEIGHT_SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GmmSpec:
     """A pair of K-component isotropic Gaussian mixtures, one per class.
 
-    weights are shared by both classes and must sum to one; sigma is
-    the common isotropic noise scale.  means_pos and means_neg are
-    (k, dim) matrices of component means.
+    means_pos and means_neg are (k, dim) matrices of component means,
+    and `k` and `dim` are read from their shape.  Both mixtures weight
+    their k components equally (`weights` is the uniform 1/k); sigma is
+    the common isotropic noise scale.
     """
 
-    dim: int
-    k: int
-    weights: np.ndarray
     sigma: float
     means_pos: np.ndarray
     means_neg: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.dim < 1:
-            raise ValueError(f"need k >= 1 and dim >= 1, got k={self.k}, dim={self.dim}")
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if weights.shape != (self.k,):
-            raise ValueError(f"weights shape {weights.shape} does not match k={self.k}")
-        if np.any(weights < 0.0) or abs(float(np.sum(weights)) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
         mp = np.ascontiguousarray(self.means_pos, dtype=np.float64)
         mn = np.ascontiguousarray(self.means_neg, dtype=np.float64)
+        if mp.ndim != 2 or mp.shape[0] < 1 or mp.shape[1] < 1:
+            raise ValueError(f"means_pos must be (k, dim) with k, dim >= 1, got {mp.shape}")
         for name, m in (("means_pos", mp), ("means_neg", mn)):
-            if m.shape != (self.k, self.dim):
-                raise ValueError(f"{name} shape {m.shape} != ({self.k}, {self.dim})")
+            if m.shape != mp.shape:
+                raise ValueError(f"{name} shape {m.shape} != {mp.shape}")
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} contains non-finite entries")
-        for name, arr in (("weights", weights), ("means_pos", mp), ("means_neg", mn)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+
+    @property
+    def k(self) -> int:
+        return self.means_pos.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.means_pos.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The uniform component weights, 1/k each."""
+        return np.full(self.k, 1.0 / self.k)
 
 
 def random_gmm_spec(dim: int, k: int, sigma: float, seed: int) -> GmmSpec:
-    """Draw component means from mirrored unit cubes, uniform weights.
+    """Draw component means from mirrored unit cubes.
 
     Positive-class means are uniform on [0, 1]^dim and negative-class
-    means on [-1, 0]^dim; weights are the uniform 1/k.  Draw order:
-    positive means first (k * dim uniforms, row by row), then negative.
+    means on [-1, 0]^dim.  Draw order: positive means first (k * dim
+    uniforms, row by row), then negative.
     """
     rng = np.random.default_rng(seed)
     means_pos = rng.random((k, dim))
     means_neg = rng.random((k, dim)) - 1.0
-    return GmmSpec(
-        dim=dim,
-        k=k,
-        weights=np.full(k, 1.0 / k),
-        sigma=float(sigma),
-        means_pos=means_pos,
-        means_neg=means_neg,
-    )
+    return GmmSpec(sigma=float(sigma), means_pos=means_pos, means_neg=means_neg)
 
 
 def sample_dataset(spec: GmmSpec, n1: int, n0: int, seed: int) -> Dataset:
@@ -106,7 +104,7 @@ def sample_dataset(spec: GmmSpec, n1: int, n0: int, seed: int) -> Dataset:
         components = rng.choice(spec.k, size=count, p=spec.weights)
         noise = rng.standard_normal((count, spec.dim)) * spec.sigma
         blocks.append(means[components] + noise)
-    return Dataset(positives=blocks[0], negatives=blocks[1], dim=spec.dim)
+    return Dataset(blocks[0], blocks[1])
 
 
 def analytic_pair_moments(spec: GmmSpec) -> PairMoments:

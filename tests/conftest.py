@@ -91,7 +91,7 @@ def parse_libsvm_reference(source, dim_hint=None) -> Dataset:
         for index, value in features:
             target[cursors[label], index - 1] = value
         cursors[label] += 1
-    return Dataset(positives=pos, negatives=neg, dim=dim)
+    return Dataset(pos, neg)
 
 
 def load_perfbench_reference():

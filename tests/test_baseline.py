@@ -50,6 +50,9 @@ class TestSgdConfig:
             {"pair_budget": 0},
             {"w_star": 0.0},
             {"w_star": -1.0},
+            {"step_size": float("inf")},
+            {"w_star": float("inf")},
+            {"w_star": float("nan")},
         ],
     )
     def test_invalid_config_rejected(self, overrides):

@@ -537,14 +537,23 @@ class TestExitCodes:
             ["synth-sweep", "--replicates", "0"],
             ["skew-sweep", "--rho-grid", "1.0"],
             ["synth-sweep", "--sgd-budget", "10"],
+            ["synth-sweep", "--replicates", "2.5"],
+            ["synth-sweep", "--sigma-grid", "2,nan"],
+            ["skew-sweep", "--sigma", "inf"],
+            ["bounds-table", "--x-star", "abc"],
+            ["train", "bbr", "unread.svm", "--sample-ratio", "1.5"],
         ],
         ids=["empty-k-grid", "empty-pairs-grid", "zero-replicates", "rho-of-one",
-             "sgd-budget-without-step-size"],
+             "sgd-budget-without-step-size", "non-integer-count", "nan-float", "inf-float",
+             "non-numeric-float", "sample-ratio-above-one"],
     )
     def test_bad_sweep_grid_is_usage_error(self, argv, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        assert main([argv[0], "--out", str(out), *argv[1:]]) == 1
-        assert "error" in capsys.readouterr().err
+        out_flag = "--csv-out" if argv[0] == "train" else "--out"
+        assert main([argv[0], out_flag, str(out), *argv[1:]]) == 1
+        flag = next(token for token in argv if token.startswith("--"))
+        err = capsys.readouterr().err
+        assert "error" in err and flag in err
         assert not out.exists()
 
     def test_overflowing_moments_are_numerical_failure(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Domain types: construction contracts, validation, ball rescaling."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,22 @@ class TestDataset:
     def test_from_arrays_rejects_dimension_clash(self):
         with pytest.raises(DimensionMismatchError):
             Dataset.from_arrays([[1.0, 2.0]], [[3.0]])
+        with pytest.raises(DimensionMismatchError, match="positives is not coercible"):
+            Dataset([[1.0, 2.0], [3.0]], [[1.0, 2.0]])
+        with pytest.raises(DimensionMismatchError, match="ndim=3"):
+            Dataset(np.zeros((1, 2, 2)), [[1.0, 2.0]])
 
     def test_empty_class_keeps_declared_dimension(self):
         data = Dataset.from_arrays(np.empty((0, 3)), [[1.0, 2.0, 3.0]])
         assert data.positives.shape == (0, 3)
         assert data.n1 == 0
+
+    def test_dimension_is_read_from_the_arrays(self):
+        assert [f.name for f in fields(Dataset)] == ["positives", "negatives"]
+        for data in (Dataset([], [[1.0, 2.0, 3.0]]), Dataset([[1.0, 2.0, 3.0]], [])):
+            assert data.dim == 3
+            assert data.positives.shape[1] == data.negatives.shape[1] == 3
+        assert Dataset([], []).dim == 0
 
     def test_require_trainable_needs_both_classes(self):
         data = Dataset.from_arrays(np.empty((0, 2)), [[1.0, 2.0]])
@@ -104,6 +117,8 @@ class TestPairMoments:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             PairMoments(mu=np.zeros(3), sigma=np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="mu must be a vector"):
+            PairMoments(mu=np.zeros((2, 1)), sigma=np.eye(2))
 
     def test_entries_above_half_the_float_maximum_stay_finite(self):
         # sigma_00 + sigma_00 overflows though sigma_00 = 1.44e308 does not.

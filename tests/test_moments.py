@@ -116,6 +116,13 @@ class TestSecondMomentKernel:
         for result in results:
             assert np.array_equal(result, single)
 
+        # Without affinity, the pool is as wide as os.cpu_count() says, or 1 if unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for reported, expected in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: reported)
+            assert np.array_equal(moments._second_moment(rows), single)
+            assert requested[-1] == expected
+
     def test_worker_exception_surfaces(self, monkeypatch):
         class StripFailure(Exception):
             pass

@@ -1,5 +1,7 @@
 """Mixture generator: spec validation, sampling, closed-form moments."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,30 +19,26 @@ from pairrank import (
 )
 
 
-def _spec(dim=2, k=1, weights=None, sigma=1.0, means_pos=None, means_neg=None):
-    weights = np.array([1.0]) if weights is None else np.asarray(weights, float)
+def _spec(dim=2, k=1, sigma=1.0, means_pos=None, means_neg=None):
     if means_pos is None:
         means_pos = np.full((k, dim), 0.5)
     if means_neg is None:
         means_neg = np.full((k, dim), -0.5)
-    return GmmSpec(
-        dim=dim, k=k, weights=weights, sigma=sigma,
-        means_pos=means_pos, means_neg=means_neg,
-    )
+    return GmmSpec(sigma=sigma, means_pos=means_pos, means_neg=means_neg)
 
 
 class TestGmmSpecValidation:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            _spec(k=2, weights=[0.5, 0.4], means_pos=np.zeros((2, 2)),
-                  means_neg=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="weights shape"):
-            _spec(k=2, weights=[1.0], means_pos=np.zeros((2, 2)), means_neg=np.zeros((2, 2)))
+    def test_shape_and_weights_come_from_the_means(self):
+        spec = _spec(dim=4, k=3)
+        assert [f.name for f in fields(GmmSpec)] == ["sigma", "means_pos", "means_neg"]
+        assert (spec.k, spec.dim) == (3, 4)
+        assert np.array_equal(spec.weights, np.full(3, 1.0 / 3.0))
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            _spec(k=2, weights=[1.5, -0.5], means_pos=np.zeros((2, 2)),
-                  means_neg=np.zeros((2, 2)))
+    def test_empty_or_flat_means_rejected(self):
+        with pytest.raises(ValueError, match="k, dim >= 1"):
+            _spec(k=0)
+        with pytest.raises(ValueError, match="k, dim >= 1"):
+            GmmSpec(sigma=1.0, means_pos=np.zeros(2), means_neg=np.zeros(2))
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
