@@ -101,6 +101,7 @@ def sample_dataset(spec: GmmSpec, n1: int, n0: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     blocks = []
     for count, means in ((n1, spec.means_pos), (n0, spec.means_neg)):
+        # p stays although it is uniform: choice without p draws another stream.
         components = rng.choice(spec.k, size=count, p=spec.weights)
         noise = rng.standard_normal((count, spec.dim)) * spec.sigma
         blocks.append(means[components] + noise)
