@@ -51,12 +51,12 @@ def train_pairwise_sgd(data: Dataset, cfg: SgdConfig) -> RankerWeights:
     call keyed by cfg.seed (positives first), making the whole
     trajectory a pure function of the config.
 
-    Pair differences are gathered 4096 at a time with one vectorised
-    subtract, so working memory is min(pair_budget, 4096) * d floats
-    beyond the two index arrays.  Each step keeps the BLAS dot
-    product and the two separate roundings (the multiply by w'd - 1,
-    then by the step size) of the plain per-pair loop, so the iterate
-    is bit-identical to it; a summation in another order would not be.
+    Pair differences are gathered 4096 at a time into two preallocated
+    blocks and subtracted in place: working memory is two blocks of
+    min(pair_budget, 4096) * d floats beyond the index arrays.  Each step
+    keeps the BLAS dot and the two separate roundings (the multiply by
+    w'd - 1, then by the step size) of the plain per-pair loop, so the
+    iterate is bit-identical to it; another summation order would not be.
 
     Raises SolverConvergenceError, naming the step size, if the final
     iterate is not finite: the steps diverged.
@@ -72,9 +72,14 @@ def train_pairwise_sgd(data: Dataset, cfg: SgdConfig) -> RankerWeights:
     # scalar conversion; the arithmetic is the same.
     step_size = np.array(cfg.step_size)
     dot, multiply, subtract, sqrt = w.dot, np.multiply, np.subtract, math.sqrt
+    rows = min(cfg.pair_budget, _CHUNK)
+    pos_block, neg_block = np.empty((rows, data.dim)), np.empty((rows, data.dim))
     for start in range(0, cfg.pair_budget, _CHUNK):
-        stop = start + _CHUNK
-        diffs = data.positives[pos_idx[start:stop]] - data.negatives[neg_idx[start:stop]]
+        pos, neg = pos_idx[start : start + _CHUNK], neg_idx[start : start + _CHUNK]
+        diffs, negs = pos_block[: pos.size], neg_block[: pos.size]
+        np.take(data.positives, pos, axis=0, out=diffs, mode="clip")
+        np.take(data.negatives, neg, axis=0, out=negs, mode="clip")
+        subtract(diffs, negs, out=diffs)
         for diff in diffs:
             multiply(diff, dot(diff) - 1.0, out=step)
             multiply(step, step_size, out=step)

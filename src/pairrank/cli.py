@@ -26,12 +26,12 @@ multiplier or guarantee value beyond the float range, invalid moments).
 A warning raised under a command prints as one ``pairrank: warning:``
 line on stderr.
 
-Determinism: every command takes seeds explicitly.  Sub-streams (spec
-draw, train draw, test draw, pair draw, SGD draw, split draw) are
-derived from the command seed with numpy's SeedSequence using fixed
-role indices, so runs are bit-reproducible end to end; only the
-wall-time CSV columns vary between runs.  A sweep's i-th replicate
-(counting from 0 in grid order) takes ``--base-seed + i`` as its seed.
+Determinism: every command takes seeds explicitly.  Sub-streams (spec,
+train, test, pair, SGD and split draws) come from the command seed via
+numpy's SeedSequence with fixed role indices.  Runs are bit-reproducible
+end to end, apart from wall-time CSV columns, for one numpy build, BLAS
+and BLAS thread count (the solver's eigh depends on all three).  Sweep
+replicate i (from 0, in grid order) takes ``--base-seed + i`` as its seed.
 
 Model file format (bit-exact): 8-byte magic ``PAIRRANK``, version as
 little-endian uint32 (currently 1), dimension D as little-endian

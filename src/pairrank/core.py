@@ -38,7 +38,7 @@ _SYMMETRY_TOL = 1e-12
 _PSD_REL_TOL = 1e-9
 # Rows per block when scale_to_ball measures norms, so no n-by-d temporary
 # sits next to the dataset; each row's norm is the same either way.
-_NORM_BLOCK = 4096
+_NORM_BLOCK = 1024
 
 
 class PairRankError(Exception):
@@ -268,19 +268,19 @@ def _prescaled_norm(x: np.ndarray, axis: int | None = None) -> np.ndarray:
         return np.ldexp(np.linalg.norm(np.ldexp(x, -exponent), axis=axis), exponent)
 
 
-def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
-    """Largest Euclidean norm among the rows of ``rows * factor``; 0 if none.
+def _max_row_norm(rows: np.ndarray) -> float:
+    """Largest Euclidean norm among the rows; 0 if none.
 
-    Raises PairRankError on a nan or inf entry.  A block of finite rows
-    whose squares overflow is measured again with :func:`_prescaled_norm`,
-    so the result is inf only for a norm beyond the float range.
+    Raises PairRankError on a nan or inf entry.  A block whose largest plain
+    norm overflows, or is below 2^-500 where a square can leave the normal
+    range (d < 2^20), is measured with :func:`_prescaled_norm` instead.
     """
     largest = 0.0
     for start in range(0, rows.shape[0], _NORM_BLOCK):
-        block = rows[start : start + _NORM_BLOCK] * factor
+        block = rows[start : start + _NORM_BLOCK]
         with np.errstate(over="ignore"):
             top = float(np.max(np.linalg.norm(block, axis=1)))
-        if not np.isfinite(top):
+        if not 2.0**-500 <= top < np.inf:
             if not np.isfinite(np.max(np.abs(block))):
                 raise PairRankError("scale_to_ball found a non-finite feature (nan or inf)")
             top = float(np.max(_prescaled_norm(block, axis=1)))
@@ -293,31 +293,31 @@ def scale_to_ball(data: Dataset, x_star: float) -> tuple[Dataset, float]:
 
     Returns the scaled dataset and the factor applied to it, so other
     data (a held-out set) can be scaled the same way with
-    :meth:`Dataset.scaled`.  The factor starts at x_star divided by the
-    largest norm across both classes and is stepped down one ulp at a
-    time while any scaled row still rounds above x_star, so the
-    inequality holds exactly for ``data.scaled(factor)``.  Datasets
-    already inside the ball (and all-zero or empty datasets) are
-    returned as-is with factor 1.0.  A single shared factor preserves
-    the ranking geometry: orderings by any fixed weight vector are
-    unchanged.
+    :meth:`Dataset.scaled`.  The factor starts at x_star over the largest
+    norm across both classes.  ``data.scaled(factor)`` is built and
+    measured; while a row of it still rounds above x_star, the copy is
+    dropped and rebuilt one ulp of factor lower, so the inequality holds
+    exactly for the copy returned, and memory peaks at that one copy plus
+    one _NORM_BLOCK-row block.  Datasets already inside the ball (and
+    all-zero or empty datasets) are returned as-is with factor 1.0.  One
+    shared factor keeps every ordering by a fixed weight vector.
 
-    A row whose squared norm overflows (features of about 1e154 and up) is
-    measured after an exact power-of-two prescale, so it scales like any
-    other.  Raises PairRankError on a nan or inf feature, and when the
-    factor would round to zero, as it does for a norm beyond the float
-    range.
+    A row whose squared norm overflows or underflows is measured after an
+    exact power-of-two prescale, so it scales like any other.  Raises
+    PairRankError on a nan or inf feature, and when the factor would round
+    to zero, as it does for a norm beyond the float range.
     """
     if not (np.isfinite(x_star) and x_star > 0.0):
         raise ValueError(f"x_star must be finite and > 0, got {x_star!r}")
-    classes = (data.positives, data.negatives)
-    max_norm = max(_max_row_norm(m) for m in classes)
+    max_norm = max(_max_row_norm(data.positives), _max_row_norm(data.negatives))
     if max_norm <= x_star:
         return data, 1.0
     factor = x_star / max_norm
     if factor == 0.0:
         raise PairRankError(f"scale_to_ball cannot scale a feature norm of {max_norm:.6g} "
                             f"to at most {x_star!r}: the factor rounds to zero")
-    while max(_max_row_norm(m, factor) for m in classes) > x_star:
-        factor = float(np.nextafter(factor, 0.0))
-    return data.scaled(factor), factor
+    scaled = data.scaled(factor)
+    while max(_max_row_norm(scaled.positives), _max_row_norm(scaled.negatives)) > x_star:
+        scaled, factor = None, float(np.nextafter(factor, 0.0))
+        scaled = data.scaled(factor)
+    return scaled, factor

@@ -166,6 +166,45 @@ def test_criterion_4():
     assert gaps[5000] <= gaps[500]
 
 
+def test_pair_budget_does_not_grow_with_pair_count():
+    """lcbr's held-out risk gap to bbr stays flat as n1 * n0 grows 256x, and falls with s.
+
+    The paper's headline claim: the pairs lcbr needs to compete with the
+    all-pairs trainer do not grow quadratically in the sample size.  Each
+    of 20 replicates draws one d = 10 mixture and a 5000 + 5000 held-out
+    set, then trains at every n of a geometric grid (n1 = n0 = n) and
+    every s.  The gap is lcbr's held-out phi_risk minus bbr's on the same
+    training set.  At each s, the mean gap at a larger n may exceed the
+    mean gap at the smallest n by at most three standard errors of that
+    difference, taken from the replicates' spread (the rule was fixed
+    before the test first ran).
+    """
+    cfg = ProblemConfig(x_star=1.0, w_star=1.0)
+    base = 20191201
+    n_grid, s_grid, replicates = (250, 1000, 4000), (500, 2000, 8000), 20
+    gaps = np.empty((replicates, len(n_grid), len(s_grid)))
+    for rep in range(replicates):
+        seed = base + rep
+        spec = random_gmm_spec(10, 1, 2.0, derived_seed(seed, ROLE_SPEC))
+        test = sample_dataset(spec, 5000, 5000, derived_seed(seed, ROLE_TEST))
+        for i, n in enumerate(n_grid):
+            train = sample_dataset(spec, n, n, derived_seed(seed, ROLE_TRAIN, i))
+            batch_w, _ = solve_erm(batch_moments_fast(train), cfg)
+            batch_risk = evaluate_ranker(test, batch_w).phi_risk
+            for j, s in enumerate(s_grid):
+                sub_cfg = SubsampleConfig(s=s, seed=derived_seed(seed, ROLE_PAIRS, i, j))
+                sub_w, _ = solve_erm(subsample_moments(train, sub_cfg), cfg)
+                gaps[rep, i, j] = evaluate_ranker(test, sub_w).phi_risk - batch_risk
+    mean = gaps.mean(axis=0)
+    stderr = gaps.std(axis=0, ddof=1) / math.sqrt(replicates)
+    for j, s in enumerate(s_grid):
+        for i, n in enumerate(n_grid[1:], start=1):
+            margin = 3.0 * math.hypot(stderr[i, j], stderr[0, j])
+            assert mean[i, j] <= mean[0, j] + margin, (s, n, mean[:, j], margin)
+    for i, n in enumerate(n_grid):
+        assert np.all(np.diff(mean[i]) < 0.0), (n, mean[i])
+
+
 def _best_of(repeats, fn):
     best = math.inf
     for _ in range(repeats):

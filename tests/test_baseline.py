@@ -1,5 +1,7 @@
 """Projected pairwise SGD comparator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,25 @@ class TestTrainPairwiseSgd:
         with pytest.raises(SolverConvergenceError, match=r"step size 1e\+308") as caught:
             train_pairwise_sgd(data, SgdConfig(1e308, pair_budget=50, seed=0, w_star=1.0))
         assert caught.value.bracket is None
+
+
+class TestWorkingMemory:
+    def test_peak_is_two_blocks_beyond_the_index_arrays(self):
+        # Above 4096 pairs the two gather blocks stay 4096 rows each; the
+        # index arrays grow with the budget.  16 KiB covers w and the step.
+        rng = np.random.default_rng(125)
+        dim, budget = 123, 20_000
+        data = random_dataset(rng, dim, 300, 300)
+        cfg = SgdConfig(step_size=1e-3, pair_budget=budget, seed=7, w_star=1.0)
+        tracemalloc.start()
+        try:
+            train_pairwise_sgd(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        blocks = 2 * 8 * 4096 * dim
+        indices = 2 * 8 * budget
+        assert blocks < peak <= blocks + indices + 16 * 1024
 
 
 class TestChunkedLoopBits:

@@ -55,6 +55,13 @@ def _run_cli(argv, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
+def _main_stderr(argv, capsys):
+    """Run the CLI in-process; return its exit code and what it printed to stderr."""
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -477,14 +484,15 @@ class TestExitCodes:
         (line,) = result.stderr.splitlines()
         assert line.startswith("pairrank: data error: training needs both classes non-empty")
 
-    def test_one_class_test_file_is_data_error_naming_it(self, toy_file, tmp_path):
+    @pytest.mark.filterwarnings("default")
+    def test_one_class_test_file_is_data_error_naming_it(self, toy_file, tmp_path, capsys):
         held = tmp_path / "positives.txt"
         held.write_text("+1 1:1\n+1 2:1\n", encoding="ascii")
         model = tmp_path / "model.bin"
-        result = _run_cli(["train", "bbr", str(toy_file), "--test", str(held),
-                           "--model-out", str(model)], tmp_path)
-        assert result.returncode == 2
-        (line,) = result.stderr.splitlines()
+        code, stderr = _main_stderr(["train", "bbr", str(toy_file), "--test", str(held),
+                                     "--model-out", str(model)], capsys)
+        assert code == 2
+        (line,) = stderr.splitlines()
         assert line.startswith("pairrank: data error: --test file ")
         assert str(held) in line and "evaluation" in line and "n1=2, n0=0" in line
         assert not model.exists()
@@ -494,13 +502,15 @@ class TestExitCodes:
         [("--test", 5001, 0), ("train", 10**15, 2)],
         ids=["wide-test-file-trains", "unallocatable-train-file"],
     )
-    def test_dense_storage_warning_is_one_line(self, role, index, code, toy_file, tmp_path):
+    @pytest.mark.filterwarnings("default")
+    def test_dense_storage_warning_is_one_line(self, role, index, code, toy_file, tmp_path,
+                                               capsys):
         wide = tmp_path / "wide.txt"
         wide.write_text(f"+1 1:1\n-1 {index}:1\n", encoding="ascii")
         files = [str(toy_file), "--test", str(wide)] if role == "--test" else [str(wide)]
-        result = _run_cli(["train", "bbr", *files], tmp_path)
-        assert result.returncode == code
-        warning, *error = result.stderr.splitlines()
+        returncode, stderr = _main_stderr(["train", "bbr", *files], capsys)
+        assert returncode == code
+        warning, *error = stderr.splitlines()
         assert warning == (f"pairrank: warning: densifying {index} columns; "
                            "this format is parsed into dense storage")
         assert len(error) == (1 if code else 0)

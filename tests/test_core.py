@@ -1,5 +1,7 @@
 """Domain types: construction contracts, validation, ball rescaling."""
 
+import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -19,6 +21,7 @@ from pairrank import (
 )
 
 from conftest import random_dataset
+from pairrank import core
 
 
 class TestDataset:
@@ -195,6 +198,35 @@ class TestScaleToBall:
         assert factor == scale_to_ball(small, 1.0)[1] * 2.0**-600
         norms = np.linalg.norm(np.vstack([scaled.positives, scaled.negatives]), axis=1)
         assert 1.0 - 1e-12 <= norms.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "row, x_star, factor",
+        [([1e-170, 1e-170], 1e-171, 1e-171 / math.hypot(1e-170, 1e-170)),
+         ([3e-160, 4e-160], 1e-160, 0.2)],
+        ids=["squares-underflow", "squares-subnormal"],
+    )
+    def test_norms_whose_squares_underflow_scale_exactly(self, row, x_star, factor):
+        # np.linalg.norm underflows on these rows too, so the checks use hypot.
+        data = Dataset.from_arrays([row], [[0.0, 0.0]])
+        scaled, got = scale_to_ball(data, x_star)
+        assert got == factor
+        assert math.hypot(*scaled.positives[0]) == x_star
+
+    def test_peak_memory_is_one_copy_and_one_block(self):
+        # The returned copy is the only one built; measuring it adds one
+        # _NORM_BLOCK-row temporary.  64 KiB covers the per-block norms.
+        rng = np.random.default_rng(14)
+        data = random_dataset(rng, 40, 6000, 4000, scale=3.0)
+        tracemalloc.start()
+        try:
+            scaled, factor = scale_to_ball(data, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert factor < 1.0
+        copy = scaled.positives.nbytes + scaled.negatives.nbytes
+        block = 8 * core._NORM_BLOCK * data.dim
+        assert peak <= copy + block + 64 * 1024
 
     def test_norm_beyond_float_range_is_refused(self):
         data = Dataset.from_arrays([[1.5e308, 1.5e308]], [[1.0, 0.0]])

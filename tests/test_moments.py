@@ -261,6 +261,26 @@ class TestFastMatchesNaive:
                 assert error <= Fraction(1e-9) * scale, (i, j, float(error / scale))
 
 
+class TestBatchFastMemory:
+    def test_peak_memory_is_one_block_buffer(self):
+        # The docstring's bound, 8 * _BLOCK_ROWS * d + 8 * d^2 bytes, binds
+        # once a class has more rows than a block.  Beside the block sit a
+        # few d x d matrices (the finished C1, the sum being built, mu mu',
+        # the eigenbasis): about 2.5 of them measured, 4 allowed as slack.
+        rng = np.random.default_rng(304)
+        dim, n = 123, 20_000
+        data = random_dataset(rng, dim, n, n)
+        tracemalloc.start()
+        try:
+            batch_moments_fast(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * moments._BLOCK_ROWS * dim + 8 * dim * dim
+        assert peak > 8 * moments._BLOCK_ROWS * dim
+        assert peak <= bound + 4 * 8 * dim * dim, f"peak {peak} B above {bound} B + slack"
+
+
 def _contract_pair_indices(seed, s, n1, n0):
     """The documented pair-draw contract, word by word, in plain Python.
 

@@ -1,7 +1,11 @@
 """Ball-constrained quadratic solver: analytic cases, KKT, search oracle."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,3 +366,43 @@ class TestObjectiveValue:
         with pytest.raises(DimensionMismatchError):
             objective_value(moments, RankerWeights(w=[1.0]))
 
+
+
+# Trains both routes at the wide-path shape (1200 + 1200 rows, d = 600)
+# and saves the moments and the weights to the directory in argv[1].
+_THREADS_CHILD = """
+import sys
+import numpy as np
+from pairrank import (ProblemConfig, SubsampleConfig, batch_moments_fast, random_gmm_spec,
+                      sample_dataset, solve_erm, subsample_moments)
+spec = random_gmm_spec(600, 2, 2.0, seed=61)
+data = sample_dataset(spec, 1200, 1200, seed=62)
+for name, moments in (("bbr", batch_moments_fast(data)),
+                      ("lcbr", subsample_moments(data, SubsampleConfig(s=20000, seed=63)))):
+    weights, _ = solve_erm(moments, ProblemConfig(x_star=1.0, w_star=1.0))
+    np.savez(f"{sys.argv[1]}/{name}.npz", mu=moments.mu, sigma=moments.sigma, w=weights.w)
+"""
+
+
+class TestBlasThreadCount:
+    def test_moments_bit_equal_and_weights_close_across_thread_counts(self, tmp_path):
+        # Moment sums never go through BLAS, so their bits cannot depend on
+        # its thread count.  The solver's LAPACK eigh and BLAS products can:
+        # at this shape 1 and 2 threads gave weights about 1e-13 apart, so
+        # model bits are promised only for a fixed BLAS thread count.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        saved = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(out)], env=env,
+                           check=True, timeout=300)
+            saved[threads] = {name: dict(np.load(out / f"{name}.npz")) for name in ("bbr", "lcbr")}
+        for name in ("bbr", "lcbr"):
+            one, two = saved["1"][name], saved["2"][name]
+            assert one["mu"].tobytes() == two["mu"].tobytes()
+            assert one["sigma"].tobytes() == two["sigma"].tobytes()
+            gap = np.linalg.norm(one["w"] - two["w"])
+            assert gap <= 1e-12 * np.linalg.norm(one["w"]), (name, gap)
