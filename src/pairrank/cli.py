@@ -16,8 +16,11 @@ then the ball-constrained solve, timed) and :func:`_row` (evaluation and
 the CSV row).  The three mixture commands draw each replicate's spec and
 training set with :func:`_draw_mixture`; both sweeps fit a replicate's
 bbr and lcbr rows with :func:`_fit_rows`.  ``train --x-star`` scales
-the training set with :func:`~pairrank.core.scale_to_ball` and the
-``--test`` set by the same factor.
+the training set by :func:`~pairrank.core.scale_to_ball`'s factor and
+the ``--test`` set by the same factor.  ``train`` holds one training
+matrix: it densifies only the rows ``--sample-ratio`` keeps, scales them
+in place, so the fit needs that matrix plus one streaming block, and
+releases it before it reads ``--test``.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset, unwritable output path, an input
@@ -66,10 +69,10 @@ from .core import (
     ProblemConfig,
     RankerWeights,
     SolverConvergenceError,
-    scale_to_ball,
+    _ball_factor,
 )
 from .evaluation import evaluate_ranker, expected_phi_risk
-from .io import (ResultRow, csv_cells, parse_libsvm, subsample_ratio_split, write_csv,
+from .io import (ResultRow, _frozen, _read_classes, csv_cells, parse_libsvm, write_csv,
                  write_results_csv)
 from .moments import (
     SubsampleConfig,
@@ -240,7 +243,7 @@ def _row(
     experiment: str,
     algorithm: str,
     dataset: str,
-    train: Dataset,
+    counts: tuple[int, int],
     s: int,
     seed: int,
     weights: RankerWeights,
@@ -248,14 +251,14 @@ def _row(
     seconds: float,
     extra: dict[str, object],
 ) -> ResultRow:
-    """Evaluate `weights` on `evaluate_on`; n1/n0 come from `train`."""
+    """Evaluate `weights` on `evaluate_on`; `counts` is the training set's (n1, n0)."""
     report = evaluate_ranker(evaluate_on, weights)
     return ResultRow(
         experiment_id=experiment,
         algorithm=algorithm,
         dataset=dataset,
-        n1=train.n1,
-        n0=train.n0,
+        n1=counts[0],
+        n0=counts[1],
         s=s,
         seed=seed,
         phi_risk=report.phi_risk,
@@ -283,33 +286,42 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.algorithm == "bbr" and args.pairs is not None:
         raise UsageError("--pairs only applies to lcbr")
 
-    data = parse_libsvm(args.data)
+    split = None
     if args.sample_ratio is not None:
-        data = subsample_ratio_split(
-            data, args.sample_ratio, derived_seed(args.seed, ROLE_SPLIT)
-        )
+        split = (args.sample_ratio, derived_seed(args.seed, ROLE_SPLIT))
+    # The rows subsample_ratio_split would keep, scaled in place by
+    # scale_to_ball's factor: the same bits without a second matrix.
+    positives, negatives = _read_classes(args.data, split=split)
     factor = 1.0
     if args.x_star is not None:
-        data, factor = scale_to_ball(data, args.x_star)
+        factor = _ball_factor(positives, negatives, args.x_star)
+        positives *= factor
+        negatives *= factor
+    data = _frozen(positives, negatives)
+    del positives, negatives
 
     cfg = ProblemConfig(x_star=args.x_star or 1.0, w_star=args.w_star)
     s = args.pairs or 0
     fit = _fit(data, cfg, args.algorithm, s, derived_seed(args.seed, ROLE_PAIRS))
     seconds = fit.moment_seconds + fit.solve_seconds
+    n1, n0, dim = data.n1, data.n0, data.dim
 
-    weights, evaluate_on, eval_name = fit.weights, data, "train"
-    if args.test is not None:
+    if args.test is None:
+        weights, evaluate_on, eval_name = fit.weights, data, "train"
+    else:
+        # The training matrix goes before the held-out one is read.
+        del data
         # Features that only the test file names get weight zero.
-        evaluate_on = parse_libsvm(args.test, dim_hint=data.dim).scaled(factor)
+        evaluate_on = parse_libsvm(args.test, dim_hint=dim).scaled(factor)
         if evaluate_on.n1 == 0 or evaluate_on.n0 == 0:
             raise PairRankError(f"--test file {args.test} needs both classes non-empty for "
                                 f"evaluation, got n1={evaluate_on.n1}, n0={evaluate_on.n0}")
-        weights = RankerWeights(np.pad(weights.w, (0, evaluate_on.dim - data.dim)))
+        weights = RankerWeights(np.pad(fit.weights.w, (0, evaluate_on.dim - dim)))
         eval_name = "test"
     extra = {"eval_on": eval_name, "multiplier": fit.diagnostics.multiplier}
     if args.sample_ratio is not None:
         extra["sample_ratio"] = args.sample_ratio
-    row = _row("train", args.algorithm, Path(args.data).name, data, s, args.seed,
+    row = _row("train", args.algorithm, Path(args.data).name, (n1, n0), s, args.seed,
                weights, evaluate_on, seconds, extra)
 
     if args.model_out is not None:
@@ -318,7 +330,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         write_results_csv([row], _resolve_out(args.csv_out))
 
     print(
-        f"{args.algorithm}: n1={data.n1} n0={data.n0} dim={data.dim} "
+        f"{args.algorithm}: n1={n1} n0={n0} dim={dim} "
         f"{eval_name}_auc={row.auc:.6f} {eval_name}_phi_risk={row.phi_risk:.6f} "
         f"constrained={fit.diagnostics.constrained_active} seconds={seconds:.3f}"
     )
@@ -343,7 +355,7 @@ def _fit_rows(experiment: str, train: Dataset, test: Dataset, cfg: ProblemConfig
     routes = [("bbr", 0, seed)] + [("lcbr", s, pair_seed) for s, pair_seed in pair_draws]
     for algorithm, s, row_seed in routes:
         fit = _fit(train, cfg, algorithm, s, row_seed)
-        rows.append(_row(experiment, algorithm, "gmm", train, s, row_seed,
+        rows.append(_row(experiment, algorithm, "gmm", (train.n1, train.n0), s, row_seed,
                          fit.weights, test, fit.moment_seconds + fit.solve_seconds, extra))
     return rows
 
@@ -378,8 +390,9 @@ def _cmd_synth_sweep(args: argparse.Namespace) -> int:
             )
             started = time.perf_counter()
             weights = train_pairwise_sgd(train, sgd)
-            rows.append(_row(experiment, "pairwise-sgd", "gmm", train, sgd.pair_budget, sgd.seed,
-                             weights, test, time.perf_counter() - started, extra))
+            rows.append(_row(experiment, "pairwise-sgd", "gmm", (train.n1, train.n0),
+                             sgd.pair_budget, sgd.seed, weights, test,
+                             time.perf_counter() - started, extra))
     return _write_out(args.out, rows, write_results_csv)
 
 
@@ -412,8 +425,8 @@ def _cmd_timing(args: argparse.Namespace) -> int:
     for algorithm, s, seed in routes:
         fits = [_fit(data, cfg, algorithm, s, seed) for _ in range(args.repeats)]
         extra = {"solve_seconds": min(fit.solve_seconds for fit in fits), "repeats": args.repeats}
-        rows.append(_row(f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}", algorithm, "gmm", data,
-                         s, seed, fits[-1].weights, data,
+        rows.append(_row(f"timing-n1{args.n1}-n0{args.n0}-d{args.dim}", algorithm, "gmm",
+                         (data.n1, data.n0), s, seed, fits[-1].weights, data,
                          min(fit.moment_seconds for fit in fits), extra))
     return _write_out(args.out, rows, write_results_csv)
 

@@ -268,16 +268,21 @@ def _prescaled_norm(x: np.ndarray, axis: int | None = None) -> np.ndarray:
         return np.ldexp(np.linalg.norm(np.ldexp(x, -exponent), axis=axis), exponent)
 
 
-def _max_row_norm(rows: np.ndarray) -> float:
-    """Largest Euclidean norm among the rows; 0 if none.
+def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
+    """Largest Euclidean norm among the rows times `factor`; 0 if none.
 
-    Raises PairRankError on a nan or inf entry.  A block whose largest plain
-    norm overflows, or is below 2^-500 where a square can leave the normal
-    range (d < 2^20), is measured with :func:`_prescaled_norm` instead.
+    Each _NORM_BLOCK-row block is multiplied by `factor` into a temporary,
+    the same bits as those rows of ``rows * factor``, so the rows are never
+    written.  Raises PairRankError on a nan or inf entry.  A block whose
+    largest plain norm overflows, or is below 2^-500 where a square can
+    leave the normal range (d < 2^20), is measured with
+    :func:`_prescaled_norm` instead.
     """
     largest = 0.0
     for start in range(0, rows.shape[0], _NORM_BLOCK):
         block = rows[start : start + _NORM_BLOCK]
+        if factor != 1.0:
+            block = block * factor
         with np.errstate(over="ignore"):
             top = float(np.max(np.linalg.norm(block, axis=1)))
         if not 2.0**-500 <= top < np.inf:
@@ -288,36 +293,47 @@ def _max_row_norm(rows: np.ndarray) -> float:
     return largest
 
 
+def _ball_factor(positives: np.ndarray, negatives: np.ndarray, x_star: float) -> float:
+    """The common factor that puts every row of both classes in the x_star ball.
+
+    1.0 when every norm is already at most x_star.  Otherwise x_star over
+    the largest norm, stepped down one ulp while a row times it still
+    rounds above x_star; each factor tried is checked on _NORM_BLOCK-row
+    temporaries, so the rows stay unwritten until the factor is final.
+    """
+    if not (np.isfinite(x_star) and x_star > 0.0):
+        raise ValueError(f"x_star must be finite and > 0, got {x_star!r}")
+    max_norm = max(_max_row_norm(positives), _max_row_norm(negatives))
+    if max_norm <= x_star:
+        return 1.0
+    factor = x_star / max_norm
+    if factor == 0.0:
+        raise PairRankError(f"scale_to_ball cannot scale a feature norm of {max_norm:.6g} "
+                            f"to at most {x_star!r}: the factor rounds to zero")
+    while max(_max_row_norm(positives, factor), _max_row_norm(negatives, factor)) > x_star:
+        factor = float(np.nextafter(factor, 0.0))
+    return factor
+
+
 def scale_to_ball(data: Dataset, x_star: float) -> tuple[Dataset, float]:
     """Rescale all features by one common factor so every norm is <= x_star.
 
     Returns the scaled dataset and the factor applied to it, so other
     data (a held-out set) can be scaled the same way with
     :meth:`Dataset.scaled`.  The factor starts at x_star over the largest
-    norm across both classes.  ``data.scaled(factor)`` is built and
-    measured; while a row of it still rounds above x_star, the copy is
-    dropped and rebuilt one ulp of factor lower, so the inequality holds
-    exactly for the copy returned, and memory peaks at that one copy plus
-    one _NORM_BLOCK-row block.  Datasets already inside the ball (and
-    all-zero or empty datasets) are returned as-is with factor 1.0.  One
-    shared factor keeps every ordering by a fixed weight vector.
+    norm across both classes and steps down one ulp while a row times it
+    still rounds above x_star, so the inequality holds exactly for the
+    dataset returned.  Each factor tried is verified on _NORM_BLOCK-row
+    temporaries before ``data.scaled(factor)`` builds the one copy, so
+    memory peaks at that copy plus one _NORM_BLOCK-row block.  Datasets
+    already inside the ball (and all-zero or empty datasets) are returned
+    as-is with factor 1.0.  One shared factor keeps every ordering by a
+    fixed weight vector.
 
     A row whose squared norm overflows or underflows is measured after an
     exact power-of-two prescale, so it scales like any other.  Raises
     PairRankError on a nan or inf feature, and when the factor would round
     to zero, as it does for a norm beyond the float range.
     """
-    if not (np.isfinite(x_star) and x_star > 0.0):
-        raise ValueError(f"x_star must be finite and > 0, got {x_star!r}")
-    max_norm = max(_max_row_norm(data.positives), _max_row_norm(data.negatives))
-    if max_norm <= x_star:
-        return data, 1.0
-    factor = x_star / max_norm
-    if factor == 0.0:
-        raise PairRankError(f"scale_to_ball cannot scale a feature norm of {max_norm:.6g} "
-                            f"to at most {x_star!r}: the factor rounds to zero")
-    scaled = data.scaled(factor)
-    while max(_max_row_norm(scaled.positives), _max_row_norm(scaled.negatives)) > x_star:
-        scaled, factor = None, float(np.nextafter(factor, 0.0))
-        scaled = data.scaled(factor)
-    return scaled, factor
+    factor = _ball_factor(data.positives, data.negatives, x_star)
+    return data.scaled(factor), factor

@@ -360,6 +360,65 @@ def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     )
 
 
+def _read_classes(
+    source: str | Path | IO[str],
+    dim_hint: int | None = None,
+    split: tuple[float, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`parse_libsvm`'s positives and negatives, writable, as row blocks of one fresh array.
+
+    `split` = (ratio, seed) keeps only the rows `subsample_ratio_split`
+    would keep of the whole file; the rest are dropped before densifying,
+    and the dimension is still that of the whole file.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
+            text = handle.read()
+    else:
+        text = source.read()
+    labels, rows, indices, values = _parse_text(text) or _parse_lines(text)
+    del text
+
+    dim = max(int(indices.max(initial=0)), dim_hint or 0)
+    if dim > _DENSE_WARN_DIM:
+        warnings.warn(
+            f"densifying {dim} columns; this format is parsed into dense storage",
+            stacklevel=3,
+        )
+    positive = labels == 1
+    n1 = int(np.count_nonzero(positive))
+    # Each file row's place when rows are numbered positives first.
+    place = np.where(positive, np.cumsum(positive), n1 + np.cumsum(~positive)) - 1
+    del labels, positive
+    n_kept, n1_kept = place.size, n1
+    keep = None if split is None else _kept_rows(n1, place.size - n1, *split)
+    if keep is not None:
+        n_kept, n1_kept = int(np.count_nonzero(keep)), int(np.count_nonzero(keep[:n1]))
+        on_kept = keep[place][rows]
+        rows, indices, values = rows[on_kept], indices[on_kept], values[on_kept]
+        place = (np.cumsum(keep) - 1)[place]
+        del on_kept
+    # Each feature's offset in the flattened matrix: its row times dim, plus its index - 1.
+    flat = place.take(rows)
+    del rows, place
+    # After the gather, which briefly holds two offset arrays, and before the
+    # int64 cast, so an index past int64 fails here with its exact width.
+    matrix = np.zeros((n_kept, dim), dtype=np.float64)
+    flat *= dim
+    flat += np.asarray(indices, dtype=np.int64)
+    flat -= 1
+    del indices
+    matrix.ravel()[flat] = values
+    return matrix[:n1_kept], matrix[n1_kept:]
+
+
+def _frozen(positives: np.ndarray, negatives: np.ndarray) -> Dataset:
+    """A dataset of `_read_classes`' two blocks, with their shared base read-only too."""
+    data = Dataset(positives, negatives)
+    positives.base.flags.writeable = False
+    return data
+
+
 def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> Dataset:
     """Parse sparse label index:value lines into a dense dataset.
 
@@ -385,36 +444,17 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     "0.583333", is read without float(), and others, such as "1_0",
     "1e-400", "1E+05" or more than 15 digits, go through it.
 
-    Memory: on the vectorised pass the traced peak is the dense output
-    plus at most 10 bytes per input byte for one-hot rows like a9a's,
-    where densifying the output costs most.  A 2.33 MB a9a-shaped file
-    read into 32.0 MB peaks at 52.5 MB, 8.8 bytes per input byte above the
+    Memory: the two classes are row blocks of one read-only array, filled
+    through one flat offset per feature (its class-ordered row times the
+    dimension, plus its index - 1).  On the vectorised pass the traced
+    peak is the dense output plus at most 5 bytes per input byte for
+    one-hot rows like a9a's, where that fill, holding each feature's
+    offset, index and value, costs most.  A 2.33 MB a9a-shaped file read
+    into 32.0 MB peaks at 43.0 MB, 4.7 bytes per input byte above the
     output.  Labels or values wider than a few bytes add their width per
     token.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
-            text = handle.read()
-    else:
-        text = source.read()
-    labels, rows, indices, values = _parse_text(text) or _parse_lines(text)
-    del text
-
-    dim = max(int(indices.max(initial=0)), dim_hint or 0)
-    if dim > _DENSE_WARN_DIM:
-        warnings.warn(
-            f"densifying {dim} columns; this format is parsed into dense storage",
-            stacklevel=2,
-        )
-    positive, negative = labels == 1, labels == 0
-    pos = np.zeros((int(np.count_nonzero(positive)), dim), dtype=np.float64)
-    neg = np.zeros((int(np.count_nonzero(negative)), dim), dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
-    class_row = np.where(positive, np.cumsum(positive), np.cumsum(negative)) - 1
-    to_pos = positive[rows]
-    pos[class_row[rows[to_pos]], indices[to_pos] - 1] = values[to_pos]
-    neg[class_row[rows[~to_pos]], indices[~to_pos] - 1] = values[~to_pos]
-    return Dataset(pos, neg)
+    return _frozen(*_read_classes(source, dim_hint))
 
 
 def write_libsvm(data: Dataset, path: str | Path) -> None:
@@ -445,6 +485,19 @@ def write_results_csv(rows: Iterable[ResultRow], path: str | Path) -> None:
     write_csv(path, RESULT_CSV_HEADER, map(csv_cells, rows))
 
 
+def _kept_rows(n1: int, n0: int, ratio: float, seed: int) -> np.ndarray | None:
+    """`subsample_ratio_split`'s selection: a mask over the n1 + n0 examples,
+    numbered positives first, that is True for each one kept; None at ratio 1."""
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
+    if ratio == 1.0:
+        return None
+    total = n1 + n0
+    keep = np.zeros(total, dtype=bool)
+    keep[np.random.default_rng(seed).permutation(total)[: int(np.ceil(ratio * total))]] = True
+    return keep
+
+
 def subsample_ratio_split(data: Dataset, ratio: float, seed: int) -> Dataset:
     """Keep a uniform without-replacement fraction of all examples.
 
@@ -455,14 +508,7 @@ def subsample_ratio_split(data: Dataset, ratio: float, seed: int) -> Dataset:
     permutation of that numbering.  A class may come back empty; training
     on the result then raises through `Dataset.require_trainable`.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
-    if ratio == 1.0:
+    keep = _kept_rows(data.n1, data.n0, ratio, seed)
+    if keep is None:
         return data
-    total = data.n
-    keep = int(np.ceil(ratio * total))
-    rng = np.random.default_rng(seed)
-    chosen = rng.permutation(total)[:keep]
-    pos_idx = np.sort(chosen[chosen < data.n1])
-    neg_idx = np.sort(chosen[chosen >= data.n1]) - data.n1
-    return Dataset(data.positives[pos_idx], data.negatives[neg_idx])
+    return Dataset(data.positives[keep[: data.n1]], data.negatives[keep[data.n1 :]])

@@ -63,6 +63,25 @@ def integer_dataset(
     )
 
 
+# a9a one-hot encodes 14 attributes into 123 binary columns.
+A9A_GROUPS = np.array([5, 8, 5, 16, 5, 7, 14, 6, 5, 2, 2, 2, 5, 41])
+
+
+def write_a9a_shaped(path: Path, rows: int, rng: np.random.Generator) -> int:
+    """Write `rows` one-hot rows like a9a's, about 24 % positive; return the positive count."""
+    offsets = np.cumsum(A9A_GROUPS) - A9A_GROUPS
+    cols = offsets + 1 + (rng.random((rows, A9A_GROUPS.size)) * A9A_GROUPS).astype(int)
+    labels = np.where(rng.random(rows) < 0.24, "+1", "-1")
+    path.write_text(
+        "".join(
+            f"{label} " + " ".join(f"{col}:1" for col in row) + "\n"
+            for label, row in zip(labels, cols.tolist())
+        ),
+        encoding="ascii",
+    )
+    return int(np.count_nonzero(labels == "+1"))
+
+
 def parse_libsvm_reference(source, dim_hint=None) -> Dataset:
     """parse_libsvm done line by line with its per-line reference parser.
 

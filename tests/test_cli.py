@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import pairrank.cli as cli
+import pairrank.moments as moments
 import pairrank.solver as solver
-from conftest import parse_libsvm_reference, random_dataset
+from conftest import parse_libsvm_reference, random_dataset, write_a9a_shaped
 from pairrank import (
     RESULT_CSV_HEADER,
     BoundInputs,
@@ -22,14 +24,20 @@ from pairrank import (
     PairRankError,
     ProblemConfig,
     RankerWeights,
+    ResultRow,
+    SubsampleConfig,
+    UntrainableDatasetError,
     batch_excess_risk_log_tail,
     batch_moments_fast,
     evaluate_ranker,
     parse_libsvm,
     scale_to_ball,
     solve_erm,
+    subsample_moments,
+    subsample_ratio_split,
     write_libsvm,
 )
+from pairrank.io import csv_cells
 from pairrank.cli import (
     MODEL_MAGIC,
     MODEL_VERSION,
@@ -305,6 +313,16 @@ class TestTrainCommand:
         for rows in (trained.positives, trained.negatives):
             assert np.linalg.norm(rows, axis=1).max() <= 1.0
 
+    @pytest.mark.parametrize("flags", [[], ["--x-star", "0.5", "--sample-ratio", "0.7"]],
+                             ids=["read", "split-and-scaled"])
+    def test_training_set_leaves_no_writable_alias(self, flags, toy_file, monkeypatch):
+        seen = self._spy_training_sets(monkeypatch)
+        assert main(["train", "bbr", str(toy_file), *flags]) == 0
+        (trained,) = seen
+        for rows in (trained.positives, trained.negatives):
+            assert not rows.flags.writeable
+            assert rows.base is None or not rows.base.flags.writeable
+
     def test_x_star_scales_test_set_by_the_training_factor(self, toy_file, tmp_path, monkeypatch):
         rng = np.random.default_rng(444)
         held = random_dataset(rng, dim=3, n1=6, n0=7, scale=4.0)
@@ -389,8 +407,16 @@ class TestTrainCommand:
                                      [row[:wall_time] + row[wall_time + 1:] for row in rows])
             return result
 
+        def reference_classes(source, dim_hint=None, split=None):
+            data = parse_libsvm_reference(source, dim_hint)
+            if split is not None:
+                data = subsample_ratio_split(data, *split)
+            both = np.vstack([data.positives, data.negatives])
+            return both[: data.n1], both[data.n1 :]
+
         vectorised = outputs("vectorised")
         monkeypatch.setattr(cli, "parse_libsvm", parse_libsvm_reference)
+        monkeypatch.setattr(cli, "_read_classes", reference_classes)
         assert outputs("reference") == vectorised
 
 
@@ -443,6 +469,134 @@ class TestTrainCommand:
             weights.append(load_weights(model)[0].w)
         plain, relabelled = weights
         assert np.max(np.abs(relabelled - plain[perm])) <= 1e-12 * np.max(np.abs(plain))
+
+
+class TestTrainMatchesLibraryChain:
+    """`train` reads only the rows it keeps and scales them in place; its model
+    bytes and CSV cells (wall time aside) must be those of the library chain
+    parse_libsvm -> subsample_ratio_split -> scale_to_ball -> moments -> solve_erm."""
+
+    SEED = 9
+    WALL_TIME = RESULT_CSV_HEADER.index("wall_time_seconds")
+
+    @classmethod
+    def _library(cls, algorithm, train_path, test_path, ratio, x_star, pairs):
+        """The model bytes and CSV cells the chain gives, or the exception it raises."""
+        data = parse_libsvm(train_path)
+        if ratio is not None:
+            data = subsample_ratio_split(data, ratio, derived_seed(cls.SEED, ROLE_SPLIT))
+        factor = 1.0
+        if x_star is not None:
+            data, factor = scale_to_ball(data, x_star)
+        if algorithm == "bbr":
+            pair_moments = batch_moments_fast(data)
+        else:
+            config = SubsampleConfig(s=pairs, seed=derived_seed(cls.SEED, ROLE_PAIRS))
+            pair_moments = subsample_moments(data, config)
+        weights, diagnostics = solve_erm(pair_moments, ProblemConfig(x_star or 1.0, 1.0))
+        evaluate_on, scored = data, weights
+        if test_path is not None:
+            evaluate_on = parse_libsvm(test_path, dim_hint=data.dim).scaled(factor)
+            scored = RankerWeights(np.pad(weights.w, (0, evaluate_on.dim - data.dim)))
+        report = evaluate_ranker(evaluate_on, scored)
+        extra = {"eval_on": "train" if test_path is None else "test",
+                 "multiplier": diagnostics.multiplier}
+        if ratio is not None:
+            extra["sample_ratio"] = ratio
+        row = ResultRow("train", algorithm, train_path.name, data.n1, data.n0, pairs or 0,
+                        cls.SEED, report.phi_risk, report.auc, 0.0, extra)
+        model = (MODEL_MAGIC + struct.pack("<IId", MODEL_VERSION, weights.dim, 1.0)
+                 + weights.w.astype("<f8").tobytes())
+        return model, cls._cells(csv_cells(row))
+
+    @classmethod
+    def _cells(cls, row):
+        return row[: cls.WALL_TIME] + row[cls.WALL_TIME + 1 :]
+
+    @classmethod
+    def _cli(cls, algorithm, train_path, test_path, ratio, x_star, pairs, tmp_path):
+        model, out = tmp_path / "cli.bin", tmp_path / "cli.csv"
+        argv = ["train", algorithm, str(train_path), "--seed", str(cls.SEED),
+                "--model-out", str(model), "--csv-out", str(out)]
+        argv += ["--pairs", str(pairs)] if pairs else []
+        argv += ["--test", str(test_path)] if test_path is not None else []
+        argv += ["--sample-ratio", str(ratio)] if ratio is not None else []
+        argv += ["--x-star", str(x_star)] if x_star is not None else []
+        assert main(argv) == 0
+        _, (row,) = _read_csv(out)
+        return model.read_bytes(), cls._cells(row)
+
+    @staticmethod
+    def _files(tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        train_path, test_path = tmp_path / "train.txt", tmp_path / "test.txt"
+        write_libsvm(random_dataset(rng, dim=6, n1=25, n0=35, scale=3.0), train_path)
+        write_libsvm(random_dataset(rng, dim=5, n1=15, n0=20, scale=3.0), test_path)
+        return train_path, test_path
+
+    @pytest.mark.parametrize("algorithm, pairs", [("bbr", 0), ("lcbr", 500)])
+    @pytest.mark.parametrize("held_out", [False, True], ids=["train-eval", "test-eval"])
+    @pytest.mark.parametrize("ratio", [None, 1.0, 0.6], ids=["no-split", "ratio-1", "ratio-0.6"])
+    @pytest.mark.parametrize("x_star", [100.0, 1.0], ids=["factor-1", "factor-below-1"])
+    def test_same_bits(self, algorithm, pairs, held_out, ratio, x_star, tmp_path):
+        train_path, test_path = self._files(tmp_path, 448)
+        test_path = test_path if held_out else None
+        data = parse_libsvm(train_path)
+        largest = np.linalg.norm(np.vstack([data.positives, data.negatives]), axis=1).max()
+        assert (largest < x_star) == (x_star == 100.0)
+        case = (algorithm, train_path, test_path, ratio, x_star, pairs)
+        assert self._cli(*case, tmp_path) == self._library(*case)
+
+    @pytest.mark.parametrize("algorithm, pairs", [("bbr", 0), ("lcbr", 500)])
+    def test_same_bits_when_the_first_factor_steps_one_ulp(self, algorithm, pairs, tmp_path):
+        # Seed 168, found by search: x_star over the largest norm leaves a
+        # row of this file above x_star, so the factor steps down one ulp.
+        train_path, test_path = self._files(tmp_path, 168)
+        data = parse_libsvm(train_path)
+        largest = max(np.linalg.norm(data.positives, axis=1).max(),
+                      np.linalg.norm(data.negatives, axis=1).max())
+        _, factor = scale_to_ball(data, 1.0)
+        assert factor == np.nextafter(1.0 / largest, 0.0)
+        case = (algorithm, train_path, test_path, None, 1.0, pairs)
+        assert self._cli(*case, tmp_path) == self._library(*case)
+
+    @pytest.mark.parametrize("algorithm, pairs", [("bbr", 0), ("lcbr", 500)])
+    def test_split_emptying_a_class_fails_as_the_chain_does(self, algorithm, pairs, tmp_path,
+                                                          capsys):
+        path = tmp_path / "five.txt"
+        path.write_text("+1 1:1\n-1 1:2\n-1 1:3\n-1 2:1\n-1 2:2\n", encoding="ascii")
+        with pytest.raises(UntrainableDatasetError) as raised:
+            self._library(algorithm, path, None, 0.2, 1.0, pairs)
+        argv = ["train", algorithm, str(path), "--sample-ratio", "0.2", "--x-star", "1",
+                "--seed", str(self.SEED)] + (["--pairs", str(pairs)] if pairs else [])
+        code, stderr = _main_stderr(argv, capsys)
+        assert code == 2
+        assert stderr.splitlines() == [f"pairrank: data error: {raised.value}"]
+        assert "training needs both classes non-empty" in stderr
+
+
+class TestTrainMemory:
+    def test_peak_is_one_training_matrix_and_one_streaming_block(self, tmp_path):
+        # The parsed and the scaled training matrix are never held together,
+        # and the training matrix is released before --test is read, so the
+        # fit sets the peak: the matrix plus one moment block.  The slack,
+        # 1 MiB, covers the fit's d x d matrices (about 0.5 MiB at d = 123).
+        rows, dim = 32_561, 123
+        train_path, test_path = tmp_path / "train.svm", tmp_path / "test.svm"
+        n1 = write_a9a_shaped(train_path, rows, np.random.default_rng(449))
+        write_a9a_shaped(test_path, rows // 2, np.random.default_rng(450))
+        argv = ["train", "bbr", str(train_path), "--x-star", "1", "--test", str(test_path)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        matrix = 8 * rows * dim
+        block = 8 * min(max(n1, rows - n1), moments._BLOCK_ROWS) * dim
+        assert peak > matrix + block
+        assert peak <= matrix + block + 2**20, f"peak {peak} B above {matrix + block} B + slack"
 
 
 class TestExitCodes:
