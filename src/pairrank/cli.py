@@ -18,9 +18,9 @@ training set with :func:`_draw_mixture`; both sweeps fit a replicate's
 bbr and lcbr rows with :func:`_fit_rows`.  ``train --x-star`` scales
 the training set by :func:`~pairrank.core.scale_to_ball`'s factor and
 the ``--test`` set by the same factor.  ``train`` holds one training
-matrix: it densifies only the rows ``--sample-ratio`` keeps, scales them
-in place, so the fit needs that matrix plus one streaming block, and
-releases it before it reads ``--test``.
+matrix: ``parse_libsvm``'s loader densifies the rows ``--sample-ratio``
+keeps, scales and freezes them in place; the fit needs that matrix and
+one streaming block, and the matrix is released before ``--test`` is read.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset, unwritable output path, an input
@@ -69,10 +69,9 @@ from .core import (
     ProblemConfig,
     RankerWeights,
     SolverConvergenceError,
-    _ball_factor,
 )
 from .evaluation import evaluate_ranker, expected_phi_risk
-from .io import (ResultRow, _frozen, _read_classes, csv_cells, parse_libsvm, write_csv,
+from .io import (ResultRow, _read_dataset, csv_cells, parse_libsvm, write_csv,
                  write_results_csv)
 from .moments import (
     SubsampleConfig,
@@ -286,19 +285,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.algorithm == "bbr" and args.pairs is not None:
         raise UsageError("--pairs only applies to lcbr")
 
-    split = None
-    if args.sample_ratio is not None:
-        split = (args.sample_ratio, derived_seed(args.seed, ROLE_SPLIT))
-    # The rows subsample_ratio_split would keep, scaled in place by
-    # scale_to_ball's factor: the same bits without a second matrix.
-    positives, negatives = _read_classes(args.data, split=split)
-    factor = 1.0
-    if args.x_star is not None:
-        factor = _ball_factor(positives, negatives, args.x_star)
-        positives *= factor
-        negatives *= factor
-    data = _frozen(positives, negatives)
-    del positives, negatives
+    split = (args.sample_ratio or 1.0, derived_seed(args.seed, ROLE_SPLIT))
+    data, factor = _read_dataset(args.data, split=split, x_star=args.x_star)
 
     cfg = ProblemConfig(x_star=args.x_star or 1.0, w_star=args.w_star)
     s = args.pairs or 0

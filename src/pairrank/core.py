@@ -9,8 +9,12 @@ No container stores a dimension: :class:`Dataset`, :class:`PairMoments`
 and :class:`RankerWeights` each read it from their arrays' shape.
 
 Arrays stored on frozen dataclasses are coerced to contiguous float64
-and marked read-only, so instances can be shared freely between threads
-and across test fixtures without defensive copies.
+and made read-only by one rule, `_freeze`: an array that owns its memory
+is frozen in place, and a view of memory that can still be written
+elsewhere (a slice of a writable array, an array over a bytearray) is
+copied first.  So instances can be shared freely between threads and
+across test fixtures; only a view the caller took of an owned array
+before passing it can still write to it.
 """
 
 from __future__ import annotations
@@ -93,6 +97,13 @@ def _as_float_matrix(value: object, name: str) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark `arr` read-only, after copying it if other code can still write its memory."""
+    owner = arr
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    outside = owner.base is not None and not isinstance(owner.base, bytes)
+    if outside or (owner is not arr and owner.flags.writeable):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

@@ -43,7 +43,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, PairRankError
+from .core import Dataset, PairRankError, _ball_factor, _freeze
 
 __all__ = [
     "LibsvmParseError",
@@ -360,16 +360,20 @@ def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     )
 
 
-def _read_classes(
+def _read_dataset(
     source: str | Path | IO[str],
     dim_hint: int | None = None,
     split: tuple[float, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`parse_libsvm`'s positives and negatives, writable, as row blocks of one fresh array.
+    x_star: float | None = None,
+) -> tuple[Dataset, float]:
+    """`parse_libsvm`'s dataset, split and scaled in its one buffer, and the factor used.
 
     `split` = (ratio, seed) keeps only the rows `subsample_ratio_split`
     would keep of the whole file; the rest are dropped before densifying,
-    and the dimension is still that of the whole file.
+    and the dimension is still that of the whole file.  Given `x_star`,
+    the buffer is multiplied in place by `scale_to_ball`'s factor (1.0
+    without it): the bits of those three calls in turn, without a second
+    matrix.  The buffer is then frozen; the classes are its row blocks.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
@@ -409,14 +413,11 @@ def _read_classes(
     flat -= 1
     del indices
     matrix.ravel()[flat] = values
-    return matrix[:n1_kept], matrix[n1_kept:]
-
-
-def _frozen(positives: np.ndarray, negatives: np.ndarray) -> Dataset:
-    """A dataset of `_read_classes`' two blocks, with their shared base read-only too."""
-    data = Dataset(positives, negatives)
-    positives.base.flags.writeable = False
-    return data
+    factor = 1.0 if x_star is None else _ball_factor(matrix[:n1_kept], matrix[n1_kept:], x_star)
+    if factor != 1.0:
+        matrix *= factor
+    _freeze(matrix)
+    return Dataset(matrix[:n1_kept], matrix[n1_kept:]), factor
 
 
 def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> Dataset:
@@ -444,17 +445,17 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     "0.583333", is read without float(), and others, such as "1_0",
     "1e-400", "1E+05" or more than 15 digits, go through it.
 
-    Memory: the two classes are row blocks of one read-only array, filled
+    Memory: the classes are row blocks, not copies, of one array, filled
     through one flat offset per feature (its class-ordered row times the
-    dimension, plus its index - 1).  On the vectorised pass the traced
-    peak is the dense output plus at most 5 bytes per input byte for
-    one-hot rows like a9a's, where that fill, holding each feature's
-    offset, index and value, costs most.  A 2.33 MB a9a-shaped file read
-    into 32.0 MB peaks at 43.0 MB, 4.7 bytes per input byte above the
-    output.  Labels or values wider than a few bytes add their width per
-    token.
+    dimension, plus its index - 1) and frozen before the blocks are cut.
+    On the vectorised pass the traced peak is the dense output plus at
+    most 5 bytes per input byte for one-hot rows like a9a's, where that
+    fill, holding each feature's offset, index and value, costs most.  A
+    2.33 MB a9a-shaped file read into 32.0 MB peaks at 43.0 MB, 4.7 bytes
+    per input byte above the output.  Labels or values wider than a few
+    bytes add their width per token.
     """
-    return _frozen(*_read_classes(source, dim_hint))
+    return _read_dataset(source, dim_hint)[0]
 
 
 def write_libsvm(data: Dataset, path: str | Path) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PairMoments, ProblemConfig, RankerWeights
+from .core import Dataset, PairMoments, ProblemConfig, RankerWeights, _freeze
 from .solver import solve_erm
 
 __all__ = [
@@ -59,8 +59,7 @@ class GmmSpec:
                 raise ValueError(f"{name} shape {m.shape} != {mp.shape}")
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} contains non-finite entries")
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, _freeze(m))
 
     @property
     def k(self) -> int:

@@ -205,6 +205,38 @@ def test_pair_budget_does_not_grow_with_pair_count():
         assert np.all(np.diff(mean[i]) < 0.0), (n, mean[i])
 
 
+def test_pair_budget_objective_excess_falls_with_s():
+    """lcbr's all-pairs objective excess over bbr is never below rounding, and falls with s.
+
+    The deterministic form of the claim above, on the same draws: the
+    excess is the all-pairs objective at lcbr's w minus its value at bbr's
+    w, which minimizes that objective over the same ball.  In every
+    replicate the excess must be at least -1e-9 * (1 + |objective at bbr's
+    w|), and at each n its replicate mean must fall as s grows.  Comparing
+    the excess with the epsilon the bound certifies is not done here.
+    """
+    cfg = ProblemConfig(x_star=1.0, w_star=1.0)
+    base = 20191201
+    n_grid, s_grid, replicates = (250, 1000, 4000), (500, 2000, 8000), 20
+    excess = np.empty((replicates, len(n_grid), len(s_grid)))
+    for rep in range(replicates):
+        seed = base + rep
+        spec = random_gmm_spec(10, 1, 2.0, derived_seed(seed, ROLE_SPEC))
+        for i, n in enumerate(n_grid):
+            train = sample_dataset(spec, n, n, derived_seed(seed, ROLE_TRAIN, i))
+            batch = batch_moments_fast(train)
+            batch_w, _ = solve_erm(batch, cfg)
+            best = objective_value(batch, batch_w)
+            for j, s in enumerate(s_grid):
+                sub_cfg = SubsampleConfig(s=s, seed=derived_seed(seed, ROLE_PAIRS, i, j))
+                sub_w, _ = solve_erm(subsample_moments(train, sub_cfg), cfg)
+                excess[rep, i, j] = objective_value(batch, sub_w) - best
+                assert excess[rep, i, j] >= -1e-9 * (1.0 + abs(best)), (rep, n, s, best)
+    mean = excess.mean(axis=0)
+    for i, n in enumerate(n_grid):
+        assert np.all(np.diff(mean[i]) < 0.0), (n, mean[i])
+
+
 def _best_of(repeats, fn):
     best = math.inf
     for _ in range(repeats):

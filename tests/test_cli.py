@@ -407,16 +407,15 @@ class TestTrainCommand:
                                      [row[:wall_time] + row[wall_time + 1:] for row in rows])
             return result
 
-        def reference_classes(source, dim_hint=None, split=None):
+        def reference_dataset(source, dim_hint=None, split=None, x_star=None):
             data = parse_libsvm_reference(source, dim_hint)
             if split is not None:
                 data = subsample_ratio_split(data, *split)
-            both = np.vstack([data.positives, data.negatives])
-            return both[: data.n1], both[data.n1 :]
+            return (data, 1.0) if x_star is None else scale_to_ball(data, x_star)
 
         vectorised = outputs("vectorised")
         monkeypatch.setattr(cli, "parse_libsvm", parse_libsvm_reference)
-        monkeypatch.setattr(cli, "_read_classes", reference_classes)
+        monkeypatch.setattr(cli, "_read_dataset", reference_dataset)
         assert outputs("reference") == vectorised
 
 

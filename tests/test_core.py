@@ -10,6 +10,7 @@ import pytest
 from pairrank import (
     Dataset,
     DimensionMismatchError,
+    GmmSpec,
     InvalidMomentsError,
     PairMoments,
     PairRankError,
@@ -63,6 +64,49 @@ class TestDataset:
         # Construction does not scan values; scale_to_ball and the metrics refuse them.
         data = Dataset.from_arrays([[np.nan]], [[1.0]])
         assert data.n1 == 1
+
+
+def _writable_array():
+    """A 4 x 4 array, and the array to write it through: itself."""
+    base = np.arange(16.0).reshape(4, 4)
+    return base, base
+
+
+def _read_only_bytearray_view():
+    """A 4 x 4 read-only view of a bytearray, and a writable array over the same bytes."""
+    buffer = bytearray(np.arange(16.0).tobytes())
+    owner = np.frombuffer(buffer)
+    owner.flags.writeable = False
+    return owner.reshape(4, 4), np.frombuffer(buffer)
+
+
+class TestOwnership:
+    """Every frozen container keeps values that no later write can move."""
+
+    @pytest.mark.parametrize("source", [_writable_array, _read_only_bytearray_view])
+    @pytest.mark.parametrize("build, names", [
+        (lambda rows: Dataset(rows[:2], rows[2:]), ("positives", "negatives")),
+        (lambda rows: PairMoments(rows[0], np.eye(4)), ("mu",)),
+        (lambda rows: RankerWeights(rows[1]), ("w",)),
+        (lambda rows: GmmSpec(1.0, rows[:2], rows[2:]), ("means_pos", "means_neg")),
+    ], ids=["Dataset", "PairMoments", "RankerWeights", "GmmSpec"])
+    def test_views_of_writable_memory_are_copied(self, build, names, source):
+        rows, writer = source()
+        built = build(rows)
+        before = [getattr(built, name).copy() for name in names]
+        writer[...] = 5.0
+        for name, value in zip(names, before):
+            assert not getattr(built, name).flags.writeable
+            np.testing.assert_array_equal(getattr(built, name), value)
+
+    def test_owned_arrays_and_views_of_frozen_ones_are_kept_not_copied(self):
+        positives, frozen = np.ones((2, 3)), np.zeros((3, 3))
+        frozen.flags.writeable = False
+        data = Dataset(positives, frozen[1:])
+        assert data.positives is positives and not positives.flags.writeable
+        assert data.negatives.base is frozen
+        weights = np.frombuffer(np.arange(3.0).tobytes())
+        assert RankerWeights(weights).w is weights
 
 
 class TestProblemConfig:
