@@ -13,8 +13,8 @@ and made read-only by one rule, `_freeze`: an array that owns its memory
 is frozen in place, and a view of memory that can still be written
 elsewhere (a slice of a writable array, an array over a bytearray) is
 copied first.  So instances can be shared freely between threads and
-across test fixtures; only a view the caller took of an owned array
-before passing it can still write to it.
+across test fixtures; only the caller's own array, whose flag it can set
+back, and views it took of that array first can still write to them.
 """
 
 from __future__ import annotations
