@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RankerWeights, SolverConvergenceError
+from .core import Dataset, RankerWeights, SolverConvergenceError, _require_positive
 
 __all__ = ["SgdConfig", "train_pairwise_sgd"]
 
@@ -37,8 +37,7 @@ class SgdConfig:
             raise ValueError(f"step_size must be finite and >= 0, got {self.step_size!r}")
         if self.pair_budget < 1:
             raise ValueError(f"pair_budget must be >= 1, got {self.pair_budget}")
-        if not (math.isfinite(self.w_star) and self.w_star > 0.0):
-            raise ValueError(f"w_star must be finite and > 0, got {self.w_star!r}")
+        _require_positive("w_star", self.w_star)
 
 
 def train_pairwise_sgd(data: Dataset, cfg: SgdConfig) -> RankerWeights:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require_positive
+
 __all__ = [
     "RiskConstants",
     "risk_constants",
@@ -112,9 +114,7 @@ class BoundInputs:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         for name in ("x_star", "w_star", "epsilon"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            _require_positive(name, getattr(self, name))
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
         if self.n < 1:

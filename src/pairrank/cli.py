@@ -146,7 +146,7 @@ def load_weights(path: str | Path) -> tuple[RankerWeights, float]:
         )
     (w_star,) = struct.unpack_from("<d", blob, 16)
     vector = np.frombuffer(blob, dtype="<f8", offset=24, count=dim)
-    return RankerWeights(vector.copy()), float(w_star)
+    return RankerWeights(vector), float(w_star)
 
 
 def _resolve_out(path: str) -> Path:

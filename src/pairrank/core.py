@@ -8,13 +8,16 @@ first and second moments of positive-minus-negative difference vectors.
 No container stores a dimension: :class:`Dataset`, :class:`PairMoments`
 and :class:`RankerWeights` each read it from their arrays' shape.
 
-Arrays stored on frozen dataclasses are coerced to contiguous float64
-and made read-only by one rule, `_freeze`: an array that owns its memory
-is frozen in place, and a view of memory that can still be written
-elsewhere (a slice of a writable array, an array over a bytearray) is
-copied first.  So instances can be shared freely between threads and
-across test fixtures; only the caller's own array, whose flag it can set
-back, and views it took of that array first can still write to them.
+Arrays stored on frozen dataclasses are coerced to contiguous float64.
+One rule, `_float_array`, coerces a dataset's two classes, `mu` and `w`,
+and raises DimensionMismatchError when one cannot be coerced or has the
+wrong rank.  All are made read-only by one rule, `_freeze`: an array
+that owns its memory is frozen in place, and a view of memory that can
+still be written elsewhere (a slice of a writable array, an array over a
+bytearray) is copied first.  So instances can be shared freely between
+threads and across test fixtures; only the caller's own array, whose
+flag it can set back, and views it took of that array first can still
+write to them.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ class PairRankError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionMismatchError(PairRankError):
-    """Feature vectors, weights, or moments disagree on dimension."""
+class DimensionMismatchError(PairRankError, ValueError):
+    """Feature vectors, weights, or moments disagree on dimension or rank."""
 
 
 class UntrainableDatasetError(PairRankError):
@@ -79,21 +82,27 @@ class SolverConvergenceError(PairRankError):
         self.bracket = bracket
 
 
-def _as_float_matrix(value: object, name: str) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, or raise."""
+def _float_array(value: object, name: str, ndim: int) -> np.ndarray:
+    """Coerce to a C-contiguous float64 array of rank `ndim`, or raise naming `name`.
+
+    ``[]`` as a matrix (ndim 2) is the 0 x 0 matrix.
+    """
+    kind = "vector" if ndim == 1 else "matrix"
     try:
         arr = np.ascontiguousarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatchError(
-            f"{name} is not coercible to a float matrix: {exc}"
-        ) from exc
-    if arr.ndim == 1 and arr.size == 0:
+        raise DimensionMismatchError(f"{name} is not coercible to a float {kind}: {exc}") from exc
+    if ndim == 2 and arr.shape == (0,):
         arr = arr.reshape(0, 0)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(
-            f"{name} must be 2-D (rows are feature vectors), got ndim={arr.ndim}"
-        )
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be a {kind}, got ndim={arr.ndim}")
     return arr
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise ValueError unless `value` is finite and > 0."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -127,8 +136,8 @@ class Dataset:
     negatives: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = _as_float_matrix(self.positives, "positives")
-        neg = _as_float_matrix(self.negatives, "negatives")
+        pos = _float_array(self.positives, "positives", 2)
+        neg = _float_array(self.negatives, "negatives", 2)
         if pos.shape[0] == 0:
             pos = pos.reshape(0, neg.shape[1])
         if neg.shape[0] == 0:
@@ -187,10 +196,8 @@ class ProblemConfig:
     w_star: float
 
     def __post_init__(self) -> None:
-        for name in ("x_star", "w_star"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        _require_positive("x_star", self.x_star)
+        _require_positive("w_star", self.w_star)
 
 
 @dataclass(frozen=True)
@@ -214,10 +221,8 @@ class PairMoments:
     eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mu = np.ascontiguousarray(self.mu, dtype=np.float64)
+        mu = _float_array(self.mu, "mu", 1)
         sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
-        if mu.ndim != 1:
-            raise DimensionMismatchError(f"mu must be a vector, got ndim={mu.ndim}")
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise DimensionMismatchError(
                 f"sigma shape {sigma.shape} does not match mu dimension {mu.shape[0]}"
@@ -258,9 +263,7 @@ class RankerWeights:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
-        if w.ndim != 1:
-            raise DimensionMismatchError(f"weights must be a vector, got ndim={w.ndim}")
+        w = _float_array(self.w, "w", 1)
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain non-finite entries")
         object.__setattr__(self, "w", _freeze(w))
@@ -268,6 +271,13 @@ class RankerWeights:
     @property
     def dim(self) -> int:
         return self.w.shape[0]
+
+    def require_dim(self, dim: int, what: str) -> None:
+        """Raise DimensionMismatchError unless these weights can score `dim`-dim `what`."""
+        if self.dim != dim:
+            raise DimensionMismatchError(
+                f"weights of dimension {self.dim} cannot score {dim}-dim {what}"
+            )
 
 
 def _prescaled_norm(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -312,8 +322,7 @@ def _ball_factor(positives: np.ndarray, negatives: np.ndarray, x_star: float) ->
     rounds above x_star; each factor tried is checked on _NORM_BLOCK-row
     temporaries, so the rows stay unwritten until the factor is final.
     """
-    if not (np.isfinite(x_star) and x_star > 0.0):
-        raise ValueError(f"x_star must be finite and > 0, got {x_star!r}")
+    _require_positive("x_star", x_star)
     max_norm = max(_max_row_norm(positives), _max_row_norm(negatives))
     if max_norm <= x_star:
         return 1.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, PairMoments, PairRankError, RankerWeights
+from .core import Dataset, PairMoments, PairRankError, RankerWeights
 
 __all__ = [
     "EvalReport",
@@ -61,10 +61,7 @@ def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
     average into a meaningful value.
     """
     data.require_trainable()
-    if w.dim != data.dim:
-        raise DimensionMismatchError(
-            f"weights of dimension {w.dim} cannot score {data.dim}-dim features"
-        )
+    w.require_dim(data.dim, "features")
     pos, neg = data.positives @ w.w, data.negatives @ w.w
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise PairRankError("cannot evaluate a ranker on non-finite scores")
@@ -129,10 +126,7 @@ def expected_phi_risk(moments: PairMoments, w: RankerWeights) -> float:
     `moments` are population difference moments, for example the
     closed-form mixture moments from the synthetic-data module.
     """
-    if w.dim != moments.dim:
-        raise DimensionMismatchError(
-            f"weights of dimension {w.dim} cannot score {moments.dim}-dim moments"
-        )
+    w.require_dim(moments.dim, "moments")
     return float(0.5 + 0.5 * w.w @ moments.sigma @ w.w - moments.mu @ w.w)
 
 

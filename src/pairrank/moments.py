@@ -200,20 +200,23 @@ def batch_moments_naive(data: Dataset) -> PairMoments:
     """All-pairs difference moments by literal enumeration.
 
     For every positive row i the full block of n0 differences is formed
-    and folded into the accumulators, so time is Theta(n1 * n0 * d) for
-    the mean and Theta(n1 * n0 * d^2) for the second moment, with
-    Theta(d^2) working memory.  Each block's second moment is one plain
-    whole-matrix einsum on one thread, sharing no strip code with the
-    other routes.  Exists as the ground-truth oracle and for cost
-    measurement; use :func:`batch_moments_fast` otherwise.
+    in one preallocated n0 x d buffer and folded into the accumulators,
+    so time is Theta(n1 * n0 * d) for the mean and Theta(n1 * n0 * d^2)
+    for the second moment.  Working memory is n1 * d + n0 * d floats (the
+    per-row sums and the buffer) plus a few d x d matrices and the ufunc
+    buffer numpy fills to broadcast row i.  Each block's second moment is
+    one plain whole-matrix einsum on one thread, sharing no strip code
+    with the other routes.  Exists as the ground-truth oracle and for
+    cost measurement; use :func:`batch_moments_fast` otherwise.
     """
     data.require_trainable()
     n1, n0, dim = data.n1, data.n0, data.dim
     pos, neg = data.positives, data.negatives
     row_sums = np.empty((n1, dim), dtype=np.float64)
+    diffs = np.empty((n0, dim), dtype=np.float64)
     sigma = np.zeros((dim, dim), dtype=np.float64)
     for i in range(n1):
-        diffs = pos[i] - neg
+        np.subtract(pos[i], neg, out=diffs)
         row_sums[i] = np.sum(diffs, axis=0)
         sigma += np.einsum("si,sj->ij", diffs, diffs, optimize=False)
     count = float(n1) * float(n0)

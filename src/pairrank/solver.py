@@ -32,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DimensionMismatchError,
-    PairMoments,
-    ProblemConfig,
-    RankerWeights,
-    SolverConvergenceError,
-    _prescaled_norm,
-)
+from .core import PairMoments, ProblemConfig, RankerWeights, SolverConvergenceError, _prescaled_norm
 
 __all__ = [
     "SolveDiagnostics",
@@ -83,10 +76,7 @@ class SolveDiagnostics:
 
 def objective_value(moments: PairMoments, w: RankerWeights) -> float:
     """Evaluate 0.5 * w' sigma w - mu' w (no constant term)."""
-    if w.dim != moments.dim:
-        raise DimensionMismatchError(
-            f"weights of dimension {w.dim} cannot score {moments.dim}-dim moments"
-        )
+    w.require_dim(moments.dim, "moments")
     return float(0.5 * w.w @ moments.sigma @ w.w - moments.mu @ w.w)
 
 

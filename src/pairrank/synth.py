@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PairMoments, ProblemConfig, RankerWeights, _freeze
+from .core import Dataset, PairMoments, ProblemConfig, RankerWeights, _freeze, _require_positive
 from .solver import solve_erm
 
 __all__ = [
@@ -48,8 +48,7 @@ class GmmSpec:
     means_neg: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        _require_positive("sigma", self.sigma)
         mp = np.ascontiguousarray(self.means_pos, dtype=np.float64)
         mn = np.ascontiguousarray(self.means_neg, dtype=np.float64)
         if mp.ndim != 2 or mp.shape[0] < 1 or mp.shape[1] < 1:

@@ -1,14 +1,17 @@
-"""Shared dataset builders and the acceptance-summary reporting hook.
+"""Shared dataset builders, test oracles and the acceptance-summary hook.
 
 Every test that needs random data builds it through the helpers here so
-seeds stay visible at the call site.  The hook at the bottom collects
-the outcome of each test named ``test_criterion_<n>`` and prints one
-ACCEPTANCE line per criterion at the end of the run.
+seeds stay visible at the call site.  The ``independent_*`` functions are
+the one independent derivation of the bound formulas that the bound tests
+compare the package against.  The hook at the bottom collects the outcome
+of each test named ``test_criterion_<n>`` and prints one ACCEPTANCE line
+per criterion at the end of the run.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -111,6 +114,66 @@ def parse_libsvm_reference(source, dim_hint=None) -> Dataset:
             target[cursors[label], index - 1] = value
         cursors[label] += 1
     return Dataset(pos, neg)
+
+
+def uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
+    """`count` points drawn uniformly from the dim-dimensional ball of `radius`."""
+    directions = rng.standard_normal((count, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = radius * rng.random(count) ** (1.0 / dim)
+    return directions * radii[:, None]
+
+
+def close(a: float, b: float, rel: float = 1e-12) -> bool:
+    """a equals b within `rel` relative to max(1, |b|)."""
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+# The bound formulas, spelled out with plain math calls in a different
+# composition order than pairrank.bounds, so a transcription slip on either
+# side breaks the comparison.  `p` is a BoundInputs.
+
+
+def independent_constants(x_star: float, w_star: float) -> tuple[float, float]:
+    """(covering sensitivity c1, deviation scale c2)."""
+    c1 = 8.0 * x_star * x_star * w_star + 4.0 * x_star
+    return c1, 3.0 * (x_star * w_star) ** 2 + 2.0 * x_star * w_star
+
+
+def independent_log_tail(p, radius_div: float, exponent_div: float) -> float:
+    """log of 2 Cov(eps / (radius_div c1)) exp(-eps^2 / (exponent_div c2^2) rho (1-rho) n)."""
+    c1, c2 = independent_constants(p.x_star, p.w_star)
+    covering = p.dim * math.log(1.0 + (2.0 * p.w_star * radius_div * c1) / p.epsilon)
+    exponent = (p.n * p.rho) * (1.0 - p.rho) * p.epsilon**2 / (exponent_div * c2 * c2)
+    return math.log(2.0) + covering - exponent
+
+
+def independent_logaddexp(a: float, b: float) -> float:
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def independent_min_pairs(p, linear_div: float, first_div: float, second_div: float) -> float:
+    """The real-valued pair-count threshold, before its ceiling."""
+    x2w2 = (p.x_star * p.w_star) ** 2
+    first_num = p.sigma_n_opnorm * x2w2 * p.w_star**2 + p.epsilon * x2w2 / linear_div
+    first = math.log(4.0 * p.dim / p.delta) * first_num * first_div / p.epsilon**2
+    root = math.sqrt(2.0 * math.log(4.0 / p.delta)) + 1.0
+    second = x2w2 * second_div / p.epsilon**2 * root * root
+    return max(first, second)
+
+
+def independent_matrix_tail(s, epsilon, x_star, w_star, sigma_n_opnorm, dim) -> float:
+    x2w2 = (x_star * w_star) ** 2
+    denom = 8.0 * sigma_n_opnorm * x2w2 * w_star**2 + (16.0 / 3.0) * epsilon * x2w2
+    return min(1.0, 2.0 * dim * math.exp(-(s * epsilon**2) / denom))
+
+
+def independent_vector_tail(s, epsilon, x_star, w_star) -> float:
+    arg = epsilon / (2.0 * x_star * w_star) * math.sqrt(s)
+    if arg <= 1.0:
+        return 1.0
+    return min(1.0, 2.0 * math.exp(-((arg - 1.0) ** 2) / 2.0))
 
 
 def load_perfbench_reference():

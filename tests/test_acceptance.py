@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import integer_dataset, random_dataset
+from conftest import (close, independent_constants, independent_log_tail, independent_logaddexp,
+                      independent_matrix_tail, independent_min_pairs, independent_vector_tail,
+                      integer_dataset, random_dataset, uniform_ball)
 from pairrank import (
     BoundInputs,
     Dataset,
@@ -77,13 +79,6 @@ def test_criterion_1():
         )
 
 
-def _uniform_ball_points(rng, count, dim, radius):
-    directions = rng.standard_normal((count, dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / dim)
-    return directions * radii[:, None]
-
-
 def test_criterion_2():
     """Solver output is feasible, KKT-certified, and beats random search."""
     rng = np.random.default_rng(2001)
@@ -100,7 +95,7 @@ def test_criterion_2():
         assert float(np.linalg.norm(w)) <= w_star * (1.0 + 1e-9)
         residual = float(np.linalg.norm(sigma @ w - mu + diagnostics.multiplier * w))
         assert residual <= 1e-8
-        points = _uniform_ball_points(rng, 10_000, dim, w_star)
+        points = uniform_ball(rng, 10_000, dim, w_star)
         values = 0.5 * np.einsum("si,ij,sj->s", points, sigma, points) - points @ mu
         assert objective_value(moments, weights) <= float(values.min()) + 1e-9
 
@@ -365,60 +360,6 @@ def test_criterion_8():
     assert checked >= 5
 
 
-def _ind_constants(x_star, w_star):
-    return 8.0 * x_star * x_star * w_star + 4.0 * x_star, (
-        3.0 * (x_star * w_star) ** 2 + 2.0 * x_star * w_star
-    )
-
-
-def _ind_log_tail(p, radius_div, exponent_div):
-    c1, c2 = _ind_constants(p.x_star, p.w_star)
-    covering = p.dim * math.log(
-        1.0 + (2.0 * p.w_star * radius_div * c1) / p.epsilon
-    )
-    exponent = (p.n * p.rho) * (1.0 - p.rho) * p.epsilon**2 / (exponent_div * c2 * c2)
-    return math.log(2.0) + covering - exponent
-
-
-def _ind_logaddexp(a, b):
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _ind_min_pairs(p, linear_div, first_div, second_div):
-    x2w2 = (p.x_star * p.w_star) ** 2
-    first = (
-        first_div
-        * math.log(4.0 * p.dim / p.delta)
-        * (p.sigma_n_opnorm * x2w2 * p.w_star**2 + p.epsilon * x2w2 / linear_div)
-        / p.epsilon**2
-    )
-    second = (
-        second_div
-        * x2w2
-        * (1.0 + math.sqrt(2.0 * math.log(4.0 / p.delta))) ** 2
-        / p.epsilon**2
-    )
-    return max(first, second)
-
-
-def _ind_matrix_tail(p, s):
-    x2w2 = (p.x_star * p.w_star) ** 2
-    denom = 8.0 * p.sigma_n_opnorm * x2w2 * p.w_star**2 + (16.0 / 3.0) * p.epsilon * x2w2
-    return min(1.0, 2.0 * p.dim * math.exp(-(s * p.epsilon**2) / denom))
-
-
-def _ind_vector_tail(p, s):
-    arg = p.epsilon / (2.0 * p.x_star * p.w_star) * math.sqrt(s)
-    if arg <= 1.0:
-        return 1.0
-    return min(1.0, 2.0 * math.exp(-((arg - 1.0) ** 2) / 2.0))
-
-
-def _matches(got, expected):
-    return abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
-
-
 def _matches_ceiling(got, expected_real):
     # guard the integer comparison against a knife-edge ceiling flip
     slack = 1e-9 * max(1.0, abs(expected_real))
@@ -470,29 +411,28 @@ def test_criterion_9():
     assert len(points) == 100
 
     for p in points:
-        c1, c2 = _ind_constants(p.x_star, p.w_star)
+        c1, c2 = independent_constants(p.x_star, p.w_star)
         constants = risk_constants(p.x_star, p.w_star)
-        assert _matches(constants.covering_sensitivity, c1)
-        assert _matches(constants.deviation_scale, c2)
-        assert _matches(batch_excess_risk_log_tail(p), _ind_log_tail(p, 4.0, 8.0))
-        assert _matches(uniform_deviation_log_tail(p), _ind_log_tail(p, 2.0, 2.0))
-        assert _matches(
+        assert close(constants.covering_sensitivity, c1)
+        assert close(constants.deviation_scale, c2)
+        assert close(batch_excess_risk_log_tail(p), independent_log_tail(p, 4.0, 8.0))
+        assert close(uniform_deviation_log_tail(p), independent_log_tail(p, 2.0, 2.0))
+        assert close(
             subsampled_excess_risk_log_tail(p),
-            _ind_logaddexp(_ind_log_tail(p, 10.0, 50.0), math.log(p.delta)),
+            independent_logaddexp(independent_log_tail(p, 10.0, 50.0), math.log(p.delta)),
         )
         assert _matches_ceiling(
-            min_pairs_empirical_gap(p), _ind_min_pairs(p, 3.0, 32.0, 4.0)
+            min_pairs_empirical_gap(p), independent_min_pairs(p, 3.0, 32.0, 4.0)
         )
         assert _matches_ceiling(
-            min_pairs_excess_risk(p), _ind_min_pairs(p, 15.0, 800.0, 100.0)
+            min_pairs_excess_risk(p), independent_min_pairs(p, 15.0, 800.0, 100.0)
         )
         s = min_pairs_empirical_gap(p)
-        got_matrix = second_moment_deviation_tail(
-            s, p.epsilon, p.x_star, p.w_star, p.sigma_n_opnorm, p.dim
-        )
-        assert _matches(got_matrix, _ind_matrix_tail(p, s))
+        matrix_args = (s, p.epsilon, p.x_star, p.w_star, p.sigma_n_opnorm, p.dim)
+        got_matrix = second_moment_deviation_tail(*matrix_args)
+        assert close(got_matrix, independent_matrix_tail(*matrix_args))
         got_vector = mean_deviation_tail(s, p.epsilon, p.x_star, p.w_star)
-        assert _matches(got_vector, _ind_vector_tail(p, s))
+        assert close(got_vector, independent_vector_tail(s, p.epsilon, p.x_star, p.w_star))
 
         # monotonicity: more examples, more sampled pairs, a looser accuracy
         # target, and a more balanced class ratio never worsen any figure

@@ -60,7 +60,9 @@ class TestSgdConfig:
     def test_invalid_config_rejected(self, overrides):
         values = dict(step_size=0.1, pair_budget=10, seed=0, w_star=1.0)
         values.update(overrides)
-        with pytest.raises(ValueError):
+        (field,) = overrides
+        message = "w_star must be finite and > 0" if field == "w_star" else field
+        with pytest.raises(ValueError, match=message):
             SgdConfig(**values)
 
 

@@ -1,8 +1,8 @@
 """Guarantee calculators pinned against independently written formulas.
 
-Every re-evaluation here is deliberately spelled out with plain math
-calls in a different composition order than the package code, so a
-transcription slip on either side breaks the comparison.
+The formulas come from conftest's independent derivation, spelled out
+with plain math calls in a different composition order than the package
+code, so a transcription slip on either side breaks the comparison.
 """
 
 import math
@@ -27,6 +27,9 @@ from pairrank import (
 )
 from pairrank.io import csv_cells
 
+from conftest import (close, independent_log_tail, independent_logaddexp, independent_matrix_tail,
+                      independent_min_pairs, independent_vector_tail)
+
 
 def _inputs(**overrides):
     values = dict(
@@ -46,10 +49,6 @@ def _table_row(inputs):
     row = csv_cells(inputs) + csv_cells(evaluate_bounds(inputs))
     assert len(row) == len(TABLE_HEADER)
     return dict(zip(TABLE_HEADER, row))
-
-
-def _close(a, b, rel=1e-12):
-    return abs(a - b) <= rel * max(1.0, abs(b))
 
 
 class TestRiskConstants:
@@ -74,10 +73,10 @@ class TestRiskConstants:
 
 class TestLogCoveringNumber:
     def test_one_dimensional_unit_ratio(self):
-        assert _close(log_covering_number(1.0, 1), math.log(3.0))
+        assert close(log_covering_number(1.0, 1), math.log(3.0))
 
     def test_ten_dimensional_tenth_ratio(self):
-        assert _close(log_covering_number(0.1, 10), 10.0 * math.log(21.0))
+        assert close(log_covering_number(0.1, 10), 10.0 * math.log(21.0))
 
     def test_coarse_cover_stays_below_dim_log_two(self):
         assert log_covering_number(2.0, 7) <= 7 * math.log(2.0) + 1e-12
@@ -109,44 +108,29 @@ class TestBoundInputsValidation:
         ],
     )
     def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError):
+        positive = field in ("x_star", "w_star", "epsilon")
+        message = f"{field} must be finite and > 0" if positive else field
+        with pytest.raises(ValueError, match=message):
             _inputs(**{field: value})
-
-
-def _independent_log_tail(inputs, radius_div, exponent_div):
-    c1 = 8.0 * inputs.x_star * inputs.x_star * inputs.w_star + 4.0 * inputs.x_star
-    c2 = (
-        3.0 * inputs.x_star * inputs.x_star * inputs.w_star * inputs.w_star
-        + 2.0 * inputs.x_star * inputs.w_star
-    )
-    radius = inputs.epsilon / (radius_div * c1)
-    covering = inputs.dim * math.log(1.0 + 2.0 * inputs.w_star / radius)
-    exponent = (
-        (inputs.epsilon * inputs.epsilon)
-        / (exponent_div * c2 * c2)
-        * (inputs.rho * (1.0 - inputs.rho))
-        * inputs.n
-    )
-    return math.log(2.0) + covering - exponent
 
 
 class TestExcessRiskTails:
     def test_batch_tail_matches_independent_formula(self):
         inputs = _inputs()
-        assert _close(batch_excess_risk_log_tail(inputs), _independent_log_tail(inputs, 4.0, 8.0))
+        assert close(batch_excess_risk_log_tail(inputs), independent_log_tail(inputs, 4.0, 8.0))
 
     def test_uniform_deviation_matches_independent_formula(self):
         inputs = _inputs(epsilon=0.3, n=20_000)
-        assert _close(
-            uniform_deviation_log_tail(inputs), _independent_log_tail(inputs, 2.0, 2.0)
+        assert close(
+            uniform_deviation_log_tail(inputs), independent_log_tail(inputs, 2.0, 2.0)
         )
 
     def test_subsampled_tail_matches_independent_formula(self):
         inputs = _inputs(epsilon=0.4, n=50_000, delta=0.02)
-        expected = np.logaddexp(
-            _independent_log_tail(inputs, 10.0, 50.0), math.log(inputs.delta)
+        expected = independent_logaddexp(
+            independent_log_tail(inputs, 10.0, 50.0), math.log(inputs.delta)
         )
-        assert _close(subsampled_excess_risk_log_tail(inputs), float(expected))
+        assert close(subsampled_excess_risk_log_tail(inputs), expected)
 
     def test_subsampled_tail_floors_at_probability_budget(self):
         inputs = _inputs(n=10**9)
@@ -161,7 +145,7 @@ class TestExcessRiskTails:
         )
         lhs = batch_excess_risk_log_tail(doubled)
         rhs = batch_excess_risk_log_tail(inputs) - step
-        assert _close(lhs, rhs)
+        assert close(lhs, rhs)
 
     def test_balanced_skew_minimizes_tail(self):
         balanced = batch_excess_risk_log_tail(_inputs(rho=0.5))
@@ -176,22 +160,10 @@ class TestExcessRiskTails:
         assert uniform_deviation_log_tail(_inputs(rho=0.25)) == uniform_deviation_log_tail(
             _inputs(rho=0.75)
         )
-        assert _close(
+        assert close(
             batch_excess_risk_log_tail(_inputs(rho=0.1)),
             batch_excess_risk_log_tail(_inputs(rho=0.9)),
         )
-
-
-def _independent_min_pairs(inputs, linear_div, first_div, second_div):
-    x2w2 = (inputs.x_star * inputs.w_star) ** 2
-    first_num = (
-        inputs.sigma_n_opnorm * x2w2 * inputs.w_star**2
-        + inputs.epsilon * x2w2 / linear_div
-    )
-    first = math.log(4.0 * inputs.dim / inputs.delta) * first_num * first_div / inputs.epsilon**2
-    root = math.sqrt(2.0 * math.log(4.0 / inputs.delta)) + 1.0
-    second = x2w2 * second_div / inputs.epsilon**2 * root * root
-    return max(first, second)
 
 
 class TestMinPairs:
@@ -204,7 +176,7 @@ class TestMinPairs:
     def test_empirical_gap_matches_hand_evaluation(self):
         inputs = _inputs(dim=10, x_star=1.0, w_star=1.0, epsilon=0.1, delta=0.05)
         got = min_pairs_empirical_gap(inputs)
-        self._assert_matches_ceiling(got, _independent_min_pairs(inputs, 3.0, 32.0, 4.0))
+        self._assert_matches_ceiling(got, independent_min_pairs(inputs, 3.0, 32.0, 4.0))
         # Direct arithmetic of the same instance, fully spelled out.
         first = math.log(800.0) * (4.0 + 0.1 / 3.0) / (0.01 / 32.0)
         second = (math.sqrt(2.0 * math.log(80.0)) + 1.0) ** 2 / (0.01 / 4.0)
@@ -212,7 +184,7 @@ class TestMinPairs:
 
     def test_excess_risk_count_matches_independent_formula(self):
         inputs = _inputs(dim=10, epsilon=0.1, delta=0.05)
-        expected_real = _independent_min_pairs(inputs, 15.0, 800.0, 100.0)
+        expected_real = independent_min_pairs(inputs, 15.0, 800.0, 100.0)
         self._assert_matches_ceiling(min_pairs_excess_risk(inputs), expected_real)
 
     def test_excess_risk_needs_more_pairs_than_empirical_gap(self):
@@ -237,10 +209,8 @@ class TestMinPairs:
 
 class TestMomentDeviationTails:
     def test_matrix_tail_matches_independent_formula(self):
-        s, eps, x, w, opnorm, dim = 500, 0.3, 1.2, 0.9, 2.0, 4
-        denom = 8.0 * opnorm * (x * w) ** 2 * w * w + (16.0 / 3.0) * eps * (x * w) ** 2
-        expected = min(1.0, 2.0 * dim * math.exp(-s * eps * eps / denom))
-        assert _close(second_moment_deviation_tail(s, eps, x, w, opnorm, dim), expected)
+        args = (500, 0.3, 1.2, 0.9, 2.0, 4)
+        assert close(second_moment_deviation_tail(*args), independent_matrix_tail(*args))
 
     def test_matrix_tail_vanishes_for_huge_subsamples(self):
         assert second_moment_deviation_tail(10**12, 0.5, 1.0, 1.0, 1.0, 2) == 0.0
@@ -249,13 +219,11 @@ class TestMomentDeviationTails:
         base = second_moment_deviation_tail(2000, 0.5, 1.0, 1.0, 1.0, 2)
         doubled = second_moment_deviation_tail(4000, 0.5, 1.0, 1.0, 1.0, 2)
         assert 0.0 < doubled < base < 1.0
-        assert _close(math.log(doubled / 4.0), 2.0 * math.log(base / 4.0), 1e-9)
+        assert close(math.log(doubled / 4.0), 2.0 * math.log(base / 4.0), 1e-9)
 
     def test_vector_tail_matches_independent_formula(self):
-        s, eps, x, w = 400, 0.5, 1.0, 1.0
-        argument = eps * math.sqrt(float(s)) / (2.0 * x * w)
-        expected = min(1.0, 2.0 * math.exp(-((argument - 1.0) ** 2) / 2.0))
-        assert _close(mean_deviation_tail(s, eps, x, w), expected)
+        args = (400, 0.5, 1.0, 1.0)
+        assert close(mean_deviation_tail(*args), independent_vector_tail(*args))
 
     def test_vector_tail_vacuous_below_unit_argument(self):
         # eps * sqrt(s) equals 2 x* w* exactly: the exponent is zero.

@@ -112,9 +112,9 @@ class TestOwnership:
 class TestProblemConfig:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_nonpositive_or_nonfinite(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x_star must be finite and > 0"):
             ProblemConfig(x_star=bad, w_star=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="w_star must be finite and > 0"):
             ProblemConfig(x_star=1.0, w_star=bad)
 
     def test_accepts_positive_finite(self):
@@ -166,6 +166,8 @@ class TestPairMoments:
             PairMoments(mu=np.zeros(3), sigma=np.eye(2))
         with pytest.raises(DimensionMismatchError, match="mu must be a vector"):
             PairMoments(mu=np.zeros((2, 1)), sigma=np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="mu is not coercible"):
+            PairMoments(mu=[1.0, [2.0]], sigma=np.eye(2))
 
     def test_entries_above_half_the_float_maximum_stay_finite(self):
         # sigma_00 + sigma_00 overflows though sigma_00 = 1.44e308 does not.
@@ -189,6 +191,9 @@ class TestRankerWeights:
     def test_rejects_matrix(self):
         with pytest.raises(DimensionMismatchError):
             RankerWeights(w=[[1.0]])
+        with pytest.raises(DimensionMismatchError, match="w is not coercible"):
+            RankerWeights(w=[[1.0], 2.0])
+        assert issubclass(DimensionMismatchError, ValueError)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

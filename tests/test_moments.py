@@ -281,6 +281,27 @@ class TestBatchFastMemory:
         assert peak <= bound + 4 * 8 * dim * dim, f"peak {peak} B above {bound} B + slack"
 
 
+class TestBatchNaiveMemory:
+    def test_peak_memory_is_row_sums_and_one_difference_block(self):
+        # The docstring's bound: n1 * d row sums and one n0 x d difference
+        # block, plus a few d x d matrices and the ufunc buffer numpy fills
+        # when it broadcasts a positive row against the block.  Slack, fixed
+        # before the first run: 8 d x d matrices.  Forming each block anew
+        # holds two blocks while the previous one is freed: 1.6 MB more.
+        rng = np.random.default_rng(305)
+        dim, n1, n0 = 10, 2000, 20_000
+        data = random_dataset(rng, dim, n1, n0)
+        tracemalloc.start()
+        try:
+            batch_moments_naive(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (n1 + n0) * dim + 8 * np.getbufsize()
+        assert peak > 8 * n0 * dim
+        assert peak <= bound + 8 * 8 * dim * dim, f"peak {peak} B above {bound} B + slack"
+
+
 def _contract_pair_indices(seed, s, n1, n0):
     """The documented pair-draw contract, word by word, in plain Python.
 

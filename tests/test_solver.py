@@ -24,7 +24,7 @@ from pairrank import (
     solve_erm,
 )
 
-from conftest import load_perfbench_reference
+from conftest import load_perfbench_reference, uniform_ball
 
 
 def _moments(mu, sigma):
@@ -39,13 +39,6 @@ def _random_psd_instance(rng, dim, allow_rank_deficient=True):
     sigma = factor @ factor.T / rank
     mu = rng.standard_normal(dim) * rng.uniform(0.3, 3.0)
     return _moments(mu, sigma)
-
-
-def _uniform_ball(rng, count, dim, radius):
-    directions = rng.standard_normal((count, dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = radius * rng.random(count) ** (1.0 / dim)
-    return directions * radii[:, None]
 
 
 def _batch_objective(moments, points):
@@ -153,7 +146,7 @@ class TestRandomInstances:
             # Complementary slackness within solver tolerance.
             assert diag.multiplier * (w_star - np.linalg.norm(weights.w)) <= 1e-8
 
-            candidates = _uniform_ball(rng, 10_000, dim, w_star)
+            candidates = uniform_ball(rng, 10_000, dim, w_star)
             best = _batch_objective(moments, candidates).min()
             assert objective_value(moments, weights) <= best + 1e-9
 

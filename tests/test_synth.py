@@ -41,7 +41,7 @@ class TestGmmSpecValidation:
             GmmSpec(sigma=1.0, means_pos=np.zeros(2), means_neg=np.zeros(2))
 
     def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             _spec(sigma=0.0)
 
     def test_mean_shape_must_match(self):

@@ -10,6 +10,9 @@ a ``sys.settrace`` line tracer (and ``threading.settrace`` for threads it
 starts), installed before ``pairrank`` is imported so module-level lines
 count.  Afterwards every executable line of ``src/pairrank/*.py`` that no
 test reached is printed as ``path:line: source``, then one summary line.
+Lines inside a module-level ``if __name__ == "__main__":`` block are not
+counted: no in-process run can reach them.  The exit status is 0 only when
+pytest passed and no line is listed, so CI runs this file as its check.
 
 Not traced: tests that run the CLI in a subprocess (``_run_cli`` in
 ``tests/test_cli.py``, criterion 10's reruns), so a line that only they
@@ -21,6 +24,7 @@ collect this file: it is not named ``test_*.py``.
 
 from __future__ import annotations
 
+import ast
 import os
 import sys
 import threading
@@ -31,13 +35,18 @@ PACKAGE = ROOT / "src" / "pairrank"
 
 
 def executable_lines(path: Path) -> set[int]:
-    """Line numbers that carry bytecode anywhere in the module's code objects."""
+    """Line numbers that carry bytecode anywhere in the module's code objects,
+    less those of module-level ``if __name__ == "__main__":`` blocks."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     lines: set[int] = set()
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    stack = [compile(tree, str(path), "exec")]
     while stack:
         code = stack.pop()
         lines.update(line for _, _, line in code.co_lines() if line is not None)
         stack.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            lines.difference_update(range(node.lineno, node.end_lineno + 1))
     return lines
 
 
@@ -81,7 +90,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print(f"{missed} executable lines in src/pairrank not run in-process "
           f"(pytest exit status {int(status)})")
-    return 0
+    return 0 if status == 0 and missed == 0 else 1
 
 
 if __name__ == "__main__":
