@@ -62,8 +62,14 @@ _CHUNK = 512
 _ONE_CALL_COLS = 64
 # Rows per output strip of the second-moment kernel above _ONE_CALL_COLS.
 _STRIP = 8
-# Rows per streaming block; a multiple of _CHUNK.
-_BLOCK_ROWS = 16384
+# Rows per streaming block; a multiple of _CHUNK.  A block is allocated and
+# freed per class, so whether it finds a free gap in the heap depends on
+# where small allocations (the strip pool's locks among them) landed; when
+# none fits, the heap grows by a block.  16384 rows (16 MB at d = 123) made
+# that the peak of `train` on an a9a-shaped file and moved the process's
+# peak RSS by 11 MB from run to run; 4096 rows (4 MB) stay below the
+# loader's own transient there (24 bytes per stored feature).
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,7 @@ import pytest
 import pairrank.cli as cli
 import pairrank.moments as moments
 import pairrank.solver as solver
-from conftest import parse_libsvm_reference, random_dataset, write_a9a_shaped
+from conftest import A9A_GROUPS, parse_libsvm_reference, random_dataset, write_a9a_shaped
 from pairrank import (
     RESULT_CSV_HEADER,
     BoundInputs,
@@ -578,8 +578,11 @@ class TestTrainMemory:
     def test_peak_is_one_training_matrix_and_one_streaming_block(self, tmp_path):
         # The parsed and the scaled training matrix are never held together,
         # and the training matrix is released before --test is read, so the
-        # fit sets the peak: the matrix plus one moment block.  The slack,
-        # 1 MiB, covers the fit's d x d matrices (about 0.5 MiB at d = 123).
+        # peak is the matrix plus the larger of the fit's one moment block
+        # and the loader's scatter arrays (int64 offsets, int64 indices and
+        # float64 values: 24 bytes per stored feature, one per A9A_GROUPS
+        # group and row).  At this shape the scatter arrays are the larger.
+        # The slack, 1 MiB, covers the d x d matrices and small arrays.
         rows, dim = 32_561, 123
         train_path, test_path = tmp_path / "train.svm", tmp_path / "test.svm"
         n1 = write_a9a_shaped(train_path, rows, np.random.default_rng(449))
@@ -594,8 +597,10 @@ class TestTrainMemory:
         assert code == 0
         matrix = 8 * rows * dim
         block = 8 * min(max(n1, rows - n1), moments._BLOCK_ROWS) * dim
-        assert peak > matrix + block
-        assert peak <= matrix + block + 2**20, f"peak {peak} B above {matrix + block} B + slack"
+        scatter = 24 * rows * A9A_GROUPS.size
+        held = matrix + max(block, scatter)
+        assert peak > held
+        assert peak <= held + 2**20, f"peak {peak} B above {held} B + slack"
 
 
 class TestExitCodes:
