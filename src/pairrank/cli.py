@@ -17,10 +17,13 @@ the CSV row).  The three mixture commands draw each replicate's spec and
 training set with :func:`_draw_mixture`; both sweeps fit a replicate's
 bbr and lcbr rows with :func:`_fit_rows`.  ``train --x-star`` scales
 the training set by :func:`~pairrank.core.scale_to_ball`'s factor and
-the ``--test`` set by the same factor.  ``train`` holds one training
-matrix: ``parse_libsvm``'s loader densifies the rows ``--sample-ratio``
-keeps, scales and freezes them in place; the fit needs that matrix and
-one streaming block, and the matrix is released before ``--test`` is read.
+the ``--test`` set by the same factor.  ``train`` holds its rows sparse:
+``parse_libsvm``'s loader keeps the rows ``--sample-ratio`` keeps as CSR,
+scales their values in place and freezes them, and the fit densifies one
+streaming block at a time.  ``--test`` is read the same way before the
+fit, so a bad file fails before any moment is built, and is densified
+into one matrix, scaled in place, only after the training rows are
+released.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset, unwritable output path, an input
@@ -69,10 +72,10 @@ from .core import (
     ProblemConfig,
     RankerWeights,
     SolverConvergenceError,
+    _densify,
 )
 from .evaluation import evaluate_ranker, expected_phi_risk
-from .io import (ResultRow, _read_dataset, csv_cells, parse_libsvm, write_csv,
-                 write_results_csv)
+from .io import ResultRow, _read_dataset, csv_cells, write_csv, write_results_csv
 from .moments import (
     SubsampleConfig,
     batch_moments_fast,
@@ -287,23 +290,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     split = (args.sample_ratio or 1.0, derived_seed(args.seed, ROLE_SPLIT))
     data, factor = _read_dataset(args.data, split=split, x_star=args.x_star)
+    n1, n0, dim = data.n1, data.n0, data.dim
+    held = None
+    if args.test is not None:
+        # Read before the fit, so a bad file fails before any moment is built.
+        held = _read_dataset(args.test, dim_hint=dim)[0]
+        if held.n1 == 0 or held.n0 == 0:
+            raise PairRankError(f"--test file {args.test} needs both classes non-empty for "
+                                f"evaluation, got n1={held.n1}, n0={held.n0}")
 
     cfg = ProblemConfig(x_star=args.x_star or 1.0, w_star=args.w_star)
     s = args.pairs or 0
     fit = _fit(data, cfg, args.algorithm, s, derived_seed(args.seed, ROLE_PAIRS))
     seconds = fit.moment_seconds + fit.solve_seconds
-    n1, n0, dim = data.n1, data.n0, data.dim
 
-    if args.test is None:
-        weights, evaluate_on, eval_name = fit.weights, data, "train"
+    if held is None:
+        weights, evaluate_on, eval_name = fit.weights, _densify(data), "train"
     else:
-        # The training matrix goes before the held-out one is read.
+        # The training rows go before the held-out ones are densified.
         del data
+        evaluate_on = _densify(held, factor)
+        del held
         # Features that only the test file names get weight zero.
-        evaluate_on = parse_libsvm(args.test, dim_hint=dim).scaled(factor)
-        if evaluate_on.n1 == 0 or evaluate_on.n0 == 0:
-            raise PairRankError(f"--test file {args.test} needs both classes non-empty for "
-                                f"evaluation, got n1={evaluate_on.n1}, n0={evaluate_on.n0}")
         weights = RankerWeights(np.pad(fit.weights.w, (0, evaluate_on.dim - dim)))
         eval_name = "test"
     extra = {"eval_on": eval_name, "multiplier": fit.diagnostics.multiplier}

@@ -9,15 +9,22 @@ No container stores a dimension: :class:`Dataset`, :class:`PairMoments`
 and :class:`RankerWeights` each read it from their arrays' shape.
 
 Arrays stored on frozen dataclasses are coerced to contiguous float64.
-One rule, `_float_array`, coerces a dataset's two classes, `mu` and `w`,
-and raises DimensionMismatchError when one cannot be coerced or has the
-wrong rank.  All are made read-only by one rule, `_freeze`: an array
+One rule, `_float_array`, coerces a dataset's two classes, `mu`,
+`sigma`, `w` and a mixture's mean matrices, and raises
+DimensionMismatchError naming the field when one cannot be coerced or
+has the wrong rank.  All are made read-only by one rule, `_freeze`: an array
 that owns its memory is frozen in place, and a view of memory that can
 still be written elsewhere (a slice of a writable array, an array over a
 bytearray) is copied first.  So instances can be shared freely between
 threads and across test fixtures; only the caller's own array, whose
 flag it can set back, and views it took of that array first can still
 write to them.
+
+The kernels read class rows through a private row source: a dense
+matrix in place (:class:`_DenseRows`), or rows held sparse
+(:class:`_CsrRows`), which is how ``train`` holds a LIBSVM file.  A
+:class:`_SparseDataset` pairs two sparse classes where a Dataset pairs
+two matrices, and :func:`_densify` turns either into one dense Dataset.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ _SYMMETRY_TOL = 1e-12
 # A matrix counts as PSD if its smallest eigenvalue is above -tol * opnorm.
 _PSD_REL_TOL = 1e-9
 # Rows per block when scale_to_ball measures norms, so no n-by-d temporary
-# sits next to the dataset; each row's norm is the same either way.
+# sits next to the dataset (each row's norm is the same either way), and
+# when _densify fills a matrix from sparse rows.
 _NORM_BLOCK = 1024
 
 
@@ -82,10 +90,11 @@ class SolverConvergenceError(PairRankError):
         self.bracket = bracket
 
 
-def _float_array(value: object, name: str, ndim: int) -> np.ndarray:
+def _float_array(value: object, name: str, ndim: int | None) -> np.ndarray:
     """Coerce to a C-contiguous float64 array of rank `ndim`, or raise naming `name`.
 
-    ``[]`` as a matrix (ndim 2) is the 0 x 0 matrix.
+    ``[]`` as a matrix (ndim 2) is the 0 x 0 matrix.  With ndim None any
+    rank passes, for a caller with a shape rule of its own.
     """
     kind = "vector" if ndim == 1 else "matrix"
     try:
@@ -94,7 +103,7 @@ def _float_array(value: object, name: str, ndim: int) -> np.ndarray:
         raise DimensionMismatchError(f"{name} is not coercible to a float {kind}: {exc}") from exc
     if ndim == 2 and arr.shape == (0,):
         arr = arr.reshape(0, 0)
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be a {kind}, got ndim={arr.ndim}")
     return arr
 
@@ -222,7 +231,7 @@ class PairMoments:
 
     def __post_init__(self) -> None:
         mu = _float_array(self.mu, "mu", 1)
-        sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
+        sigma = _float_array(self.sigma, "sigma", 2)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise DimensionMismatchError(
                 f"sigma shape {sigma.shape} does not match mu dimension {mu.shape[0]}"
@@ -280,6 +289,141 @@ class RankerWeights:
             )
 
 
+class _DenseRows:
+    """The row source over a dense matrix: blocks are views, gathers copy.
+
+    A row source is how the kernels read training rows.  `block(lo, hi,
+    out)` gives rows lo..hi, and `take(index, out)` rows[index], as dense
+    arrays: each is written into the leading rows of `out`, a buffer from
+    `scratch`, unless the source holds the rows dense already, as this
+    one does for blocks.  `each_column(index)` yields each column of
+    rows[index] in turn, in one buffer.  Either way the values, and so
+    every sum over them, are those of the dense matrix.
+    """
+
+    def __init__(self, array: np.ndarray):
+        self.array, self.shape = array, array.shape
+
+    def scratch(self, count: int) -> None:
+        return None
+
+    def block(self, lo: int, hi: int, out: np.ndarray | None) -> np.ndarray:
+        return self.array[lo:hi]
+
+    def take(self, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # The indices are in range; mode "clip" writes straight into `out`,
+        # where the default mode would buffer a copy.
+        return np.take(self.array, index, axis=0, out=out[: index.size], mode="clip")
+
+    def each_column(self, index: np.ndarray):
+        column = np.empty(index.size)
+        for k in range(self.shape[1]):
+            yield np.take(self.array[:, k], index, out=column, mode="clip")
+
+
+class _CsrRows:
+    """The row source over rows held sparse (CSR): only stored entries are kept.
+
+    Row r's entries sit at offsets[r]:offsets[r + 1] of `indices` (0-based
+    columns) and `values`; the offsets are absolute, so two sources can
+    share one pair of entry arrays.  A block or gather zero-fills its rows
+    of the buffer and scatters their entries.  `each_column` sorts the
+    gathered rows' entries by column once, with a stable sort (numpy's
+    radix sort on uint16 keys), then zero-fills and scatters one column
+    at a time: O(nnz) beyond the sort, never the gathered rows dense.
+    """
+
+    def __init__(self, offsets: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: int):
+        self.offsets, self.indices, self.values = offsets, indices, values
+        self.shape = (offsets.size - 1, dim)
+
+    def scratch(self, count: int) -> np.ndarray:
+        return np.empty((count, self.shape[1]), dtype=np.float64)
+
+    def _entries(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry of rows[index], in order: its position in `index` and in the entry arrays."""
+        starts = self.offsets[index]
+        counts = self.offsets[index + 1] - starts
+        row = np.repeat(np.arange(index.size, dtype=np.intp), counts)
+        at = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        at += np.arange(at.size)
+        return row, at
+
+    def block(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        out = out[: hi - lo]
+        out.fill(0.0)
+        first, last = self.offsets[lo], self.offsets[hi]
+        row = np.repeat(np.arange(hi - lo), np.diff(self.offsets[lo : hi + 1]))
+        out[row, self.indices[first:last]] = self.values[first:last]
+        return out
+
+    def take(self, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out = out[: index.size]
+        out.fill(0.0)
+        row, at = self._entries(index)
+        out[row, self.indices[at]] = self.values[at]
+        return out
+
+    def each_column(self, index: np.ndarray):
+        row, at = self._entries(index)
+        key = self.indices[at]
+        values = self.values[at]
+        del at
+        dim = self.shape[1]
+        edges = np.zeros(dim + 1, dtype=np.intp)
+        np.cumsum(np.bincount(key, minlength=dim), out=edges[1:])
+        order = np.argsort(key.astype(np.uint16) if dim <= 2**16 else key, kind="stable")
+        del key
+        row, values = row[order], values[order]
+        del order
+        column = np.empty(index.size)
+        for k in range(dim):
+            column.fill(0.0)
+            column[row[edges[k] : edges[k + 1]]] = values[edges[k] : edges[k + 1]]
+            yield column
+
+
+def _row_source(rows: np.ndarray | _CsrRows | _DenseRows) -> _CsrRows | _DenseRows:
+    """A source over `rows`; a dense matrix is read in place."""
+    return rows if isinstance(rows, (_CsrRows, _DenseRows)) else _DenseRows(rows)
+
+
+@dataclass(frozen=True)
+class _SparseDataset:
+    """A Dataset whose two classes are CSR row sources: what `train` reads.
+
+    The moment builders and :func:`_ball_factor` take it where they take
+    a Dataset; :func:`_densify` makes a Dataset of it.
+    """
+
+    positives: _CsrRows
+    negatives: _CsrRows
+
+    dim, n1, n0, n = Dataset.dim, Dataset.n1, Dataset.n0, Dataset.n
+    require_trainable = Dataset.require_trainable
+
+
+def _densify(data: Dataset | _SparseDataset, factor: float = 1.0) -> Dataset:
+    """`data` as one dense matrix times `factor`, frozen, its classes row blocks of it.
+
+    Rows are filled _NORM_BLOCK at a time, so beyond the matrix only one
+    block's entry indices are held.  The in-place multiply gives the bits
+    of :meth:`Dataset.scaled`.
+    """
+    matrix = np.empty((data.n, data.dim), dtype=np.float64)
+    for rows, base in ((data.positives, 0), (data.negatives, data.n1)):
+        source = _row_source(rows)
+        for lo in range(0, source.shape[0], _NORM_BLOCK):
+            hi = min(lo + _NORM_BLOCK, source.shape[0])
+            part = matrix[base + lo : base + hi]
+            # A sparse source fills `part`, whose copy onto itself numpy skips.
+            part[...] = source.block(lo, hi, part)
+    if factor != 1.0:
+        matrix *= factor
+    _freeze(matrix)
+    return Dataset(matrix[: data.n1], matrix[data.n1 :])
+
+
 def _prescaled_norm(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     """``np.linalg.norm(x, axis=axis)`` taken on x / 2^k, 2^k just above max |x|, then
     times 2^k: bit for bit the plain norm unless a square under- or overflows, 0 only
@@ -299,9 +443,12 @@ def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
     leave the normal range (d < 2^20), is measured with
     :func:`_prescaled_norm` instead.
     """
+    source = _row_source(rows)
+    count = source.shape[0]
+    scratch = source.scratch(min(count, _NORM_BLOCK))
     largest = 0.0
-    for start in range(0, rows.shape[0], _NORM_BLOCK):
-        block = rows[start : start + _NORM_BLOCK]
+    for start in range(0, count, _NORM_BLOCK):
+        block = source.block(start, min(start + _NORM_BLOCK, count), scratch)
         if factor != 1.0:
             block = block * factor
         with np.errstate(over="ignore"):

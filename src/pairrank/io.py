@@ -4,9 +4,12 @@ The input format is the classic sparse text format used by the LIBSVM
 collection: one example per line, a numeric label followed by
 whitespace-separated index:value features with 1-based, strictly
 increasing indices.  Parsing is strict; any malformed token aborts with
-the offending line number.  Parsed datasets are dense, matching the
-d-by-d moment accumulation downstream; a warning is emitted past 5000
-columns where dense storage stops being reasonable.
+the offending line number.  One loader, `_read_dataset`, holds a file's
+rows as class-ordered CSR (12 bytes per stored feature); `parse_libsvm`
+densifies them into a dense dataset, and `train` reads them sparse and
+densifies one block at a time (see `pairrank.core`'s row sources).  A
+warning is emitted past 5000 columns, where dense rows stop being
+reasonable.
 
 The parser reads its input whole.  A path is decoded as ASCII with
 "surrogateescape" and no newline translation, so a path and a stream
@@ -24,7 +27,10 @@ the tests compare the pass against, so results are bit-identical to
 parsing line by line.  The pass needs a few bytes per input byte (the
 text, its bytes and boolean masks) plus a few dozen bytes per token and
 the widest label or value's length per token, never an integer array per
-byte; the per-line path about 150 bytes of Python objects per token.
+byte: byte positions are int32 below 2**31 bytes, and the digit loop
+works in place.  On a9a-shaped text its traced peak is 9.8 bytes per
+input byte.  The per-line path takes about 150 bytes of Python objects
+per token.
 
 CSV tables have one column per dataclass field, each cell written by
 `csv_cells`: floats at 17 significant digits so a parse-back reproduces
@@ -43,7 +49,8 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, PairRankError, _ball_factor, _freeze
+from .core import (Dataset, PairRankError, _ball_factor, _CsrRows, _densify, _freeze,
+                   _SparseDataset)
 
 __all__ = [
     "LibsvmParseError",
@@ -244,7 +251,7 @@ def _read_numbers(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> 
         is_dot = byte == ord(".")
         # Only the first byte may be a sign, and rows end in zero padding.
         plain &= is_digit | is_dot | (signed if k == 0 else byte == 0)
-        mant *= 1.0 + 9.0 * is_digit
+        np.multiply(mant, 10.0, out=mant, where=is_digit)
         mant += digit * is_digit
         n_digits += is_digit
         n_dots += is_dot
@@ -252,7 +259,10 @@ def _read_numbers(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> 
     plain &= (n_digits >= 1) & (n_digits <= _MAX_EXACT_DIGITS) & (n_dots <= 1)
     del sign, signed, n_digits, n_dots
 
-    values = np.divide(mant, _POW10.take(frac, mode="clip"), out=mant)
+    # One division per fraction length, so no float array of divisors.
+    values = mant
+    for digits in np.flatnonzero(np.bincount(frac)[1:]) + 1:
+        np.divide(values, _POW10[min(digits, _MAX_EXACT_DIGITS)], out=values, where=frac == digits)
     values[negative] = -values[negative]
     if not plain.all():
         refused = ~plain
@@ -285,12 +295,14 @@ def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     # one window.
     padded = np.frombuffer(text.encode("ascii") + bytes(_MAX_TOKEN), dtype=np.uint8)
     buf = padded[: len(text)]
+    # Byte positions, and so token and row counts, are held as int32 when they fit.
+    position = np.int32 if buf.size < 2**31 else np.intp
 
     # Tokens are runs of bytes outside str.split()'s ASCII whitespace:
     # "\t\n\x0b\x0c\r" (9 to 13) and "\x1c\x1d\x1e\x1f " (28 to 32).
     in_token = np.zeros(buf.size + 2, dtype=bool)
     in_token[1:-1] = (buf < 9) | ((buf > 13) & (buf < 28)) | (buf > 32)
-    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1]).astype(position)
     del in_token
     starts, ends = edges[0::2], edges[1::2]
     # A row starts at the first token and at the first token after a newline.
@@ -302,12 +314,12 @@ def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     feature = ~first[:-1]
     feature_start, feature_end = starts[feature], ends[feature]
     # Each row's label token is followed by its feature tokens.
-    row = np.repeat(np.arange(label.size), np.diff(label, append=starts.size) - 1)
+    row = np.repeat(np.arange(label.size, dtype=position), np.diff(label, append=starts.size) - 1)
     del edges, starts, ends, first, label, feature
 
     # Each feature token holds one colon with bytes on both sides, and a
     # label token none; the per-line path reports anything else.
-    colons = np.flatnonzero(buf == ord(":"))
+    colons = np.flatnonzero(buf == ord(":")).astype(position)
     if colons.size != feature_start.size:
         return None
     digits = colons - feature_start
@@ -365,15 +377,17 @@ def _read_dataset(
     dim_hint: int | None = None,
     split: tuple[float, int] | None = None,
     x_star: float | None = None,
-) -> tuple[Dataset, float]:
-    """`parse_libsvm`'s dataset, split and scaled in its one buffer, and the factor used.
+) -> tuple[_SparseDataset, float]:
+    """`parse_libsvm`'s rows, held sparse, split and scaled in place, and the factor used.
 
+    The rows come class-ordered (positives first, each class in file
+    order) as CSR: int64 row offsets, 0-based column indices (int32 below
+    2**31 columns) and float64 values, shared by both classes' sources.
     `split` = (ratio, seed) keeps only the rows `subsample_ratio_split`
-    would keep of the whole file; the rest are dropped before densifying,
-    and the dimension is still that of the whole file.  Given `x_star`,
-    the buffer is multiplied in place by `scale_to_ball`'s factor (1.0
-    without it): the bits of those three calls in turn, without a second
-    matrix.  The buffer is then frozen; the classes are its row blocks.
+    would keep of the whole file, and the dimension is still that of the
+    whole file.  Given `x_star`, the values are multiplied in place by
+    `scale_to_ball`'s factor (1.0 without it): densified, the bits of
+    those three calls in turn.  The arrays are then frozen.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
@@ -389,35 +403,41 @@ def _read_dataset(
             f"densifying {dim} columns; this format is parsed into dense storage",
             stacklevel=3,
         )
+    if dim > np.iinfo(np.int64).max:
+        # Before the int64 cast, so the message keeps the index's exact width.
+        raise ValueError(f"{dim} columns exceed the maximum allowed dimension")
     positive = labels == 1
     n1 = int(np.count_nonzero(positive))
-    # Each file row's place when rows are numbered positives first.
-    place = np.where(positive, np.cumsum(positive), n1 + np.cumsum(~positive)) - 1
-    del labels, positive
-    n_kept, n1_kept = place.size, n1
-    keep = None if split is None else _kept_rows(n1, place.size - n1, *split)
+    # The file rows, numbered positives first.
+    order = np.concatenate([np.flatnonzero(positive), np.flatnonzero(~positive)])
+    keep = None if split is None else _kept_rows(n1, order.size - n1, *split)
     if keep is not None:
-        n_kept, n1_kept = int(np.count_nonzero(keep)), int(np.count_nonzero(keep[:n1]))
-        on_kept = keep[place][rows]
-        rows, indices, values = rows[on_kept], indices[on_kept], values[on_kept]
-        place = (np.cumsum(keep) - 1)[place]
-        del on_kept
-    # Each feature's offset in the flattened matrix: its row times dim, plus its index - 1.
-    flat = place.take(rows)
-    del rows, place
-    # After the gather, which briefly holds two offset arrays, and before the
-    # int64 cast, so an index past int64 fails here with its exact width.
-    matrix = np.zeros((n_kept, dim), dtype=np.float64)
-    flat *= dim
-    flat += np.asarray(indices, dtype=np.int64)
-    flat -= 1
+        n1 = int(np.count_nonzero(keep[:n1]))
+        order = order[keep]
+    counts = np.bincount(rows, minlength=labels.size)
+    del labels, positive, keep, rows
+    starts = np.cumsum(counts) - counts
+    offsets = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(counts[order], out=offsets[1:])
+    _freeze(offsets)
+    # Each kept entry's place in the file's entry arrays, class-ordered.
+    at = np.repeat(starts[order] - offsets[:-1], counts[order])
+    at += np.arange(at.size)
+    del starts, counts, order
+    indices = np.asarray(indices, dtype=np.int64)
+    indices -= 1
+    columns = indices.astype(np.int32 if dim < 2**31 else np.int64)
     del indices
-    matrix.ravel()[flat] = values
-    factor = 1.0 if x_star is None else _ball_factor(matrix[:n1_kept], matrix[n1_kept:], x_star)
+    columns = _freeze(columns.take(at))
+    values = values.take(at)
+    del at
+    positives = _CsrRows(offsets[: n1 + 1], columns, values, dim)
+    negatives = _CsrRows(offsets[n1:], columns, values, dim)
+    factor = 1.0 if x_star is None else _ball_factor(positives, negatives, x_star)
     if factor != 1.0:
-        matrix *= factor
-    _freeze(matrix)
-    return Dataset(matrix[:n1_kept], matrix[n1_kept:]), factor
+        values *= factor
+    _freeze(values)
+    return _SparseDataset(positives, negatives), factor
 
 
 def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> Dataset:
@@ -445,17 +465,19 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     "0.583333", is read without float(), and others, such as "1_0",
     "1e-400", "1E+05" or more than 15 digits, go through it.
 
-    Memory: the classes are row blocks, not copies, of one array, filled
-    through one flat offset per feature (its class-ordered row times the
-    dimension, plus its index - 1) and frozen before the blocks are cut.
-    On the vectorised pass the traced peak is the dense output plus at
-    most 5 bytes per input byte for one-hot rows like a9a's, where that
-    fill, holding each feature's offset, index and value, costs most.  A
-    2.33 MB a9a-shaped file read into 32.0 MB peaks at 43.0 MB, 4.7 bytes
-    per input byte above the output.  Labels or values wider than a few
-    bytes add their width per token.
+    Memory: the loader first holds the rows as class-ordered CSR (int64
+    row offsets, int32 columns and float64 values: 12 bytes per stored
+    feature).  The classes are row blocks, not copies, of one array,
+    filled from the CSR rows 1024 at a time and frozen before the blocks
+    are cut.  On the vectorised pass the traced peak is the dense output
+    plus at most 5 bytes per input byte for one-hot rows like a9a's,
+    where the CSR rows held during the fill cost most.  A 2.33 MB
+    a9a-shaped file read into 32.0 MB peaks at 38.0 MB, 2.5 bytes per
+    input byte above the output; the parse alone peaks at 25.3 MB with
+    the text.  Labels or values wider than a few bytes add their width
+    per token.
     """
-    return _read_dataset(source, dim_hint)[0]
+    return _densify(_read_dataset(source, dim_hint)[0])
 
 
 def write_libsvm(data: Dataset, path: str | Path) -> None:

@@ -35,6 +35,12 @@ The linear-time routes stream centered class rows (for
 :func:`subsample_moments`, only the drawn ones) through one buffer of at
 most _BLOCK_ROWS x d; the Neumaier state runs across blocks, and block
 second moments are added in block order.
+
+Every kernel reads class rows through a row source
+(:class:`pairrank.core._DenseRows`), so a builder takes a Dataset or the
+sparse rows ``train`` loads: a dense class is read in place, and a sparse
+one is densified into the same buffers, block by block with edges on
+multiples of _CHUNK, giving the same values and so the same bits.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, PairMoments
+from .core import Dataset, PairMoments, _row_source
 
 __all__ = [
     "SubsampleConfig",
@@ -68,7 +74,7 @@ _STRIP = 8
 # none fits, the heap grows by a block.  16384 rows (16 MB at d = 123) made
 # that the peak of `train` on an a9a-shaped file and moved the process's
 # peak RSS by 11 MB from run to run; 4096 rows (4 MB) stay below the
-# loader's own transient there (24 bytes per stored feature).
+# parser's own transient there.
 _BLOCK_ROWS = 4096
 
 
@@ -101,10 +107,12 @@ def _neumaier_over_rows(rows: np.ndarray, state: tuple | None = None) -> np.ndar
     (total, comp) is updated in place, so calls on consecutive row
     blocks whose lengths are multiples of _CHUNK give one call's bits.
     """
-    dim = rows.shape[1]
+    source = _row_source(rows)
+    count, dim = source.shape
     total, comp = state if state is not None else (np.zeros(dim), np.zeros(dim))
-    for start in range(0, rows.shape[0], _CHUNK):
-        part = np.sum(rows[start : start + _CHUNK], axis=0)
+    scratch = source.scratch(min(count, _CHUNK))
+    for start in range(0, count, _CHUNK):
+        part = np.sum(source.block(start, min(start + _CHUNK, count), scratch), axis=0)
         fresh = total + part
         swap = np.abs(total) >= np.abs(part)
         comp += np.where(swap, (total - fresh) + part, (part - fresh) + total)
@@ -160,24 +168,22 @@ def _second_moment(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _centered_blocks(rows: np.ndarray, shift: np.ndarray, take: np.ndarray | None = None):
+def _centered_blocks(rows, shift: np.ndarray, take: np.ndarray | None = None):
     """Yield (at, block): `rows`, or rows[take], minus `shift`, _BLOCK_ROWS at a time.
 
     Every block is a leading slice of one buffer of min(count, _BLOCK_ROWS)
     rows, valid until the next block is yielded; `at` is the position of
-    its first row among all yielded rows.
+    its first row among all yielded rows.  A sparse source's rows are
+    densified into that buffer, then centered in place.
     """
-    count = rows.shape[0] if take is None else take.size
-    buffer = np.empty((min(count, _BLOCK_ROWS), rows.shape[1]), dtype=np.float64)
+    source = _row_source(rows)
+    count = source.shape[0] if take is None else take.size
+    buffer = np.empty((min(count, _BLOCK_ROWS), source.shape[1]), dtype=np.float64)
     for at in range(0, count, _BLOCK_ROWS):
         block = buffer[: min(_BLOCK_ROWS, count - at)]
-        if take is None:
-            source = rows[at : at + block.shape[0]]
-        else:
-            # The indices are in range; mode "clip" writes straight into the
-            # block, where the default mode would buffer a copy.
-            source = np.take(rows, take[at : at + block.shape[0]], axis=0, out=block, mode="clip")
-        np.subtract(source, shift, out=block)
+        end = at + block.shape[0]
+        read = source.block(at, end, block) if take is None else source.take(take[at:end], block)
+        np.subtract(read, shift, out=block)
         yield at, block
 
 
@@ -186,7 +192,7 @@ def _add(total: np.ndarray | None, moment: np.ndarray) -> np.ndarray:
     return moment if total is None else np.add(total, moment, out=total)
 
 
-def _square_sum(rows: np.ndarray, shift: np.ndarray, take: np.ndarray | None = None,
+def _square_sum(rows, shift: np.ndarray, take: np.ndarray | None = None,
                 counts: np.ndarray | None = None) -> np.ndarray:
     """Summed outer products of the rows (rows[take]) minus `shift`, streamed.
 
@@ -304,25 +310,29 @@ def draw_pair_indices(seed: int, s: int, n1: int, n0: int) -> tuple[np.ndarray, 
 class _Draws(NamedTuple):
     """One class's side of the s drawn pairs."""
 
-    rows: np.ndarray  # the class's feature rows
+    rows: object  # the source of the class's feature rows
     drawn: np.ndarray  # the rows drawn at least once, ascending
     counts: np.ndarray  # how often each drawn row was drawn, as floats
     slot: np.ndarray  # each draw's position in `drawn`, in draw order
     shift: np.ndarray  # the count-weighted mean of the drawn rows
 
 
-def _draws(rows: np.ndarray, idx: np.ndarray, s: int) -> _Draws:
+def _draws(rows, idx: np.ndarray, s: int) -> _Draws:
     """Count the draws of each row of one class, and their mean."""
-    counts = np.bincount(idx, minlength=rows.shape[0])
+    source = _row_source(rows)
+    count, dim = source.shape
+    counts = np.bincount(idx, minlength=count)
     drawn = np.flatnonzero(counts)
-    slot = np.empty(rows.shape[0], dtype=np.intp)
+    slot = np.empty(count, dtype=np.intp)
     slot[drawn] = np.arange(drawn.size)
     weights = counts[drawn].astype(np.float64)
-    state = (np.zeros(rows.shape[1]), np.zeros(rows.shape[1]))
+    state = (np.zeros(dim), np.zeros(dim))
+    buffer = np.empty((min(drawn.size, _CHUNK), dim), dtype=np.float64)
     for lo in range(0, drawn.size, _CHUNK):
-        part = rows[drawn[lo : lo + _CHUNK]] * weights[lo : lo + _CHUNK, None]
+        part = source.take(drawn[lo : lo + _CHUNK], buffer)
+        part *= weights[lo : lo + _CHUNK, None]
         total = _neumaier_over_rows(part, state)
-    return _Draws(rows, drawn, weights, slot[idx], total / s)
+    return _Draws(source, drawn, weights, slot[idx], total / s)
 
 
 def _cross_sums(g: _Draws, o: _Draws) -> np.ndarray:
@@ -331,11 +341,11 @@ def _cross_sums(g: _Draws, o: _Draws) -> np.ndarray:
     Column by column: o's drawn entries of the column, centered, are
     gathered in draw order and summed by one np.bincount over g's slots.
     Beyond G that holds r_o + s + r_g floats: the centered column, its
-    draws and their sums.
+    draws and their sums.  A sparse source also holds its column index
+    of o's drawn rows, O(nnz) of them.
     """
     cross = np.empty((g.drawn.size, o.rows.shape[1]), dtype=np.float64)
-    for k in range(o.rows.shape[1]):
-        column = o.rows[:, k].take(o.drawn)
+    for k, column in enumerate(o.rows.each_column(o.drawn)):
         column -= o.shift[k]
         cross[:, k] = np.bincount(g.slot, weights=column.take(o.slot), minlength=g.drawn.size)
     return cross

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PairMoments, ProblemConfig, RankerWeights, _freeze, _require_positive
+from .core import (Dataset, PairMoments, ProblemConfig, RankerWeights, _float_array, _freeze,
+                   _require_positive)
 from .solver import solve_erm
 
 __all__ = [
@@ -49,8 +50,8 @@ class GmmSpec:
 
     def __post_init__(self) -> None:
         _require_positive("sigma", self.sigma)
-        mp = np.ascontiguousarray(self.means_pos, dtype=np.float64)
-        mn = np.ascontiguousarray(self.means_neg, dtype=np.float64)
+        mp = _float_array(self.means_pos, "means_pos", None)
+        mn = _float_array(self.means_neg, "means_neg", None)
         if mp.ndim != 2 or mp.shape[0] < 1 or mp.shape[1] < 1:
             raise ValueError(f"means_pos must be (k, dim) with k, dim >= 1, got {mp.shape}")
         for name, m in (("means_pos", mp), ("means_neg", mn)):

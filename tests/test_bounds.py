@@ -231,12 +231,13 @@ class TestMomentDeviationTails:
         assert mean_deviation_tail(4, 0.5, 1.0, 1.0) == 1.0
 
     def test_vector_argument_scales_with_sqrt_s(self):
-        x = w = 1.0
-        eps = 2.0
-        arg_small = eps * math.sqrt(2500.0) / (2.0 * x * w)
-        arg_large = eps * math.sqrt(10000.0) / (2.0 * x * w)
-        ratio = (arg_large - 1.0) / (arg_small - 1.0)
-        assert 1.9 <= ratio <= 2.1
+        # eps sqrt(s) / (2 x* w*) is 3 at s = 2500 and 6 at s = 10 000, so
+        # log(tail / 2) = -(arg - 1)^2 / 2 falls from -2 to -12.5.
+        eps = 0.12
+        small = mean_deviation_tail(2500, eps, 1.0, 1.0)
+        large = mean_deviation_tail(10_000, eps, 1.0, 1.0)
+        assert math.log(small / 2.0) == pytest.approx(-2.0, rel=1e-12)
+        assert math.log(large / 2.0) == pytest.approx(-12.5, rel=1e-12)
 
     def test_tails_are_probabilities(self):
         rng = np.random.default_rng(701)

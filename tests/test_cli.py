@@ -37,7 +37,8 @@ from pairrank import (
     subsample_ratio_split,
     write_libsvm,
 )
-from pairrank.io import csv_cells
+from pairrank.core import _densify
+from pairrank.io import _parse_text, csv_cells
 from pairrank.cli import (
     MODEL_MAGIC,
     MODEL_VERSION,
@@ -309,7 +310,7 @@ class TestTrainCommand:
         write_libsvm(data, path)
         seen = self._spy_training_sets(monkeypatch)
         assert main(["train", "bbr", str(path), "--x-star", "1"]) == 0
-        (trained,) = seen
+        (trained,) = map(_densify, seen)
         for rows in (trained.positives, trained.negatives):
             assert np.linalg.norm(rows, axis=1).max() <= 1.0
 
@@ -319,9 +320,11 @@ class TestTrainCommand:
         seen = self._spy_training_sets(monkeypatch)
         assert main(["train", "bbr", str(toy_file), *flags]) == 0
         (trained,) = seen
+        # train reads its rows sparse: no array of either class's source is writable.
         for rows in (trained.positives, trained.negatives):
-            assert not rows.flags.writeable
-            assert rows.base is None or not rows.base.flags.writeable
+            for array in (rows.offsets, rows.indices, rows.values):
+                assert not array.flags.writeable
+                assert array.base is None or not array.base.flags.writeable
 
     def test_x_star_scales_test_set_by_the_training_factor(self, toy_file, tmp_path, monkeypatch):
         rng = np.random.default_rng(444)
@@ -338,7 +341,7 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "evaluate_ranker", evaluate_spy)
         argv = ["train", "bbr", str(toy_file), "--x-star", "0.5", "--test", str(held_path)]
         assert main(argv) == 0
-        (trained,), (tested,) = seen, evaluated
+        (trained,), (tested,) = map(_densify, seen), evaluated
         raw = parse_libsvm(toy_file)
         _, factor = scale_to_ball(raw, 0.5)
         assert factor < 1.0
@@ -414,7 +417,7 @@ class TestTrainCommand:
             return (data, 1.0) if x_star is None else scale_to_ball(data, x_star)
 
         vectorised = outputs("vectorised")
-        monkeypatch.setattr(cli, "parse_libsvm", parse_libsvm_reference)
+        # train reads both files through _read_dataset.
         monkeypatch.setattr(cli, "_read_dataset", reference_dataset)
         assert outputs("reference") == vectorised
 
@@ -471,9 +474,10 @@ class TestTrainCommand:
 
 
 class TestTrainMatchesLibraryChain:
-    """`train` reads only the rows it keeps and scales them in place; its model
-    bytes and CSV cells (wall time aside) must be those of the library chain
-    parse_libsvm -> subsample_ratio_split -> scale_to_ball -> moments -> solve_erm."""
+    """`train` holds the rows it keeps sparse and scales them in place; its model
+    bytes and CSV cells (wall time aside) must be those of the dense library
+    chain parse_libsvm -> subsample_ratio_split -> scale_to_ball -> moments ->
+    solve_erm -> evaluate_ranker."""
 
     SEED = 9
     WALL_TIME = RESULT_CSV_HEADER.index("wall_time_seconds")
@@ -559,6 +563,46 @@ class TestTrainMatchesLibraryChain:
         case = (algorithm, train_path, test_path, None, 1.0, pairs)
         assert self._cli(*case, tmp_path) == self._library(*case)
 
+    @staticmethod
+    def _sparse_file(path, rng, n1, n0, dim):
+        """Classes interleaved; about 5 % of entries stored, and one row in ten all zero."""
+        labels = rng.permutation(np.r_[np.ones(n1, dtype=bool), np.zeros(n0, dtype=bool)])
+        rows = np.where(rng.random((n1 + n0, dim)) < 0.05,
+                        rng.standard_normal((n1 + n0, dim)) * 3.0, 0.0)
+        rows[rng.random(n1 + n0) < 0.1] = 0.0
+        path.write_text("".join(
+            ("+1" if label else "-1")
+            + "".join(f" {k + 1}:{float(row[k])!r}" for k in np.flatnonzero(row)) + "\n"
+            for label, row in zip(labels, rows)), encoding="ascii")
+
+    @pytest.mark.parametrize("algorithm, pairs", [("bbr", 0), ("lcbr", 20_000)])
+    @pytest.mark.parametrize("counts", [(5000, 300), (300, 5000)],
+                             ids=["positives-large", "negatives-large"])
+    @pytest.mark.parametrize("held_out", [False, True], ids=["train-eval", "test-eval"])
+    def test_sparse_rows_give_the_dense_chain_bits(self, algorithm, pairs, counts, held_out,
+                                                   tmp_path):
+        # A class above one 4096-row block, d > 64 so the strip kernel runs,
+        # all-zero rows, a test file naming 5 columns the training file
+        # lacks, and for lcbr G built on either class.
+        rng = np.random.default_rng(451)
+        train_path, test_path = tmp_path / "train.txt", tmp_path / "test.txt"
+        self._sparse_file(train_path, rng, *counts, dim=70)
+        self._sparse_file(test_path, rng, 400, 500, dim=75)
+        ratio = 0.9
+        data = subsample_ratio_split(parse_libsvm(train_path), ratio,
+                                     derived_seed(self.SEED, ROLE_SPLIT))
+        assert data.dim == 70 and parse_libsvm(test_path).dim == 75
+        assert max(data.n1, data.n0) > moments._BLOCK_ROWS
+        assert not np.all(np.any(data.negatives, axis=1))
+        if algorithm == "lcbr":
+            drawn = [np.unique(idx).size for idx in moments.draw_pair_indices(
+                derived_seed(self.SEED, ROLE_PAIRS), pairs, data.n1, data.n0)]
+            # G is built for the class with fewer drawn rows; the other streams in blocks.
+            assert (drawn[0] < drawn[1]) == (counts[0] < counts[1])
+            assert max(drawn) > moments._BLOCK_ROWS
+        case = (algorithm, train_path, test_path if held_out else None, ratio, 1.0, pairs)
+        assert self._cli(*case, tmp_path) == self._library(*case)
+
     @pytest.mark.parametrize("algorithm, pairs", [("bbr", 0), ("lcbr", 500)])
     def test_split_emptying_a_class_fails_as_the_chain_does(self, algorithm, pairs, tmp_path,
                                                           capsys):
@@ -575,18 +619,29 @@ class TestTrainMatchesLibraryChain:
 
 
 class TestTrainMemory:
-    def test_peak_is_one_training_matrix_and_one_streaming_block(self, tmp_path):
-        # The parsed and the scaled training matrix are never held together,
-        # and the training matrix is released before --test is read, so the
-        # peak is the matrix plus the larger of the fit's one moment block
-        # and the loader's scatter arrays (int64 offsets, int64 indices and
-        # float64 values: 24 bytes per stored feature, one per A9A_GROUPS
-        # group and row).  At this shape the scatter arrays are the larger.
-        # The slack, 1 MiB, covers the d x d matrices and small arrays.
+    def test_peak_is_the_training_parse_not_a_dense_matrix(self, tmp_path):
+        # train holds both files' rows sparse (int64 offsets, int32 columns
+        # and float64 values: 12 bytes per stored feature, one per
+        # A9A_GROUPS group and row), streams one moment block, and
+        # densifies only the test set, after the training rows are gone.
+        # So the peak is the largest of: the training file's text and its
+        # parse transient; the sparse rows of both files and one block; the
+        # dense test matrix and its sparse rows.  At this shape the parse is
+        # the largest.  The slack, 1 MiB, covers the d x d matrices and
+        # small arrays.
         rows, dim = 32_561, 123
         train_path, test_path = tmp_path / "train.svm", tmp_path / "test.svm"
         n1 = write_a9a_shaped(train_path, rows, np.random.default_rng(449))
         write_a9a_shaped(test_path, rows // 2, np.random.default_rng(450))
+        text = train_path.read_text(encoding="ascii")
+        tracemalloc.start()
+        try:
+            _parse_text(text)
+            _, parse = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        parse += len(text)
+        del text
         argv = ["train", "bbr", str(train_path), "--x-star", "1", "--test", str(test_path)]
         tracemalloc.start()
         try:
@@ -595,10 +650,11 @@ class TestTrainMemory:
         finally:
             tracemalloc.stop()
         assert code == 0
-        matrix = 8 * rows * dim
+        stored = 12 * A9A_GROUPS.size * rows + 8 * rows
+        stored_test = 12 * A9A_GROUPS.size * (rows // 2) + 8 * (rows // 2)
         block = 8 * min(max(n1, rows - n1), moments._BLOCK_ROWS) * dim
-        scatter = 24 * rows * A9A_GROUPS.size
-        held = matrix + max(block, scatter)
+        held = max(parse, stored + stored_test + block, 8 * (rows // 2) * dim + stored_test)
+        assert held == parse
         assert peak > held
         assert peak <= held + 2**20, f"peak {peak} B above {held} B + slack"
 
@@ -654,6 +710,35 @@ class TestExitCodes:
         assert line.startswith("pairrank: data error: --test file ")
         assert str(held) in line and "evaluation" in line and "n1=2, n0=0" in line
         assert not model.exists()
+
+    @pytest.mark.parametrize("algorithm", ["bbr", "lcbr"])
+    @pytest.mark.parametrize(
+        "held_text, named",
+        [("+1 1:1\n-1 1:abc\n", "line 2: "), ("+1 1:1\n+1 2:1\n", "--test file ")],
+        ids=["malformed", "one-class"],
+    )
+    def test_bad_test_file_fails_before_any_moment_is_built(self, algorithm, held_text, named,
+                                                            toy_file, tmp_path, monkeypatch,
+                                                            capsys):
+        held = tmp_path / "held.txt"
+        held.write_text(held_text, encoding="ascii")
+        calls = []
+
+        def recorder(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called before the --test file was checked")
+            return record
+
+        for name in ("batch_moments_fast", "subsample_moments", "solve_erm"):
+            monkeypatch.setattr(cli, name, recorder(name))
+        flags = ["--pairs", "50"] if algorithm == "lcbr" else []
+        code, stderr = _main_stderr(["train", algorithm, str(toy_file), *flags,
+                                     "--test", str(held)], capsys)
+        assert code == 2
+        assert calls == []
+        (line,) = stderr.splitlines()
+        assert line.startswith(f"pairrank: data error: {named}")
 
     @pytest.mark.parametrize(
         "role, index, code",

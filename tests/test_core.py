@@ -22,6 +22,7 @@ from pairrank import (
 )
 
 from conftest import random_dataset
+from pairrank.core import _CsrRows, _densify, _row_source, _SparseDataset
 from pairrank import core
 
 
@@ -169,6 +170,12 @@ class TestPairMoments:
         with pytest.raises(DimensionMismatchError, match="mu is not coercible"):
             PairMoments(mu=[1.0, [2.0]], sigma=np.eye(2))
 
+    def test_ragged_sigma_names_the_field(self):
+        with pytest.raises(DimensionMismatchError, match="sigma is not coercible"):
+            PairMoments(mu=np.zeros(2), sigma=[[1.0, 0.0], [0.0]])
+        with pytest.raises(DimensionMismatchError, match="sigma must be a matrix"):
+            PairMoments(mu=np.zeros(2), sigma=np.ones(2))
+
     def test_entries_above_half_the_float_maximum_stay_finite(self):
         # sigma_00 + sigma_00 overflows though sigma_00 = 1.44e308 does not.
         # The subnormal pair keeps its bits: halving it first would give 0.
@@ -291,3 +298,91 @@ class TestScaleToBall:
         data = Dataset.from_arrays([[0.0, 0.0]], [[0.0, 0.0]])
         assert scale_to_ball(data, 0.5) == (data, 1.0)
         assert scale_to_ball(data, 0.5)[0] is data
+
+
+def _csr(matrix):
+    """`matrix`'s rows as a CSR source storing its nonzero and -0.0 entries, its
+    offsets starting 3 entries into the entry arrays."""
+    base = 3
+    indices = [np.flatnonzero((row != 0.0) | np.signbit(row)) for row in matrix]
+    offsets = base + np.r_[0, np.cumsum([index.size for index in indices])].astype(np.int64)
+    columns = np.r_[np.full(base, -1), *indices].astype(np.int32)
+    values = np.r_[np.full(base, np.nan), *(row[index] for row, index in zip(matrix, indices))]
+    return _CsrRows(offsets, columns, values, matrix.shape[1])
+
+
+class TestRowSources:
+    @staticmethod
+    def _matrix(rng, rows, dim):
+        """Sparse rows with -0.0 entries and all-zero rows, the first and last among them."""
+        matrix = np.where(rng.random((rows, dim)) < 0.2, rng.standard_normal((rows, dim)), 0.0)
+        matrix[rng.random(rows) < 0.3] = 0.0
+        matrix[[0, -1]] = 0.0
+        matrix[1, 0] = -0.0
+        return matrix
+
+    @pytest.mark.parametrize("rows, dim", [(40, 7), (9, 300)])
+    def test_csr_block_and_take_equal_dense_slices(self, rows, dim):
+        rng = np.random.default_rng(452)
+        matrix = self._matrix(rng, rows, dim)
+        sparse, dense = _csr(matrix), _row_source(matrix)
+        assert sparse.shape == dense.shape == matrix.shape
+        buffer = sparse.scratch(rows)
+        buffer.fill(np.nan)
+        for lo, hi in [(0, rows), (0, 1), (3, rows - 2), (rows - 1, rows), (5, 5)]:
+            got = sparse.block(lo, hi, buffer)
+            assert np.array_equal(got, matrix[lo:hi]) and np.array_equal(np.signbit(got),
+                                                                         np.signbit(matrix[lo:hi]))
+            assert dense.block(lo, hi, None).base is matrix
+        for index in [np.arange(rows), np.array([rows - 1, 0, 1, 0]), np.array([], dtype=np.intp)]:
+            for source in (sparse, dense):
+                got = source.take(index, buffer)
+                assert np.array_equal(got, matrix[index])
+                assert np.array_equal(np.signbit(got), np.signbit(matrix[index]))
+
+    def test_csr_columns_equal_dense_columns(self):
+        rng = np.random.default_rng(453)
+        matrix = self._matrix(rng, 30, 12)
+        index = np.array([0, 2, 3, 7, 11, 12, 29])
+        sparse = [column.copy() for column in _csr(matrix).each_column(index)]
+        dense = [column.copy() for column in _row_source(matrix).each_column(index)]
+        assert len(sparse) == len(dense) == matrix.shape[1]
+        for k, (got, want) in enumerate(zip(sparse, dense)):
+            assert np.array_equal(got, matrix[index, k]) and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_empty_class_densifies_to_zero_rows(self):
+        rng = np.random.default_rng(454)
+        matrix = self._matrix(rng, 6, 4)
+        whole = _csr(matrix)
+        empty = _CsrRows(whole.offsets[6:], whole.indices, whole.values, 4)
+        assert empty.shape == (0, 4)
+        assert empty.block(0, 0, empty.scratch(0)).shape == (0, 4)
+        for data in (_SparseDataset(whole, empty), _SparseDataset(empty, whole)):
+            dense = _densify(data, 0.5)
+            assert (dense.n1, dense.n0) == (data.n1, data.n0)
+            assert np.array_equal(np.vstack([dense.positives, dense.negatives]), matrix * 0.5)
+            with pytest.raises(UntrainableDatasetError):
+                data.require_trainable()
+
+    def test_densify_scales_like_dataset_scaled_and_freezes(self):
+        rng = np.random.default_rng(455)
+        pos, neg = self._matrix(rng, 1500, 5), self._matrix(rng, 900, 5)
+        offsets = _csr(np.vstack([pos, neg]))
+        data = _SparseDataset(_CsrRows(offsets.offsets[:1501], offsets.indices, offsets.values, 5),
+                              _CsrRows(offsets.offsets[1500:], offsets.indices, offsets.values, 5))
+        factor = 1.0 / 3.0
+        dense, expected = _densify(data, factor), Dataset(pos, neg).scaled(factor)
+        for got, want in ((dense.positives, expected.positives),
+                          (dense.negatives, expected.negatives)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable and not got.base.flags.writeable
+
+    def test_ball_factor_reads_sparse_rows_as_dense(self):
+        rng = np.random.default_rng(456)
+        pos, neg = self._matrix(rng, 2100, 6) * 40.0, self._matrix(rng, 700, 6) * 40.0
+        whole = _csr(np.vstack([pos, neg]))
+        sparse = (_CsrRows(whole.offsets[:2101], whole.indices, whole.values, 6),
+                  _CsrRows(whole.offsets[2100:], whole.indices, whole.values, 6))
+        factor = core._ball_factor(*sparse, 1.0)
+        assert factor < 1.0 and factor == scale_to_ball(Dataset(pos, neg), 1.0)[1]

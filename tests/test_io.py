@@ -22,11 +22,13 @@ from pairrank import (
     PairRankError,
     ResultRow,
     parse_libsvm,
+    scale_to_ball,
     subsample_ratio_split,
     write_libsvm,
     write_results_csv,
 )
-from pairrank.io import _cast_with_float, _parse_line, csv_cells
+from pairrank.core import _densify
+from pairrank.io import _cast_with_float, _parse_line, _read_dataset, csv_cells
 
 MALFORMED_LINES = [
     "+1 1",
@@ -416,6 +418,35 @@ class TestOneGrammar:
             data = parse_libsvm(source)
             np.testing.assert_array_equal(data.positives, [[1.0, 2.0]])
             np.testing.assert_array_equal(data.negatives, [[3.0, 0.0]])
+
+
+class TestSparseLoader:
+    # Classes interleave, a row is all zero, one value is -0 and a line is
+    # blank; "+5:1" sends the whole input to the per-line path.
+    TEXT = "-1 2:0.5 4:-0\n+1 1:1 3:2\n\n-1\n+1 4:7.25\n-1 1:-3 {index}:1\n+1\n"
+
+    @pytest.mark.parametrize("index", ["5", "+5"], ids=["vectorised", "per-line"])
+    def test_class_ordered_rows_equal_the_reference(self, index):
+        text = self.TEXT.format(index=index)
+        data, factor = _read_dataset(io.StringIO(text), dim_hint=6)
+        reference = parse_libsvm_reference(io.StringIO(text), dim_hint=6)
+        assert factor == 1.0 and (data.n1, data.n0, data.dim) == (3, 3, 6)
+        for rows, want in ((data.positives, reference.positives),
+                           (data.negatives, reference.negatives)):
+            assert rows.indices.dtype == np.int32
+            got = rows.block(0, rows.shape[0], rows.scratch(rows.shape[0]))
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_split_and_scale_match_the_dense_chain(self):
+        text = self.TEXT.format(index="5")
+        data, factor = _read_dataset(io.StringIO(text), split=(0.5, 3), x_star=1.0)
+        dense = subsample_ratio_split(parse_libsvm(io.StringIO(text)), 0.5, 3)
+        scaled, expected = scale_to_ball(dense, 1.0)
+        assert factor == expected < 1.0
+        assert (data.n1, data.n0) == (dense.n1, dense.n0)
+        got = _densify(data)
+        assert np.array_equal(got.positives, scaled.positives)
+        assert np.array_equal(got.negatives, scaled.negatives)
 
 
 class TestParseMemory:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pairrank import (
+    DimensionMismatchError,
     GmmSpec,
     ProblemConfig,
     RankerWeights,
@@ -53,6 +54,14 @@ class TestGmmSpecValidation:
     def test_non_finite_mean_rejected(self):
         with pytest.raises(ValueError):
             _spec(means_pos=np.array([[np.nan, 0.0]]))
+
+
+    @pytest.mark.parametrize("field", ["means_pos", "means_neg"])
+    def test_ragged_means_name_the_field(self, field):
+        means = {"means_pos": [[0.0, 1.0], [1.0, 0.0]], "means_neg": [[0.0, 1.0], [1.0, 0.0]]}
+        means[field] = [[0.0, 1.0], [1.0]]
+        with pytest.raises(DimensionMismatchError, match=f"{field} is not coercible"):
+            GmmSpec(sigma=1.0, **means)
 
 
 class TestRandomSpec:
