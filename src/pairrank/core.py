@@ -392,8 +392,9 @@ def _row_source(rows: np.ndarray | _CsrRows | _DenseRows) -> _CsrRows | _DenseRo
 class _SparseDataset:
     """A Dataset whose two classes are CSR row sources: what `train` reads.
 
-    The moment builders and :func:`_ball_factor` take it where they take
-    a Dataset; :func:`_densify` makes a Dataset of it.
+    The moment builders take it where they take a Dataset, and
+    :func:`_ball_factor` its two classes; :func:`_densify` makes a Dataset
+    of it.
     """
 
     positives: _CsrRows
