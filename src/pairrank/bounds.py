@@ -119,10 +119,7 @@ class BoundInputs:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (np.isfinite(self.sigma_n_opnorm) and self.sigma_n_opnorm >= 0.0):
-            raise ValueError(
-                f"sigma_n_opnorm must be finite and >= 0, got {self.sigma_n_opnorm!r}"
-            )
+        _require_positive("sigma_n_opnorm", self.sigma_n_opnorm, zero_ok=True)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
@@ -231,8 +228,9 @@ def second_moment_deviation_tail(
     """
     if s < 1 or dim < 1:
         raise ValueError(f"need s >= 1 and dim >= 1, got s={s}, dim={dim}")
-    if not (epsilon > 0.0 and x_star > 0.0 and w_star > 0.0 and sigma_n_opnorm >= 0.0):
-        raise ValueError("epsilon, x_star, w_star must be > 0 and sigma_n_opnorm >= 0")
+    for name, value in (("epsilon", epsilon), ("x_star", x_star), ("w_star", w_star)):
+        _require_positive(name, value)
+    _require_positive("sigma_n_opnorm", sigma_n_opnorm, zero_ok=True)
     x2w2 = x_star**2 * w_star**2
     denom = 8.0 * sigma_n_opnorm * x2w2 * w_star**2 + (16.0 / 3.0) * epsilon * x2w2
     log_tail = math.log(2.0 * dim) - s * epsilon**2 / denom
@@ -247,8 +245,8 @@ def mean_deviation_tail(s: int, epsilon: float, x_star: float, w_star: float) ->
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got s={s}")
-    if not (epsilon > 0.0 and x_star > 0.0 and w_star > 0.0):
-        raise ValueError("epsilon, x_star and w_star must be > 0")
+    for name, value in (("epsilon", epsilon), ("x_star", x_star), ("w_star", w_star)):
+        _require_positive(name, value)
     arg = epsilon * math.sqrt(s) / (2.0 * x_star * w_star)
     if arg <= 1.0:
         return 1.0

@@ -19,11 +19,10 @@ bbr and lcbr rows with :func:`_fit_rows`.  ``train --x-star`` scales
 the training set by :func:`~pairrank.core.scale_to_ball`'s factor and
 the ``--test`` set by the same factor.  ``train`` holds its rows sparse:
 ``parse_libsvm``'s loader keeps the rows ``--sample-ratio`` keeps as CSR,
-scales their values in place and freezes them, and the fit densifies one
-streaming block at a time.  ``--test`` is read the same way before the
-fit, so a bad file fails before any moment is built, and is densified
-into one matrix, scaled in place, only after the training rows are
-released.
+scales their values in place and freezes them; the fit densifies one
+streaming block at a time, the evaluation one class at a time.
+``--test`` is read and scaled the same way before the fit, so a bad file
+fails before any moment is built.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input, untrainable dataset, unwritable output path, an input
@@ -72,7 +71,6 @@ from .core import (
     ProblemConfig,
     RankerWeights,
     SolverConvergenceError,
-    _densify,
 )
 from .evaluation import evaluate_ranker, expected_phi_risk
 from .io import ResultRow, _read_dataset, csv_cells, write_csv, write_results_csv
@@ -291,10 +289,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     split = (args.sample_ratio or 1.0, derived_seed(args.seed, ROLE_SPLIT))
     data, factor = _read_dataset(args.data, split=split, x_star=args.x_star)
     n1, n0, dim = data.n1, data.n0, data.dim
-    held = None
+    held, eval_name = data, "train"
     if args.test is not None:
         # Read before the fit, so a bad file fails before any moment is built.
-        held = _read_dataset(args.test, dim_hint=dim)[0]
+        held, eval_name = _read_dataset(args.test, dim_hint=dim, factor=factor)[0], "test"
         if held.n1 == 0 or held.n0 == 0:
             raise PairRankError(f"--test file {args.test} needs both classes non-empty for "
                                 f"evaluation, got n1={held.n1}, n0={held.n0}")
@@ -304,21 +302,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     fit = _fit(data, cfg, args.algorithm, s, derived_seed(args.seed, ROLE_PAIRS))
     seconds = fit.moment_seconds + fit.solve_seconds
 
-    if held is None:
-        weights, evaluate_on, eval_name = fit.weights, _densify(data), "train"
-    else:
-        # The training rows go before the held-out ones are densified.
-        del data
-        evaluate_on = _densify(held, factor)
-        del held
-        # Features that only the test file names get weight zero.
-        weights = RankerWeights(np.pad(fit.weights.w, (0, evaluate_on.dim - dim)))
-        eval_name = "test"
+    # Features that only the test file names get weight zero.
+    weights = RankerWeights(np.pad(fit.weights.w, (0, held.dim - dim)))
     extra = {"eval_on": eval_name, "multiplier": fit.diagnostics.multiplier}
     if args.sample_ratio is not None:
         extra["sample_ratio"] = args.sample_ratio
     row = _row("train", args.algorithm, Path(args.data).name, (n1, n0), s, args.seed,
-               weights, evaluate_on, seconds, extra)
+               weights, held, seconds, extra)
 
     if args.model_out is not None:
         save_weights(_resolve_out(args.model_out), fit.weights, args.w_star)

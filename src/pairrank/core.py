@@ -20,11 +20,11 @@ threads and across test fixtures; only the caller's own array, whose
 flag it can set back, and views it took of that array first can still
 write to them.
 
-The kernels read class rows through a private row source: a dense
-matrix in place (:class:`_DenseRows`), or rows held sparse
-(:class:`_CsrRows`), which is how ``train`` holds a LIBSVM file.  A
+The kernels and evaluators read class rows through a private row source:
+a dense matrix in place (:class:`_DenseRows`), or rows held sparse
+(:class:`_CsrRows`), as ``train`` holds a file from parser to scores.  A
 :class:`_SparseDataset` pairs two sparse classes where a Dataset pairs
-two matrices, and :func:`_densify` turns either into one dense Dataset.
+two matrices, and :func:`_densify` turns one into a dense Dataset.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ _SYMMETRY_TOL = 1e-12
 _PSD_REL_TOL = 1e-9
 # Rows per block when scale_to_ball measures norms, so no n-by-d temporary
 # sits next to the dataset (each row's norm is the same either way), and
-# when _densify fills a matrix from sparse rows.
+# when sparse rows fill a dense matrix.
 _NORM_BLOCK = 1024
 
 
@@ -108,10 +108,10 @@ def _float_array(value: object, name: str, ndim: int | None) -> np.ndarray:
     return arr
 
 
-def _require_positive(name: str, value: float) -> None:
-    """Raise ValueError unless `value` is finite and > 0."""
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+def _require_positive(name: str, value: float, zero_ok: bool = False) -> None:
+    """Raise ValueError unless `value` is finite and > 0 (>= 0 if `zero_ok`)."""
+    if not (np.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -292,13 +292,13 @@ class RankerWeights:
 class _DenseRows:
     """The row source over a dense matrix: blocks are views, gathers copy.
 
-    A row source is how the kernels read training rows.  `block(lo, hi,
-    out)` gives rows lo..hi, and `take(index, out)` rows[index], as dense
-    arrays: each is written into the leading rows of `out`, a buffer from
-    `scratch`, unless the source holds the rows dense already, as this
-    one does for blocks.  `each_column(index)` yields each column of
-    rows[index] in turn, in one buffer.  Either way the values, and so
-    every sum over them, are those of the dense matrix.
+    A row source is how the kernels and evaluators read rows.  `block(lo,
+    hi, out)` gives rows lo..hi, and `take(index, out)` rows[index], as
+    dense arrays: each is written into the leading rows of `out`, a buffer
+    from `scratch`, unless the source holds the rows dense already, as
+    this one does for blocks and `dense()`, all rows.  `each_column(index)`
+    yields each column of rows[index] in turn, in one buffer.  Either way
+    the values, and so every sum over them, are those of the dense matrix.
     """
 
     def __init__(self, array: np.ndarray):
@@ -320,6 +320,9 @@ class _DenseRows:
         for k in range(self.shape[1]):
             yield np.take(self.array[:, k], index, out=column, mode="clip")
 
+    def dense(self) -> np.ndarray:
+        return self.array
+
 
 class _CsrRows:
     """The row source over rows held sparse (CSR): only stored entries are kept.
@@ -327,7 +330,8 @@ class _CsrRows:
     Row r's entries sit at offsets[r]:offsets[r + 1] of `indices` (0-based
     columns) and `values`; the offsets are absolute, so two sources can
     share one pair of entry arrays.  A block or gather zero-fills its rows
-    of the buffer and scatters their entries.  `each_column` sorts the
+    of the buffer and scatters their entries, and `dense` fills a whole
+    matrix one _NORM_BLOCK-row block at a time.  `each_column` sorts the
     gathered rows' entries by column once, with a stable sort (numpy's
     radix sort on uint16 keys), then zero-fills and scatters one column
     at a time: O(nnz) beyond the sort, never the gathered rows dense.
@@ -341,13 +345,12 @@ class _CsrRows:
         return np.empty((count, self.shape[1]), dtype=np.float64)
 
     def _entries(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each entry of rows[index], in order: its position in `index` and in the entry arrays."""
+        """Entry-array positions of rows[index]'s entries, in order, and each row's count."""
         starts = self.offsets[index]
         counts = self.offsets[index + 1] - starts
-        row = np.repeat(np.arange(index.size, dtype=np.intp), counts)
         at = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         at += np.arange(at.size)
-        return row, at
+        return at, counts
 
     def block(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         out = out[: hi - lo]
@@ -360,15 +363,16 @@ class _CsrRows:
     def take(self, index: np.ndarray, out: np.ndarray) -> np.ndarray:
         out = out[: index.size]
         out.fill(0.0)
-        row, at = self._entries(index)
-        out[row, self.indices[at]] = self.values[at]
+        at, counts = self._entries(index)
+        out[np.repeat(np.arange(index.size), counts), self.indices[at]] = self.values[at]
         return out
 
     def each_column(self, index: np.ndarray):
-        row, at = self._entries(index)
+        at, counts = self._entries(index)
+        row = np.repeat(np.arange(index.size), counts)
         key = self.indices[at]
         values = self.values[at]
-        del at
+        del at, counts
         dim = self.shape[1]
         edges = np.zeros(dim + 1, dtype=np.intp)
         np.cumsum(np.bincount(key, minlength=dim), out=edges[1:])
@@ -382,6 +386,12 @@ class _CsrRows:
             column[row[edges[k] : edges[k + 1]]] = values[edges[k] : edges[k + 1]]
             yield column
 
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(self.shape, dtype=np.float64) if out is None else out
+        for lo in range(0, self.shape[0], _NORM_BLOCK):
+            self.block(lo, min(lo + _NORM_BLOCK, self.shape[0]), out[lo:])
+        return out
+
 
 def _row_source(rows: np.ndarray | _CsrRows | _DenseRows) -> _CsrRows | _DenseRows:
     """A source over `rows`; a dense matrix is read in place."""
@@ -392,9 +402,9 @@ def _row_source(rows: np.ndarray | _CsrRows | _DenseRows) -> _CsrRows | _DenseRo
 class _SparseDataset:
     """A Dataset whose two classes are CSR row sources: what `train` reads.
 
-    The moment builders take it where they take a Dataset, and
-    :func:`_ball_factor` its two classes; :func:`_densify` makes a Dataset
-    of it.
+    The moment builders and the evaluators take it where they take a
+    Dataset, and :func:`_ball_factor` its two classes; :func:`_densify`
+    makes a Dataset of it.
     """
 
     positives: _CsrRows
@@ -404,23 +414,16 @@ class _SparseDataset:
     require_trainable = Dataset.require_trainable
 
 
-def _densify(data: Dataset | _SparseDataset, factor: float = 1.0) -> Dataset:
-    """`data` as one dense matrix times `factor`, frozen, its classes row blocks of it.
+def _densify(data: _SparseDataset) -> Dataset:
+    """`data` as one dense matrix, frozen, its classes row blocks of it.
 
-    Rows are filled _NORM_BLOCK at a time, so beyond the matrix only one
-    block's entry indices are held.  The in-place multiply gives the bits
-    of :meth:`Dataset.scaled`.
+    Each class fills its rows _NORM_BLOCK at a time, so beyond the matrix
+    only one block's entry indices are held.  The matrix is frozen before
+    the blocks are cut, so neither class can be made writable again.
     """
     matrix = np.empty((data.n, data.dim), dtype=np.float64)
-    for rows, base in ((data.positives, 0), (data.negatives, data.n1)):
-        source = _row_source(rows)
-        for lo in range(0, source.shape[0], _NORM_BLOCK):
-            hi = min(lo + _NORM_BLOCK, source.shape[0])
-            part = matrix[base + lo : base + hi]
-            # A sparse source fills `part`, whose copy onto itself numpy skips.
-            part[...] = source.block(lo, hi, part)
-    if factor != 1.0:
-        matrix *= factor
+    data.positives.dense(matrix[: data.n1])
+    data.negatives.dense(matrix[data.n1 :])
     _freeze(matrix)
     return Dataset(matrix[: data.n1], matrix[data.n1 :])
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PairMoments, PairRankError, RankerWeights
+from .core import Dataset, PairMoments, PairRankError, RankerWeights, _row_source, _SparseDataset
 
 __all__ = [
     "EvalReport",
@@ -53,16 +53,18 @@ class EvalReport:
             raise ValueError(f"phi_risk must be >= 0, got {self.phi_risk!r}")
 
 
-def _scores(data: Dataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
+def _scores(data: Dataset | _SparseDataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
     """Scores of the positives and of the negatives; needs at least one pair.
 
+    Each class is scored by one product with its rows dense, one class at
+    a time, so a sparse class is held dense only for its own product.
     Raises PairRankError if a score is not finite (a nan or inf feature,
     or an overflowing product), which neither metric could rank or
     average into a meaningful value.
     """
     data.require_trainable()
     w.require_dim(data.dim, "features")
-    pos, neg = data.positives @ w.w, data.negatives @ w.w
+    pos, neg = (_row_source(rows).dense() @ w.w for rows in (data.positives, data.negatives))
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise PairRankError("cannot evaluate a ranker on non-finite scores")
     return pos, neg
@@ -130,7 +132,7 @@ def expected_phi_risk(moments: PairMoments, w: RankerWeights) -> float:
     return float(0.5 + 0.5 * w.w @ moments.sigma @ w.w - moments.mu @ w.w)
 
 
-def evaluate_ranker(data: Dataset, w: RankerWeights) -> EvalReport:
+def evaluate_ranker(data: Dataset | _SparseDataset, w: RankerWeights) -> EvalReport:
     """Both metrics of one ranker on one dataset, from one scoring pass."""
     pos, neg = _scores(data, w)
     return EvalReport(auc=_auc(pos, neg), phi_risk=_phi(pos, neg))

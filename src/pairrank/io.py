@@ -5,11 +5,10 @@ collection: one example per line, a numeric label followed by
 whitespace-separated index:value features with 1-based, strictly
 increasing indices.  Parsing is strict; any malformed token aborts with
 the offending line number.  One loader, `_read_dataset`, holds a file's
-rows as class-ordered CSR (12 bytes per stored feature); `parse_libsvm`
-densifies them into a dense dataset, and `train` reads them sparse and
-densifies one block at a time (see `pairrank.core`'s row sources).  A
-warning is emitted past 5000 columns, where dense rows stop being
-reasonable.
+rows as class-ordered CSR (12 bytes per stored feature) and alone scales
+them; `parse_libsvm` densifies them, and `train` densifies one block, or
+one evaluated class, at a time (see `pairrank.core`'s row sources).  A
+warning is emitted past 5000 columns, where dense rows stop being small.
 
 The parser reads its input whole.  A path is decoded as ASCII with
 "surrogateescape" and no newline translation, so a path and a stream
@@ -28,7 +27,7 @@ parsing line by line.  The pass needs a few bytes per input byte (the
 text, its bytes and boolean masks) plus a few dozen bytes per token and
 the widest label or value's length per token, never an integer array per
 byte: byte positions are int32 below 2**31 bytes, and the digit loop
-works in place.  On a9a-shaped text its traced peak is 9.8 bytes per
+works in place.  On a9a-shaped text its traced peak is 9.1 bytes per
 input byte.  The per-line path takes about 150 bytes of Python objects
 per token.
 
@@ -281,11 +280,12 @@ def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     """Parse a whole input in one vectorised pass, or return None.
 
     Returns one label per row (1 positive, 0 negative; rows are the
-    non-blank lines in file order) and the row, 1-based index and value of
-    each feature.  Returns None unless the text is ASCII without NULs and
-    every token is plain: labels in {-1, 0, +1} and values that float()
-    reads as finite, of at most _MAX_TOKEN bytes, and indices of 1 to
-    _MAX_INDEX_DIGITS ASCII digits that increase along each row.
+    non-blank lines in file order), row offsets into the features, and
+    each feature's 1-based index and value.  Returns None unless the text
+    is ASCII without NULs and every token is plain: labels in {-1, 0, +1}
+    and values that float() reads as finite, of at most _MAX_TOKEN bytes,
+    and indices of 1 to _MAX_INDEX_DIGITS ASCII digits that increase
+    along each row.
     """
     # numpy's S dtype drops trailing NULs, so "1\x00" would read as 1.0
     # where float() rejects it.
@@ -313,8 +313,10 @@ def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     label_start, label_len = starts[label], ends[label] - starts[label]
     feature = ~first[:-1]
     feature_start, feature_end = starts[feature], ends[feature]
-    # Each row's label token is followed by its feature tokens.
-    row = np.repeat(np.arange(label.size, dtype=position), np.diff(label, append=starts.size) - 1)
+    # Each row's label token is followed by its feature tokens: row r's
+    # start at token label[r] less r labels, and a row's first follows a label.
+    offsets = np.append(label, starts.size) - np.arange(label.size + 1)
+    row_start = first[:-2][feature[1:]]
     del edges, starts, ends, first, label, feature
 
     # Each feature token holds one colon with bytes on both sides, and a
@@ -342,8 +344,9 @@ def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
         index += digit * np.int64(10**k)
     del at, digits
     # Indices are at least 1 and increase along each row.
-    if index.min(initial=1) < 1 or not np.all((index[1:] > index[:-1]) | (row[1:] != row[:-1])):
+    if index.min(initial=1) < 1 or not np.all((index[1:] > index[:-1]) | row_start[1:]):
         return None
+    del row_start
 
     labels = _read_numbers(padded, label_start, label_len)
     if labels is None or not np.all(np.isin(labels, _POSITIVE_LABELS + _NEGATIVE_LABELS)):
@@ -352,7 +355,7 @@ def _parse_text(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     values = _read_numbers(padded, colons, value_len)
     if values is None:
         return None
-    return np.isin(labels, _POSITIVE_LABELS).astype(np.int8), row, index, values
+    return np.isin(labels, _POSITIVE_LABELS).astype(np.int8), offsets, index, values
 
 
 def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -363,12 +366,12 @@ def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     """
     lines = enumerate(text.split("\n"), start=1)
     parsed = [row for number, line in lines if (row := _parse_line(line, number)) is not None]
-    features = [(r, index, value) for r, (_, pairs) in enumerate(parsed) for index, value in pairs]
+    features = [feature for _, pairs in parsed for feature in pairs]
     return (
         np.array([label for label, _ in parsed], dtype=np.int8),
-        np.array([row for row, _, _ in features], dtype=np.intp),
-        np.array([index for _, index, _ in features], dtype=object),
-        np.array([value for _, _, value in features], dtype=np.float64),
+        np.cumsum([0, *(len(pairs) for _, pairs in parsed)]),
+        np.array([index for index, _ in features], dtype=object),
+        np.array([value for _, value in features], dtype=np.float64),
     )
 
 
@@ -377,6 +380,7 @@ def _read_dataset(
     dim_hint: int | None = None,
     split: tuple[float, int] | None = None,
     x_star: float | None = None,
+    factor: float = 1.0,
 ) -> tuple[_SparseDataset, float]:
     """`parse_libsvm`'s rows, held sparse, split and scaled in place, and the factor used.
 
@@ -385,22 +389,22 @@ def _read_dataset(
     2**31 columns) and float64 values, shared by both classes' sources.
     `split` = (ratio, seed) keeps only the rows `subsample_ratio_split`
     would keep of the whole file, and the dimension is still that of the
-    whole file.  Given `x_star`, the values are multiplied in place by
-    `scale_to_ball`'s factor (1.0 without it): densified, the bits of
-    those three calls in turn.  The arrays are then frozen.
+    whole file.  The values are multiplied in place by `factor`, or given
+    `x_star` by `scale_to_ball`'s factor: densified, the bits of those
+    calls in turn, then ``.scaled(factor)``.  The arrays are then frozen.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", errors="surrogateescape", newline="") as handle:
             text = handle.read()
     else:
         text = source.read()
-    labels, rows, indices, values = _parse_text(text) or _parse_lines(text)
+    labels, offsets, indices, values = _parse_text(text) or _parse_lines(text)
     del text
 
     dim = max(int(indices.max(initial=0)), dim_hint or 0)
     if dim > _DENSE_WARN_DIM:
         warnings.warn(
-            f"densifying {dim} columns; this format is parsed into dense storage",
+            f"densifying {dim} columns; each block of rows and each evaluated class is held dense",
             stacklevel=3,
         )
     if dim > np.iinfo(np.int64).max:
@@ -414,26 +418,23 @@ def _read_dataset(
     if keep is not None:
         n1 = int(np.count_nonzero(keep[:n1]))
         order = order[keep]
-    counts = np.bincount(rows, minlength=labels.size)
-    del labels, positive, keep, rows
-    starts = np.cumsum(counts) - counts
-    offsets = np.zeros(order.size + 1, dtype=np.int64)
-    np.cumsum(counts[order], out=offsets[1:])
-    _freeze(offsets)
-    # Each kept entry's place in the file's entry arrays, class-ordered.
-    at = np.repeat(starts[order] - offsets[:-1], counts[order])
-    at += np.arange(at.size)
-    del starts, counts, order
+    del labels, positive, keep
     indices = np.asarray(indices, dtype=np.int64)
     indices -= 1
     columns = indices.astype(np.int32 if dim < 2**31 else np.int64)
     del indices
+    # Each kept entry's place in the file's entry arrays, class-ordered.
+    at, counts = _CsrRows(offsets, columns, values, dim)._entries(order)
+    offsets = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    del order, counts
+    _freeze(offsets)
     columns = _freeze(columns.take(at))
     values = values.take(at)
     del at
     positives = _CsrRows(offsets[: n1 + 1], columns, values, dim)
     negatives = _CsrRows(offsets[n1:], columns, values, dim)
-    factor = 1.0 if x_star is None else _ball_factor(positives, negatives, x_star)
+    factor = factor if x_star is None else _ball_factor(positives, negatives, x_star)
     if factor != 1.0:
         values *= factor
     _freeze(values)
@@ -471,9 +472,9 @@ def parse_libsvm(source: str | Path | IO[str], dim_hint: int | None = None) -> D
     filled from the CSR rows 1024 at a time and frozen before the blocks
     are cut.  On the vectorised pass the traced peak is the dense output
     plus at most 5 bytes per input byte for one-hot rows like a9a's,
-    where the CSR rows held during the fill cost most.  A 2.33 MB
+    where the CSR rows held during the fill cost most.  A 2.35 MB
     a9a-shaped file read into 32.0 MB peaks at 38.0 MB, 2.5 bytes per
-    input byte above the output; the parse alone peaks at 25.3 MB with
+    input byte above the output; the parse alone peaks at 23.7 MB with
     the text.  Labels or values wider than a few bytes add their width
     per token.
     """

@@ -263,6 +263,32 @@ class TestMomentDeviationTails:
         with pytest.raises(ValueError, match="s >= 1"):
             mean_deviation_tail(0, 0.5, 1.0, 1.0)
 
+    # Each tail's arguments after s, by name; the dimension is not among them.
+    TAILS = {
+        second_moment_deviation_tail: ("epsilon", "x_star", "w_star", "sigma_n_opnorm"),
+        mean_deviation_tail: ("epsilon", "x_star", "w_star"),
+    }
+
+    @pytest.mark.parametrize("tail", list(TAILS), ids=lambda tail: tail.__name__)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_each_bad_argument_is_named(self, tail, bad):
+        # An infinite epsilon, x_star, w_star or opnorm used to return 0.0
+        # or 1.0 as if it were a probability.
+        valid = {"epsilon": 0.1, "x_star": 1.0, "w_star": 1.0, "sigma_n_opnorm": 1.0}
+        extra = (3,) if tail is second_moment_deviation_tail else ()
+        for name in self.TAILS[tail]:
+            args = [valid[field] if field != name else bad for field in self.TAILS[tail]]
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                tail(100, *args, *extra)
+
+    @pytest.mark.parametrize("name", ["x_star", "w_star", "epsilon"])
+    def test_zero_scales_are_refused_but_zero_opnorm_is_not(self, name):
+        args = {"epsilon": 0.1, "x_star": 1.0, "w_star": 1.0}
+        assert 0.0 <= second_moment_deviation_tail(100, *args.values(), 0.0, 3) <= 1.0
+        args[name] = 0.0
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            mean_deviation_tail(100, *args.values())
+
 
 class TestBoundReport:
     def test_header_and_row_align(self):

@@ -341,7 +341,7 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "evaluate_ranker", evaluate_spy)
         argv = ["train", "bbr", str(toy_file), "--x-star", "0.5", "--test", str(held_path)]
         assert main(argv) == 0
-        (trained,), (tested,) = map(_densify, seen), evaluated
+        (trained,), (tested,) = map(_densify, seen), map(_densify, evaluated)
         raw = parse_libsvm(toy_file)
         _, factor = scale_to_ball(raw, 0.5)
         assert factor < 1.0
@@ -410,11 +410,11 @@ class TestTrainCommand:
                                      [row[:wall_time] + row[wall_time + 1:] for row in rows])
             return result
 
-        def reference_dataset(source, dim_hint=None, split=None, x_star=None):
+        def reference_dataset(source, dim_hint=None, split=None, x_star=None, factor=1.0):
             data = parse_libsvm_reference(source, dim_hint)
             if split is not None:
                 data = subsample_ratio_split(data, *split)
-            return (data, 1.0) if x_star is None else scale_to_ball(data, x_star)
+            return (data.scaled(factor), factor) if x_star is None else scale_to_ball(data, x_star)
 
         vectorised = outputs("vectorised")
         # train reads both files through _read_dataset.
@@ -619,43 +619,70 @@ class TestTrainMatchesLibraryChain:
 
 
 class TestTrainMemory:
-    def test_peak_is_the_training_parse_not_a_dense_matrix(self, tmp_path):
-        # train holds both files' rows sparse (int64 offsets, int32 columns
-        # and float64 values: 12 bytes per stored feature, one per
-        # A9A_GROUPS group and row), streams one moment block, and
-        # densifies only the test set, after the training rows are gone.
-        # So the peak is the largest of: the training file's text and its
-        # parse transient; the sparse rows of both files and one block; the
-        # dense test matrix and its sparse rows.  At this shape the parse is
-        # the largest.  The slack, 1 MiB, covers the d x d matrices and
-        # small arrays.
-        rows, dim = 32_561, 123
-        train_path, test_path = tmp_path / "train.svm", tmp_path / "test.svm"
-        n1 = write_a9a_shaped(train_path, rows, np.random.default_rng(449))
-        write_a9a_shaped(test_path, rows // 2, np.random.default_rng(450))
-        text = train_path.read_text(encoding="ascii")
+    # train holds both files' rows sparse (int64 offsets, int32 columns and
+    # float64 values: 12 bytes per stored feature, one per A9A_GROUPS group
+    # and row), streams one moment block, and scores one class at a time
+    # with only that class dense.  The slack, 1 MiB, covers the d x d
+    # matrices, a fill block's entry indices and small arrays.
+    ROWS, DIM = 32_561, 123
+
+    @staticmethod
+    def _traced_peak(call) -> int:
         tracemalloc.start()
         try:
-            _parse_text(text)
-            _, parse = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        parse += len(text)
-        del text
-        argv = ["train", "bbr", str(train_path), "--x-star", "1", "--test", str(test_path)]
-        tracemalloc.start()
-        try:
-            code = main(argv)
+            call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == 0
-        stored = 12 * A9A_GROUPS.size * rows + 8 * rows
-        stored_test = 12 * A9A_GROUPS.size * (rows // 2) + 8 * (rows // 2)
+        return peak
+
+    def _training_file(self, tmp_path):
+        """The a9a-shaped training file, its positive count and its parse peak with the text."""
+        path = tmp_path / "train.svm"
+        n1 = write_a9a_shaped(path, self.ROWS, np.random.default_rng(449))
+        text = path.read_text(encoding="ascii")
+        parse = self._traced_peak(lambda: _parse_text(text)) + len(text)
+        return path, n1, parse
+
+    def _stored(self, rows):
+        return 12 * A9A_GROUPS.size * rows + 8 * rows
+
+    def test_peak_is_the_training_parse_not_a_dense_matrix(self, tmp_path):
+        # The peak is the largest of: the training file's text and its
+        # parse transient; the sparse rows of both files and one block; the
+        # sparse rows of both files and the larger test class dense.  At
+        # this shape the parse is the largest.
+        rows, dim = self.ROWS, self.DIM
+        train_path, n1, parse = self._training_file(tmp_path)
+        test_path = tmp_path / "test.svm"
+        test_n1 = write_a9a_shaped(test_path, rows // 2, np.random.default_rng(450))
+        argv = ["train", "bbr", str(train_path), "--x-star", "1", "--test", str(test_path)]
+        codes = []
+        peak = self._traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        stored = self._stored(rows) + self._stored(rows // 2)
         block = 8 * min(max(n1, rows - n1), moments._BLOCK_ROWS) * dim
-        held = max(parse, stored + stored_test + block, 8 * (rows // 2) * dim + stored_test)
+        test_class = 8 * max(test_n1, rows // 2 - test_n1) * dim
+        held = max(parse, stored + block, stored + test_class)
         assert held == parse
         assert peak > held
+        assert peak <= held + 2**20, f"peak {peak} B above {held} B + slack"
+
+    def test_peak_without_test_holds_one_class_dense(self, tmp_path):
+        # Evaluating on the training rows densifies one class at a time, so
+        # the larger class dense beside the sparse rows sets the peak; both
+        # classes dense at once would add the smaller class's 7.7 MB.
+        rows, dim = self.ROWS, self.DIM
+        train_path, n1, parse = self._training_file(tmp_path)
+        argv = ["train", "bbr", str(train_path), "--x-star", "1"]
+        codes = []
+        peak = self._traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        stored = self._stored(rows)
+        block = 8 * min(max(n1, rows - n1), moments._BLOCK_ROWS) * dim
+        larger_class = 8 * max(n1, rows - n1) * dim
+        held = max(parse, stored + block, stored + larger_class)
+        assert held == stored + larger_class
         assert peak <= held + 2**20, f"peak {peak} B above {held} B + slack"
 
 
@@ -755,7 +782,7 @@ class TestExitCodes:
         assert returncode == code
         warning, *error = stderr.splitlines()
         assert warning == (f"pairrank: warning: densifying {index} columns; "
-                           "this format is parsed into dense storage")
+                           "each block of rows and each evaluated class is held dense")
         assert len(error) == (1 if code else 0)
         assert all(line.startswith("pairrank: data error: ") for line in error)
 

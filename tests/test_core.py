@@ -359,24 +359,26 @@ class TestRowSources:
         assert empty.shape == (0, 4)
         assert empty.block(0, 0, empty.scratch(0)).shape == (0, 4)
         for data in (_SparseDataset(whole, empty), _SparseDataset(empty, whole)):
-            dense = _densify(data, 0.5)
+            dense = _densify(data)
             assert (dense.n1, dense.n0) == (data.n1, data.n0)
-            assert np.array_equal(np.vstack([dense.positives, dense.negatives]), matrix * 0.5)
+            assert np.array_equal(np.vstack([dense.positives, dense.negatives]), matrix)
             with pytest.raises(UntrainableDatasetError):
                 data.require_trainable()
 
-    def test_densify_scales_like_dataset_scaled_and_freezes(self):
+    def test_densify_equals_the_dense_rows_and_freezes(self):
         rng = np.random.default_rng(455)
         pos, neg = self._matrix(rng, 1500, 5), self._matrix(rng, 900, 5)
         offsets = _csr(np.vstack([pos, neg]))
         data = _SparseDataset(_CsrRows(offsets.offsets[:1501], offsets.indices, offsets.values, 5),
                               _CsrRows(offsets.offsets[1500:], offsets.indices, offsets.values, 5))
-        factor = 1.0 / 3.0
-        dense, expected = _densify(data, factor), Dataset(pos, neg).scaled(factor)
-        for got, want in ((dense.positives, expected.positives),
-                          (dense.negatives, expected.negatives)):
-            assert np.array_equal(got, want)
+        dense = _densify(data)
+        for got, want, rows in ((dense.positives, pos, data.positives),
+                                (dense.negatives, neg, data.negatives)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(rows.dense(), got)
             assert not got.flags.writeable and not got.base.flags.writeable
+            with pytest.raises(ValueError):
+                got.flags.writeable = True
 
     def test_ball_factor_reads_sparse_rows_as_dense(self):
         rng = np.random.default_rng(456)

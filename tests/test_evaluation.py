@@ -31,8 +31,10 @@ from pairrank import (
     analytic_pair_moments,
 )
 
-from pairrank import moments
-from pairrank.evaluation import _auc
+from pairrank import moments, write_libsvm
+from pairrank.core import _densify
+from pairrank.evaluation import _auc, _scores
+from pairrank.io import _read_dataset
 
 from conftest import integer_dataset, random_dataset
 
@@ -284,6 +286,24 @@ class TestEvalReport:
         assert built == []
         batch_moments_fast(data)
         assert built == [3]
+
+    def test_sparse_rows_score_like_their_dense_matrix(self, tmp_path):
+        # The positives span more than one 4096-row moment block.  Each
+        # class is scored from its own dense array, the dense Dataset from
+        # row blocks of one matrix: one product per class gives the same bits.
+        rng = np.random.default_rng(513)
+        data = random_dataset(rng, 20, 4200, 1300)
+        keep = rng.random((data.n, 20)) < 0.3
+        path = tmp_path / "sparse.svm"
+        write_libsvm(Dataset.from_arrays(data.positives * keep[: data.n1],
+                                         data.negatives * keep[data.n1 :]), path)
+        sparse, _ = _read_dataset(path)
+        dense = _densify(sparse)
+        assert sparse.n1 > 4096
+        w = RankerWeights(w=rng.standard_normal(20))
+        for got, want in zip(_scores(sparse, w), _scores(dense, w)):
+            assert np.array_equal(got, want)
+        assert evaluate_ranker(sparse, w) == evaluate_ranker(dense, w)
 
     def test_zero_loss_ranker_reports_nonnegative_risk(self):
         data = Dataset.from_arrays([[1.0, 0.0]], [[0.0, 0.0]])

@@ -448,6 +448,20 @@ class TestSparseLoader:
         assert np.array_equal(got.positives, scaled.positives)
         assert np.array_equal(got.negatives, scaled.negatives)
 
+    # The second text has no positive row.
+    @pytest.mark.parametrize("text", [TEXT.format(index="5"), "-1 2:0.5 4:-0\n-1\n-1 1:-3 3:7\n"],
+                             ids=["both-classes", "empty-class"])
+    def test_factor_scales_like_dataset_scaled(self, text):
+        factor = 1.0 / 3.0
+        data, applied = _read_dataset(io.StringIO(text), factor=factor)
+        expected = parse_libsvm(io.StringIO(text)).scaled(factor)
+        assert applied == factor
+        got = _densify(data)
+        for rows, want in ((got.positives, expected.positives), (got.negatives, expected.negatives)):
+            assert rows.shape == want.shape
+            assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
+        assert np.signbit(got.negatives).any()
+
 
 class TestParseMemory:
     def test_peak_stays_within_the_documented_bound(self, tmp_path):
