@@ -50,6 +50,7 @@ relative output paths (model files and CSVs).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import struct
@@ -438,7 +439,12 @@ def _cmd_bounds_table(args: argparse.Namespace) -> int:
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Parsing leaves it unchanged: each call fills a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="pairrank",
         description="Linear bipartite ranking via pair moments: train, sweep, bound, time.",

@@ -22,7 +22,9 @@ write to them.
 
 The kernels and evaluators read class rows through a private row source:
 a dense matrix in place (:class:`_DenseRows`), or rows held sparse
-(:class:`_CsrRows`), as ``train`` holds a file from parser to scores.  A
+(:class:`_CsrRows`), as ``train`` holds a file from parser to scores.
+A sparse source holds at most one block of its rows dense at a time, and
+its column sums and norms read only the stored entries.  A
 :class:`_SparseDataset` pairs two sparse classes where a Dataset pairs
 two matrices, and :func:`_densify` turns one into a dense Dataset.
 """
@@ -54,6 +56,9 @@ _PSD_REL_TOL = 1e-9
 # sits next to the dataset (each row's norm is the same either way), and
 # when sparse rows fill a dense matrix.
 _NORM_BLOCK = 1024
+# Rows per block when sparse rows are scored: a class of at most this many
+# rows is one matrix-vector product, as a dense class is.
+_SCORE_BLOCK = 4096
 
 
 class PairRankError(Exception):
@@ -296,9 +301,14 @@ class _DenseRows:
     hi, out)` gives rows lo..hi, and `take(index, out)` rows[index], as
     dense arrays: each is written into the leading rows of `out`, a buffer
     from `scratch`, unless the source holds the rows dense already, as
-    this one does for blocks and `dense()`, all rows.  `each_column(index)`
-    yields each column of rows[index] in turn, in one buffer.  Either way
-    the values, and so every sum over them, are those of the dense matrix.
+    this one does for blocks.  `each_column(index)` yields each column of
+    rows[index] in turn, in one buffer.  The reductions come whole:
+    `scores(w)` is rows @ w, `sums(lo, hi)` the column sums of rows
+    lo..hi, `take_sums(index, weights, out)` those of rows[index] each
+    times its weight (through `out` where the rows are densified), and `squares(lo, hi, out, factor)` rows lo..hi times
+    `factor`, squared entry by entry.  Every value, and every sum but the
+    scores of a class over _SCORE_BLOCK rows, has the bits the dense
+    matrix gives.
     """
 
     def __init__(self, array: np.ndarray):
@@ -320,21 +330,42 @@ class _DenseRows:
         for k in range(self.shape[1]):
             yield np.take(self.array[:, k], index, out=column, mode="clip")
 
-    def dense(self) -> np.ndarray:
-        return self.array
+    def scores(self, w: np.ndarray) -> np.ndarray:
+        return self.array @ w
+
+    def sums(self, lo: int, hi: int) -> np.ndarray:
+        return np.sum(self.array[lo:hi], axis=0)
+
+    def take_sums(self, index: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        part = self.take(index, out)
+        part *= weights[:, None]
+        return np.sum(part, axis=0)
+
+    def squares(self, lo: int, hi: int, out: np.ndarray | None, factor: float) -> np.ndarray:
+        block = self.array[lo:hi] * factor
+        block *= block
+        return block
 
 
 class _CsrRows:
     """The row source over rows held sparse (CSR): only stored entries are kept.
 
     Row r's entries sit at offsets[r]:offsets[r + 1] of `indices` (0-based
-    columns) and `values`; the offsets are absolute, so two sources can
-    share one pair of entry arrays.  A block or gather zero-fills its rows
-    of the buffer and scatters their entries, and `dense` fills a whole
-    matrix one _NORM_BLOCK-row block at a time.  `each_column` sorts the
-    gathered rows' entries by column once, with a stable sort (numpy's
-    radix sort on uint16 keys), then zero-fills and scatters one column
-    at a time: O(nnz) beyond the sort, never the gathered rows dense.
+    columns, strictly increasing within a row) and `values`; the offsets
+    are absolute, so two sources can share one pair of entry arrays.  A
+    block, gather or `squares` zero-fills its rows of the buffer and
+    scatters their entries, `scores` densifies one _SCORE_BLOCK-row block
+    at a time into one buffer, and `dense` fills a whole matrix one
+    _NORM_BLOCK-row block at a time.  For d >= 2 the column sums are one
+    np.bincount over the stored entries: it adds each column's entries in
+    row order, as numpy sums a C-contiguous block's rows, and a missing
+    entry's +0.0 changes no sum but the sign of a zero one.  At d = 1
+    numpy sums the column pairwise, so a block is densified and summed.
+    `each_column` sorts the gathered rows' entries by column once, with a
+    stable sort (numpy's radix sort on uint16 keys), then zero-fills and
+    scatters one column at a time: at most 24 bytes per gathered entry
+    and a few floats per gathered row while the index is built, then 12
+    per entry (an int32 row id and a value), never the gathered rows dense.
     """
 
     def __init__(self, offsets: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: int):
@@ -352,13 +383,16 @@ class _CsrRows:
         at += np.arange(at.size)
         return at, counts
 
-    def block(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    def _fill(self, lo: int, hi: int, out: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Rows lo..hi, their stored entries set to `values`, in the leading rows of `out`."""
         out = out[: hi - lo]
         out.fill(0.0)
-        first, last = self.offsets[lo], self.offsets[hi]
         row = np.repeat(np.arange(hi - lo), np.diff(self.offsets[lo : hi + 1]))
-        out[row, self.indices[first:last]] = self.values[first:last]
+        out[row, self.indices[self.offsets[lo] : self.offsets[hi]]] = values
         return out
+
+    def block(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        return self._fill(lo, hi, out, self.values[self.offsets[lo] : self.offsets[hi]])
 
     def take(self, index: np.ndarray, out: np.ndarray) -> np.ndarray:
         out = out[: index.size]
@@ -369,22 +403,55 @@ class _CsrRows:
 
     def each_column(self, index: np.ndarray):
         at, counts = self._entries(index)
-        row = np.repeat(np.arange(index.size), counts)
-        key = self.indices[at]
-        values = self.values[at]
-        del at, counts
         dim = self.shape[1]
+        key = self.indices[at]
+        if dim <= 2**16:
+            key = key.astype(np.uint16)
         edges = np.zeros(dim + 1, dtype=np.intp)
         np.cumsum(np.bincount(key, minlength=dim), out=edges[1:])
-        order = np.argsort(key.astype(np.uint16) if dim <= 2**16 else key, kind="stable")
+        order = np.argsort(key, kind="stable")
         del key
-        row, values = row[order], values[order]
-        del order
+        at = at[order]
+        row = np.arange(index.size, dtype=np.int32 if index.size < 2**31 else np.intp)
+        row = np.repeat(row, counts)[order]
+        del order, counts
+        values = self.values[at]
+        del at
         column = np.empty(index.size)
         for k in range(dim):
             column.fill(0.0)
             column[row[edges[k] : edges[k + 1]]] = values[edges[k] : edges[k + 1]]
             yield column
+
+    def scores(self, w: np.ndarray) -> np.ndarray:
+        count = self.shape[0]
+        out = np.empty(count)
+        buffer = self.scratch(min(count, _SCORE_BLOCK))
+        for lo in range(0, count, _SCORE_BLOCK):
+            hi = min(lo + _SCORE_BLOCK, count)
+            np.matmul(self.block(lo, hi, buffer), w, out=out[lo:hi])
+        return out
+
+    def sums(self, lo: int, hi: int) -> np.ndarray:
+        if self.shape[1] == 1:
+            return np.sum(self.block(lo, hi, self.scratch(hi - lo)), axis=0)
+        first, last = self.offsets[lo], self.offsets[hi]
+        return np.bincount(self.indices[first:last], weights=self.values[first:last],
+                           minlength=self.shape[1])
+
+    def take_sums(self, index: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.shape[1] == 1:
+            part = self.take(index, out)
+            part *= weights[:, None]
+            return np.sum(part, axis=0)
+        at, counts = self._entries(index)
+        return np.bincount(self.indices[at], weights=self.values[at] * np.repeat(weights, counts),
+                           minlength=self.shape[1])
+
+    def squares(self, lo: int, hi: int, out: np.ndarray, factor: float) -> np.ndarray:
+        scaled = self.values[self.offsets[lo] : self.offsets[hi]] * factor
+        scaled *= scaled
+        return self._fill(lo, hi, out, scaled)
 
     def dense(self, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(self.shape, dtype=np.float64) if out is None else out
@@ -440,24 +507,26 @@ def _prescaled_norm(x: np.ndarray, axis: int | None = None) -> np.ndarray:
 def _max_row_norm(rows: np.ndarray, factor: float = 1.0) -> float:
     """Largest Euclidean norm among the rows times `factor`; 0 if none.
 
-    Each _NORM_BLOCK-row block is multiplied by `factor` into a temporary,
-    the same bits as those rows of ``rows * factor``, so the rows are never
-    written.  Raises PairRankError on a nan or inf entry.  A block whose
-    largest plain norm overflows, or is below 2^-500 where a square can
-    leave the normal range (d < 2^20), is measured with
-    :func:`_prescaled_norm` instead.
+    Each _NORM_BLOCK-row block's entries, times `factor` and squared, go
+    to a temporary (sparse rows: only the stored ones, scattered into one
+    reused block), so the rows are never written.  The largest norm is
+    the square root of the largest row sum of that block, the bits of
+    ``np.linalg.norm(rows * factor, axis=1).max()``.  Raises PairRankError
+    on a nan or inf entry.  A block whose largest plain norm overflows, or
+    is below 2^-500 where a square can leave the normal range (d < 2^20),
+    is measured again with :func:`_prescaled_norm`.
     """
     source = _row_source(rows)
     count = source.shape[0]
     scratch = source.scratch(min(count, _NORM_BLOCK))
     largest = 0.0
     for start in range(0, count, _NORM_BLOCK):
-        block = source.block(start, min(start + _NORM_BLOCK, count), scratch)
-        if factor != 1.0:
-            block = block * factor
+        end = min(start + _NORM_BLOCK, count)
         with np.errstate(over="ignore"):
-            top = float(np.max(np.linalg.norm(block, axis=1)))
+            squares = source.squares(start, end, scratch, factor)
+            top = float(np.sqrt(np.max(np.add.reduce(squares, axis=1))))
         if not 2.0**-500 <= top < np.inf:
+            block = source.block(start, end, scratch) * factor
             if not np.isfinite(np.max(np.abs(block))):
                 raise PairRankError("scale_to_ball found a non-finite feature (nan or inf)")
             top = float(np.max(_prescaled_norm(block, axis=1)))

@@ -56,15 +56,16 @@ class EvalReport:
 def _scores(data: Dataset | _SparseDataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
     """Scores of the positives and of the negatives; needs at least one pair.
 
-    Each class is scored by one product with its rows dense, one class at
-    a time, so a sparse class is held dense only for its own product.
+    A dense class is scored by one matrix-vector product.  A sparse class
+    is scored _SCORE_BLOCK rows at a time through one dense block, so a
+    class of more rows may differ from the one product by rounding.
     Raises PairRankError if a score is not finite (a nan or inf feature,
     or an overflowing product), which neither metric could rank or
     average into a meaningful value.
     """
     data.require_trainable()
     w.require_dim(data.dim, "features")
-    pos, neg = (_row_source(rows).dense() @ w.w for rows in (data.positives, data.negatives))
+    pos, neg = (_row_source(rows).scores(w.w) for rows in (data.positives, data.negatives))
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise PairRankError("cannot evaluate a ranker on non-finite scores")
     return pos, neg

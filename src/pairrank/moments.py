@@ -38,9 +38,13 @@ second moments are added in block order.
 
 Every kernel reads class rows through a row source
 (:class:`pairrank.core._DenseRows`), so a builder takes a Dataset or the
-sparse rows ``train`` loads: a dense class is read in place, and a sparse
-one is densified into the same buffers, block by block with edges on
-multiples of _CHUNK, giving the same values and so the same bits.
+sparse rows ``train`` loads, with the same bits: a dense class is read in
+place.  A sparse one is densified into the same second-moment buffers,
+block by block with edges on multiples of _CHUNK, giving the same values.
+Its means are summed from its stored entries, a _CHUNK-row chunk at a
+time: above one column, each chunk's column sums are one np.bincount,
+which adds each column's entries in the row order numpy's sum of the
+dense chunk takes.
 """
 
 from __future__ import annotations
@@ -96,28 +100,35 @@ class SubsampleConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
 
 
+def _neumaier_add(state: tuple, part: np.ndarray) -> None:
+    """Add one chunk's column sums to the running (total, comp) state, in place."""
+    total, comp = state
+    fresh = total + part
+    swap = np.abs(total) >= np.abs(part)
+    comp += np.where(swap, (total - fresh) + part, (part - fresh) + total)
+    total[...] = fresh
+
+
 def _neumaier_over_rows(rows: np.ndarray, state: tuple | None = None) -> np.ndarray:
     """Sum matrix rows with chunked Neumaier compensation.
 
-    Rows are grouped into fixed-size chunks summed by numpy (pairwise,
-    deterministic for a fixed chunk size), and the chunk partials are
+    Rows are grouped into fixed-size chunks, each summed by its row
+    source (numpy adds a C-contiguous chunk's rows in row order for
+    d >= 2 and sums one column pairwise; sparse rows at d >= 2 add their
+    stored entries in the same order), and the chunk partials are
     combined left to right with Neumaier's correction.  This keeps the
     result independent of the total row count's effect on numpy's
     internal blocking while costing one pass.  A running `state`
     (total, comp) is updated in place, so calls on consecutive row
     blocks whose lengths are multiples of _CHUNK give one call's bits.
+    Both start at +0.0, so a chunk sum of -0.0 adds as +0.0 does.
     """
     source = _row_source(rows)
     count, dim = source.shape
-    total, comp = state if state is not None else (np.zeros(dim), np.zeros(dim))
-    scratch = source.scratch(min(count, _CHUNK))
+    state = state if state is not None else (np.zeros(dim), np.zeros(dim))
     for start in range(0, count, _CHUNK):
-        part = np.sum(source.block(start, min(start + _CHUNK, count), scratch), axis=0)
-        fresh = total + part
-        swap = np.abs(total) >= np.abs(part)
-        comp += np.where(swap, (total - fresh) + part, (part - fresh) + total)
-        total[...] = fresh
-    return total + comp
+        _neumaier_add(state, source.sums(start, min(start + _CHUNK, count)))
+    return state[0] + state[1]
 
 
 def _usable_cpus() -> int:
@@ -329,10 +340,9 @@ def _draws(rows, idx: np.ndarray, s: int) -> _Draws:
     state = (np.zeros(dim), np.zeros(dim))
     buffer = np.empty((min(drawn.size, _CHUNK), dim), dtype=np.float64)
     for lo in range(0, drawn.size, _CHUNK):
-        part = source.take(drawn[lo : lo + _CHUNK], buffer)
-        part *= weights[lo : lo + _CHUNK, None]
-        total = _neumaier_over_rows(part, state)
-    return _Draws(source, drawn, weights, slot[idx], total / s)
+        part = source.take_sums(drawn[lo : lo + _CHUNK], weights[lo : lo + _CHUNK], buffer)
+        _neumaier_add(state, part)
+    return _Draws(source, drawn, weights, slot[idx], (state[0] + state[1]) / s)
 
 
 def _cross_sums(g: _Draws, o: _Draws) -> np.ndarray:

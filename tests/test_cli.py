@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import pairrank.cli as cli
+import pairrank.core as core
 import pairrank.moments as moments
 import pairrank.solver as solver
 from conftest import A9A_GROUPS, parse_libsvm_reference, random_dataset, write_a9a_shaped
@@ -603,6 +604,33 @@ class TestTrainMatchesLibraryChain:
         case = (algorithm, train_path, test_path if held_out else None, ratio, 1.0, pairs)
         assert self._cli(*case, tmp_path) == self._library(*case)
 
+    @pytest.mark.parametrize("algorithm, pairs", [("bbr", 0), ("lcbr", 300), ("lcbr", 3000)],
+                             ids=["bbr", "lcbr-s-below-n", "lcbr-s-above-n"])
+    @pytest.mark.parametrize("x_star", [1.0, 0.37, 1e-3])
+    @pytest.mark.parametrize("dim", [1, 2, 9, 130, 700])
+    def test_wide_range_sparse_rows_give_the_dense_chain_bits(self, algorithm, pairs, x_star,
+                                                             dim, tmp_path):
+        # Normal values times e^N(0, 3), stored -0.0 entries and all-zero
+        # rows; a class over one 512-row sum chunk; d = 1, where numpy sums
+        # a column pairwise, and d above 64, where the strip kernel runs.
+        # lcbr draws fewer and more pairs than the 800 rows.
+        rng = np.random.default_rng(452 + dim)
+        n1, n0 = 560, 240
+        rows = np.where(rng.random((n1 + n0, dim)) < min(1.0, 6.0 / dim + 0.05),
+                        rng.standard_normal((n1 + n0, dim))
+                        * np.exp(rng.normal(0.0, 3.0, (n1 + n0, dim))), 0.0)
+        rows[rng.random((n1 + n0, dim)) < 0.02] = -0.0
+        rows[rng.random(n1 + n0) < 0.05] = 0.0
+        labels = rng.permutation(np.r_[np.ones(n1, dtype=bool), np.zeros(n0, dtype=bool)])
+        train_path = tmp_path / "train.txt"
+        train_path.write_text("".join(
+            ("+1" if label else "-1")
+            + "".join(f" {k + 1}:{float(row[k])!r}"
+                      for k in np.flatnonzero((row != 0.0) | np.signbit(row))) + "\n"
+            for label, row in zip(labels, rows)), encoding="ascii")
+        case = (algorithm, train_path, None, None, x_star, pairs)
+        assert self._cli(*case, tmp_path) == self._library(*case)
+
     @pytest.mark.parametrize("algorithm, pairs", [("bbr", 0), ("lcbr", 500)])
     def test_split_emptying_a_class_fails_as_the_chain_does(self, algorithm, pairs, tmp_path,
                                                           capsys):
@@ -621,9 +649,9 @@ class TestTrainMatchesLibraryChain:
 class TestTrainMemory:
     # train holds both files' rows sparse (int64 offsets, int32 columns and
     # float64 values: 12 bytes per stored feature, one per A9A_GROUPS group
-    # and row), streams one moment block, and scores one class at a time
-    # with only that class dense.  The slack, 1 MiB, covers the d x d
-    # matrices, a fill block's entry indices and small arrays.
+    # and row) and never densifies more than one block of them: a moment
+    # block, a 4096-row score block, or lcbr's G.  The slack, 1 MiB, covers
+    # the d x d matrices, a fill block's entry indices and small arrays.
     ROWS, DIM = 32_561, 123
 
     @staticmethod
@@ -647,42 +675,60 @@ class TestTrainMemory:
     def _stored(self, rows):
         return 12 * A9A_GROUPS.size * rows + 8 * rows
 
-    def test_peak_is_the_training_parse_not_a_dense_matrix(self, tmp_path):
-        # The peak is the largest of: the training file's text and its
-        # parse transient; the sparse rows of both files and one block; the
-        # sparse rows of both files and the larger test class dense.  At
-        # this shape the parse is the largest.
-        rows, dim = self.ROWS, self.DIM
-        train_path, n1, parse = self._training_file(tmp_path)
-        test_path = tmp_path / "test.svm"
-        test_n1 = write_a9a_shaped(test_path, rows // 2, np.random.default_rng(450))
-        argv = ["train", "bbr", str(train_path), "--x-star", "1", "--test", str(test_path)]
+    def _block(self, n1, n0):
+        """The largest dense block of rows train reads, at d = DIM."""
+        return 8 * min(max(n1, n0), max(moments._BLOCK_ROWS, core._SCORE_BLOCK)) * self.DIM
+
+    def _peak(self, argv):
         codes = []
         peak = self._traced_peak(lambda: codes.append(main(argv)))
         assert codes == [0]
+        return peak
+
+    def test_peak_is_the_training_parse_not_a_dense_matrix(self, tmp_path):
+        # The peak is the larger of: the training file's text and its parse
+        # transient; the sparse rows of both files and one block.  At this
+        # shape the parse is the larger.
+        rows = self.ROWS
+        train_path, n1, parse = self._training_file(tmp_path)
+        test_path = tmp_path / "test.svm"
+        write_a9a_shaped(test_path, rows // 2, np.random.default_rng(450))
+        peak = self._peak(["train", "bbr", str(train_path), "--x-star", "1",
+                           "--test", str(test_path)])
         stored = self._stored(rows) + self._stored(rows // 2)
-        block = 8 * min(max(n1, rows - n1), moments._BLOCK_ROWS) * dim
-        test_class = 8 * max(test_n1, rows // 2 - test_n1) * dim
-        held = max(parse, stored + block, stored + test_class)
+        held = max(parse, stored + self._block(n1, rows - n1))
         assert held == parse
         assert peak > held
         assert peak <= held + 2**20, f"peak {peak} B above {held} B + slack"
 
-    def test_peak_without_test_holds_one_class_dense(self, tmp_path):
-        # Evaluating on the training rows densifies one class at a time, so
-        # the larger class dense beside the sparse rows sets the peak; both
-        # classes dense at once would add the smaller class's 7.7 MB.
-        rows, dim = self.ROWS, self.DIM
+    def test_peak_without_test_holds_the_stored_rows_and_one_block(self, tmp_path):
+        # Evaluating on the training rows scores them 4096 rows at a time,
+        # so no class is dense whole; the larger class dense would have set
+        # the peak 24.3 MB above the stored rows.
+        rows = self.ROWS
         train_path, n1, parse = self._training_file(tmp_path)
-        argv = ["train", "bbr", str(train_path), "--x-star", "1"]
-        codes = []
-        peak = self._traced_peak(lambda: codes.append(main(argv)))
-        assert codes == [0]
-        stored = self._stored(rows)
-        block = 8 * min(max(n1, rows - n1), moments._BLOCK_ROWS) * dim
-        larger_class = 8 * max(n1, rows - n1) * dim
-        held = max(parse, stored + block, stored + larger_class)
-        assert held == stored + larger_class
+        peak = self._peak(["train", "bbr", str(train_path), "--x-star", "1"])
+        held = max(parse, self._stored(rows) + self._block(n1, rows - n1))
+        assert peak <= held + 2**20, f"peak {peak} B above {held} B + slack"
+
+    def test_lcbr_peak_counts_the_column_index_at_24_bytes_an_entry(self, tmp_path):
+        # lcbr's peak is G's build: the stored rows of both files, the two
+        # classes' draws (8 bytes per pair each for its slots, 16 per row
+        # for the drawn rows and their counts), G (at most the smaller
+        # class's rows dense) and the column index over the other class's
+        # drawn rows, at most 24 bytes per gathered entry.
+        rows, pairs = self.ROWS, 100_000
+        train_path, n1, parse = self._training_file(tmp_path)
+        test_path = tmp_path / "test.svm"
+        write_a9a_shaped(test_path, rows // 2, np.random.default_rng(450))
+        peak = self._peak(["train", "lcbr", str(train_path), "--pairs", str(pairs),
+                           "--x-star", "1", "--test", str(test_path)])
+        stored = self._stored(rows) + self._stored(rows // 2)
+        draws = 16 * pairs + 16 * rows
+        cross = 8 * min(n1, rows - n1) * self.DIM
+        index = 24 * A9A_GROUPS.size * max(n1, rows - n1)
+        held = max(parse, stored + draws + cross + index)
+        assert held > parse
         assert peak <= held + 2**20, f"peak {peak} B above {held} B + slack"
 
 
@@ -920,6 +966,34 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "pairrank" in capsys.readouterr().out
+
+
+class TestParserBuiltOnce:
+    def _train(self, argv, model, capsys):
+        code = main([*argv, "--model-out", str(model)])
+        capsys.readouterr()
+        return code, model.read_bytes()
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_after_errors_and_help_run_as_the_first_did(self, toy_file, tmp_path, capsys):
+        lcbr = ["train", "lcbr", str(toy_file), "--pairs", "7", "--seed", "3", "--x-star", "0.5"]
+        bbr = ["train", "bbr", str(toy_file)]
+        first = self._train(lcbr, tmp_path / "first.bin", capsys), \
+            self._train(bbr, tmp_path / "bbr-first.bin", capsys)
+        assert main(["train", "bbr", str(toy_file), "--frobnicate"]) == 1
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+        # A value the last call set is not the next call's default.
+        assert main(["train", "lcbr", str(toy_file)]) == 1
+        assert "usage error: lcbr requires --pairs" in capsys.readouterr().err
+        for argv in (["--help"], ["train", "--help"]):
+            assert main(argv) == 0
+            assert "usage: pairrank" in capsys.readouterr().out
+        again = self._train(lcbr, tmp_path / "again.bin", capsys), \
+            self._train(bbr, tmp_path / "bbr-again.bin", capsys)
+        assert first == again
+        assert first[0][0] == first[1][0] == 0
 
 
 class TestSynthSweep:

@@ -23,6 +23,7 @@ from pairrank import (
 
 from conftest import random_dataset
 from pairrank.core import _CsrRows, _densify, _row_source, _SparseDataset
+from pairrank.moments import _draws, _neumaier_over_rows
 from pairrank import core
 
 
@@ -300,6 +301,45 @@ class TestScaleToBall:
         assert scale_to_ball(data, 0.5)[0] is data
 
 
+def _wide_range(rng, rows, dim):
+    """Rows with about 30 % of entries stored, normal values times e^N(0, 3)."""
+    stored = rng.random((rows, dim)) < 0.3
+    return np.where(stored, rng.standard_normal((rows, dim)) * np.exp(rng.normal(0.0, 3.0, (rows, dim))),
+                    0.0)
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestNumpyReductionOrder:
+    # The premises the sparse row sources' bits rest on.  A numpy release
+    # that changes how it orders these reductions fails here by name.
+
+    @pytest.mark.parametrize("dim", [2, 3, 9, 123, 130, 700])
+    def test_block_column_sums_add_rows_in_order(self, dim):
+        # So one np.bincount over the stored entries, in row order, sums a
+        # C-contiguous block of sparse rows as np.sum(axis=0) does.
+        rng = np.random.default_rng(470 + dim)
+        matrix = _wide_range(rng, 1200, dim)
+        for block in (matrix[:512], matrix[512:1024], matrix[1024:]):
+            rows, cols = np.nonzero(block)
+            want = np.bincount(cols, weights=block[rows, cols], minlength=dim)
+            assert np.array_equal(np.sum(block, axis=0), want)
+
+    def test_one_column_is_summed_pairwise(self):
+        # So at d = 1 a sparse chunk is densified and summed by numpy.
+        column = np.r_[1.0, np.full(511, 2.0**-53)]
+        assert np.sum(column[:, None], axis=0)[0] > 1.0
+        assert np.bincount(np.zeros(512, dtype=np.intp), weights=column)[0] == 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 9, 123, 700])
+    def test_row_norm_is_the_root_of_the_row_sum_of_squares(self, dim):
+        rng = np.random.default_rng(480 + dim)
+        x = _wide_range(rng, 300, dim)
+        assert np.array_equal(np.linalg.norm(x, axis=1), np.sqrt(np.add.reduce(x * x, axis=1)))
+
+
 def _csr(matrix):
     """`matrix`'s rows as a CSR source storing its nonzero and -0.0 entries, its
     offsets starting 3 entries into the entry arrays."""
@@ -388,3 +428,72 @@ class TestRowSources:
                   _CsrRows(whole.offsets[2100:], whole.indices, whole.values, 6))
         factor = core._ball_factor(*sparse, 1.0)
         assert factor < 1.0 and factor == scale_to_ball(Dataset(pos, neg), 1.0)[1]
+
+    @pytest.mark.parametrize("rows", [0, 511, 512, 513, 1023, 1024, 1025])
+    @pytest.mark.parametrize("dim", [1, 2, 9, 130])
+    def test_csr_reductions_equal_the_dense_rows(self, rows, dim):
+        # Wide-range values, all-zero rows, stored -0.0 entries and, for
+        # d >= 2, a column stored -0.0 in every row but the first and last,
+        # so a chunk's dense column sum can be -0.0 where bincount's is +0.0.
+        rng = np.random.default_rng(457)
+        if rows:
+            matrix = self._matrix(rng, rows, dim) * np.exp(rng.normal(0.0, 3.0, (rows, dim)))
+            if dim >= 2:
+                matrix[1:-1, -1] = -0.0
+        else:
+            matrix = np.zeros((0, dim))
+        sparse, dense = _csr(matrix), _row_source(matrix)
+        w = rng.standard_normal(dim)
+        assert _same_bits(sparse.scores(w), matrix @ w)
+        for lo, hi in [(0, rows), (0, min(rows, 512)), (min(rows, 512), min(rows, 1024))]:
+            got, want = sparse.sums(lo, hi), np.sum(matrix[lo:hi], axis=0)
+            assert np.array_equal(got, want)
+            assert dim >= 2 or _same_bits(got, want)
+            for factor in (1.0, 0.37):
+                buffer = sparse.scratch(hi - lo)
+                buffer.fill(np.nan)
+                assert _same_bits(sparse.squares(lo, hi, buffer, factor),
+                                  dense.squares(lo, hi, None, factor))
+        for factor in (1.0, 0.37):
+            want = float(np.max(np.linalg.norm(matrix * factor, axis=1), initial=0.0))
+            assert core._max_row_norm(sparse, factor) == core._max_row_norm(matrix, factor) == want
+        assert _same_bits(_neumaier_over_rows(sparse), _neumaier_over_rows(matrix))
+        index = np.flatnonzero(rng.random(rows) < 0.7)
+        weights = rng.integers(1, 6, index.size).astype(np.float64)
+        buffer = np.full((index.size, dim), np.nan)
+        assert np.array_equal(sparse.take_sums(index, weights, buffer),
+                              dense.take_sums(index, weights, buffer))
+        for got, want in zip(sparse.each_column(index), dense.each_column(index)):
+            assert _same_bits(got, want)
+        if rows:
+            idx = rng.integers(0, rows, 3 * rows)
+            assert _same_bits(_draws(sparse, idx, idx.size).shift, _draws(matrix, idx, idx.size).shift)
+
+    def test_csr_scores_one_block_at_a_time(self):
+        rng = np.random.default_rng(458)
+        matrix = self._matrix(rng, 2 * core._SCORE_BLOCK + 5, 9)
+        w = rng.standard_normal(9)
+        blocks = [matrix[lo : lo + core._SCORE_BLOCK] @ w
+                  for lo in range(0, matrix.shape[0], core._SCORE_BLOCK)]
+        assert _same_bits(_csr(matrix).scores(w), np.concatenate(blocks))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_csr_norm_of_a_block_leaving_the_square_range_is_prescaled(self, scale):
+        # The second block's squares overflow (or underflow); the first's do not.
+        rng = np.random.default_rng(459)
+        matrix = self._matrix(rng, 1500, 5)
+        matrix[core._NORM_BLOCK :] *= scale
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(matrix[core._NORM_BLOCK :], axis=1).max()
+        assert not 2.0**-500 <= plain < np.inf
+        want = max(np.linalg.norm(matrix[: core._NORM_BLOCK], axis=1).max(),
+                   core._prescaled_norm(matrix[core._NORM_BLOCK :], axis=1).max())
+        assert core._max_row_norm(_csr(matrix)) == core._max_row_norm(matrix) == want
+
+    def test_csr_norm_refuses_a_non_finite_entry(self):
+        rng = np.random.default_rng(460)
+        for bad in (np.nan, np.inf):
+            matrix = self._matrix(rng, 1100, 4)
+            matrix[1050, 2] = bad
+            with pytest.raises(PairRankError, match="non-finite"):
+                core._max_row_norm(_csr(matrix))
