@@ -19,8 +19,8 @@ bbr and lcbr rows with :func:`_fit_rows`.  ``train --x-star`` scales
 the training set by :func:`~pairrank.core.scale_to_ball`'s factor and
 the ``--test`` set by the same factor.  ``train`` holds its rows sparse:
 ``parse_libsvm``'s loader keeps the rows ``--sample-ratio`` keeps as CSR,
-scales their values in place and freezes them; the fit densifies one
-streaming block at a time, the evaluation one class at a time.
+scales their values in place and freezes them; the fit and the
+evaluation densify one block of rows at a time.
 ``--test`` is read and scaled the same way before the fit, so a bad file
 fails before any moment is built.
 

@@ -56,9 +56,15 @@ _PSD_REL_TOL = 1e-9
 # sits next to the dataset (each row's norm is the same either way), and
 # when sparse rows fill a dense matrix.
 _NORM_BLOCK = 1024
-# Rows per block when sparse rows are scored: a class of at most this many
-# rows is one matrix-vector product, as a dense class is.
-_SCORE_BLOCK = 4096
+# Rows per block when a class is scored or streamed through the moment
+# kernels; a multiple of moments' 512-row sum chunk.  A block buffer is
+# allocated and freed per class, so whether it finds a free gap in the heap
+# depends on where small allocations (the strip pool's locks among them)
+# landed; when none fits, the heap grows by a block.  16384 rows (16 MB at
+# d = 123) made that the peak of `train` on an a9a-shaped file and moved
+# the process's peak RSS by 11 MB from run to run; 4096 rows (4 MB) stay
+# below the parser's own transient there.
+_BLOCK_ROWS = 4096
 
 
 class PairRankError(Exception):
@@ -302,13 +308,11 @@ class _DenseRows:
     dense arrays: each is written into the leading rows of `out`, a buffer
     from `scratch`, unless the source holds the rows dense already, as
     this one does for blocks.  `each_column(index)` yields each column of
-    rows[index] in turn, in one buffer.  The reductions come whole:
-    `scores(w)` is rows @ w, `sums(lo, hi)` the column sums of rows
-    lo..hi, `take_sums(index, weights, out)` those of rows[index] each
-    times its weight (through `out` where the rows are densified), and `squares(lo, hi, out, factor)` rows lo..hi times
-    `factor`, squared entry by entry.  Every value, and every sum but the
-    scores of a class over _SCORE_BLOCK rows, has the bits the dense
-    matrix gives.
+    rows[index] in turn, in one buffer.  `sums(lo, hi)` is the column sums
+    of rows lo..hi, `take_sums(index, weights, out)` those of rows[index]
+    each times its weight (through `out` where the rows are densified),
+    and `squares(lo, hi, out, factor)` rows lo..hi times `factor`, squared
+    entry by entry.  Each has the bits the dense matrix gives.
     """
 
     def __init__(self, array: np.ndarray):
@@ -330,11 +334,8 @@ class _DenseRows:
         for k in range(self.shape[1]):
             yield np.take(self.array[:, k], index, out=column, mode="clip")
 
-    def scores(self, w: np.ndarray) -> np.ndarray:
-        return self.array @ w
-
     def sums(self, lo: int, hi: int) -> np.ndarray:
-        return np.sum(self.array[lo:hi], axis=0)
+        return np.sum(self.block(lo, hi, self.scratch(hi - lo)), axis=0)
 
     def take_sums(self, index: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
         part = self.take(index, out)
@@ -354,13 +355,12 @@ class _CsrRows:
     columns, strictly increasing within a row) and `values`; the offsets
     are absolute, so two sources can share one pair of entry arrays.  A
     block, gather or `squares` zero-fills its rows of the buffer and
-    scatters their entries, `scores` densifies one _SCORE_BLOCK-row block
-    at a time into one buffer, and `dense` fills a whole matrix one
-    _NORM_BLOCK-row block at a time.  For d >= 2 the column sums are one
+    scatters their entries.  For d >= 2 the column sums are one
     np.bincount over the stored entries: it adds each column's entries in
     row order, as numpy sums a C-contiguous block's rows, and a missing
     entry's +0.0 changes no sum but the sign of a zero one.  At d = 1
-    numpy sums the column pairwise, so a block is densified and summed.
+    numpy sums the column pairwise, so the rows are densified and reduced
+    as a dense source reduces them.
     `each_column` sorts the gathered rows' entries by column once, with a
     stable sort (numpy's radix sort on uint16 keys), then zero-fills and
     scatters one column at a time: at most 24 bytes per gathered entry
@@ -423,27 +423,16 @@ class _CsrRows:
             column[row[edges[k] : edges[k + 1]]] = values[edges[k] : edges[k + 1]]
             yield column
 
-    def scores(self, w: np.ndarray) -> np.ndarray:
-        count = self.shape[0]
-        out = np.empty(count)
-        buffer = self.scratch(min(count, _SCORE_BLOCK))
-        for lo in range(0, count, _SCORE_BLOCK):
-            hi = min(lo + _SCORE_BLOCK, count)
-            np.matmul(self.block(lo, hi, buffer), w, out=out[lo:hi])
-        return out
-
     def sums(self, lo: int, hi: int) -> np.ndarray:
         if self.shape[1] == 1:
-            return np.sum(self.block(lo, hi, self.scratch(hi - lo)), axis=0)
+            return _DenseRows.sums(self, lo, hi)
         first, last = self.offsets[lo], self.offsets[hi]
         return np.bincount(self.indices[first:last], weights=self.values[first:last],
                            minlength=self.shape[1])
 
     def take_sums(self, index: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.shape[1] == 1:
-            part = self.take(index, out)
-            part *= weights[:, None]
-            return np.sum(part, axis=0)
+            return _DenseRows.take_sums(self, index, weights, out)
         at, counts = self._entries(index)
         return np.bincount(self.indices[at], weights=self.values[at] * np.repeat(weights, counts),
                            minlength=self.shape[1])
@@ -452,12 +441,6 @@ class _CsrRows:
         scaled = self.values[self.offsets[lo] : self.offsets[hi]] * factor
         scaled *= scaled
         return self._fill(lo, hi, out, scaled)
-
-    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.empty(self.shape, dtype=np.float64) if out is None else out
-        for lo in range(0, self.shape[0], _NORM_BLOCK):
-            self.block(lo, min(lo + _NORM_BLOCK, self.shape[0]), out[lo:])
-        return out
 
 
 def _row_source(rows: np.ndarray | _CsrRows | _DenseRows) -> _CsrRows | _DenseRows:
@@ -489,10 +472,28 @@ def _densify(data: _SparseDataset) -> Dataset:
     the blocks are cut, so neither class can be made writable again.
     """
     matrix = np.empty((data.n, data.dim), dtype=np.float64)
-    data.positives.dense(matrix[: data.n1])
-    data.negatives.dense(matrix[data.n1 :])
+    for rows, first in ((data.positives, 0), (data.negatives, data.n1)):
+        for lo in range(0, rows.shape[0], _NORM_BLOCK):
+            rows.block(lo, min(lo + _NORM_BLOCK, rows.shape[0]), matrix[first + lo :])
     _freeze(matrix)
     return Dataset(matrix[: data.n1], matrix[data.n1 :])
+
+
+def _block_scores(rows: np.ndarray | _CsrRows | _DenseRows, w: np.ndarray) -> np.ndarray:
+    """rows @ w, one matrix-vector product per _BLOCK_ROWS-row block.
+
+    A dense block is a view and a sparse one is densified into one reused
+    buffer, so a class has the same scores held either way.  A class of at
+    most _BLOCK_ROWS rows is one product.
+    """
+    source = _row_source(rows)
+    count = source.shape[0]
+    out = np.empty(count)
+    buffer = source.scratch(min(count, _BLOCK_ROWS))
+    for lo in range(0, count, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, count)
+        np.matmul(source.block(lo, hi, buffer), w, out=out[lo:hi])
+    return out
 
 
 def _prescaled_norm(x: np.ndarray, axis: int | None = None) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PairMoments, PairRankError, RankerWeights, _row_source, _SparseDataset
+from .core import Dataset, PairMoments, PairRankError, RankerWeights, _block_scores, _SparseDataset
 
 __all__ = [
     "EvalReport",
@@ -56,16 +56,15 @@ class EvalReport:
 def _scores(data: Dataset | _SparseDataset, w: RankerWeights) -> tuple[np.ndarray, np.ndarray]:
     """Scores of the positives and of the negatives; needs at least one pair.
 
-    A dense class is scored by one matrix-vector product.  A sparse class
-    is scored _SCORE_BLOCK rows at a time through one dense block, so a
-    class of more rows may differ from the one product by rounding.
-    Raises PairRankError if a score is not finite (a nan or inf feature,
-    or an overflowing product), which neither metric could rank or
-    average into a meaningful value.
+    Every class, dense or sparse, is scored _BLOCK_ROWS rows at a time by
+    :func:`pairrank.core._block_scores`, so a Dataset and the sparse rows
+    ``train`` holds give the same bits.  Raises PairRankError if a score
+    is not finite (a nan or inf feature, or an overflowing product), which
+    neither metric could rank or average into a meaningful value.
     """
     data.require_trainable()
     w.require_dim(data.dim, "features")
-    pos, neg = (_row_source(rows).scores(w.w) for rows in (data.positives, data.negatives))
+    pos, neg = (_block_scores(rows, w.w) for rows in (data.positives, data.negatives))
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise PairRankError("cannot evaluate a ranker on non-finite scores")
     return pos, neg

@@ -6,9 +6,9 @@ whitespace-separated index:value features with 1-based, strictly
 increasing indices.  Parsing is strict; any malformed token aborts with
 the offending line number.  One loader, `_read_dataset`, holds a file's
 rows as class-ordered CSR (12 bytes per stored feature) and alone scales
-them; `parse_libsvm` densifies them, and `train` densifies one block, or
-one evaluated class, at a time (see `pairrank.core`'s row sources).  A
-warning is emitted past 5000 columns, where dense rows stop being small.
+them; `parse_libsvm` densifies them whole, and `train` one block of rows
+at a time (see `pairrank.core`'s row sources).  A warning is emitted
+past 5000 columns, where dense rows stop being small.
 
 The parser reads its input whole.  A path is decoded as ASCII with
 "surrogateescape" and no newline translation, so a path and a stream
@@ -404,7 +404,7 @@ def _read_dataset(
     dim = max(int(indices.max(initial=0)), dim_hint or 0)
     if dim > _DENSE_WARN_DIM:
         warnings.warn(
-            f"densifying {dim} columns; each block of rows and each evaluated class is held dense",
+            f"densifying {dim} columns; each row held dense takes {8 * dim} bytes",
             stacklevel=3,
         )
     if dim > np.iinfo(np.int64).max:

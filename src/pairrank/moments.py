@@ -33,8 +33,9 @@ more entries (a 1 x 1 output it reduces its own way), so for d >= 2 each
 entry equals one whole-matrix einsum's, whatever the BLAS or pool size.
 The linear-time routes stream centered class rows (for
 :func:`subsample_moments`, only the drawn ones) through one buffer of at
-most _BLOCK_ROWS x d; the Neumaier state runs across blocks, and block
-second moments are added in block order.
+most _BLOCK_ROWS x d (set in :mod:`pairrank.core`); block second moments
+are added in block order, and the chunk sums of a mean, across blocks,
+feed one Neumaier sum.
 
 Every kernel reads class rows through a row source
 (:class:`pairrank.core._DenseRows`), so a builder takes a Dataset or the
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, PairMoments, _row_source
+from .core import _BLOCK_ROWS, Dataset, PairMoments, _row_source
 
 __all__ = [
     "SubsampleConfig",
@@ -72,14 +73,6 @@ _CHUNK = 512
 _ONE_CALL_COLS = 64
 # Rows per output strip of the second-moment kernel above _ONE_CALL_COLS.
 _STRIP = 8
-# Rows per streaming block; a multiple of _CHUNK.  A block is allocated and
-# freed per class, so whether it finds a free gap in the heap depends on
-# where small allocations (the strip pool's locks among them) landed; when
-# none fits, the heap grows by a block.  16384 rows (16 MB at d = 123) made
-# that the peak of `train` on an a9a-shaped file and moved the process's
-# peak RSS by 11 MB from run to run; 4096 rows (4 MB) stay below the
-# parser's own transient there.
-_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,35 +93,36 @@ class SubsampleConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
 
 
-def _neumaier_add(state: tuple, part: np.ndarray) -> None:
-    """Add one chunk's column sums to the running (total, comp) state, in place."""
-    total, comp = state
-    fresh = total + part
-    swap = np.abs(total) >= np.abs(part)
-    comp += np.where(swap, (total - fresh) + part, (part - fresh) + total)
-    total[...] = fresh
+def _neumaier(parts, dim: int) -> np.ndarray:
+    """Sum the d-vectors `parts` left to right with Neumaier's correction.
+
+    The total and the correction start at +0.0, so a part of -0.0 adds as
+    +0.0 does, and no parts sum to +0.0.
+    """
+    total, comp = np.zeros(dim), np.zeros(dim)
+    for part in parts:
+        fresh = total + part
+        swap = np.abs(total) >= np.abs(part)
+        comp += np.where(swap, (total - fresh) + part, (part - fresh) + total)
+        total = fresh
+    return total + comp
 
 
-def _neumaier_over_rows(rows: np.ndarray, state: tuple | None = None) -> np.ndarray:
+def _neumaier_over_rows(rows: np.ndarray) -> np.ndarray:
     """Sum matrix rows with chunked Neumaier compensation.
 
-    Rows are grouped into fixed-size chunks, each summed by its row
+    Rows are grouped into _CHUNK-row chunks, each summed by its row
     source (numpy adds a C-contiguous chunk's rows in row order for
     d >= 2 and sums one column pairwise; sparse rows at d >= 2 add their
-    stored entries in the same order), and the chunk partials are
-    combined left to right with Neumaier's correction.  This keeps the
-    result independent of the total row count's effect on numpy's
-    internal blocking while costing one pass.  A running `state`
-    (total, comp) is updated in place, so calls on consecutive row
-    blocks whose lengths are multiples of _CHUNK give one call's bits.
-    Both start at +0.0, so a chunk sum of -0.0 adds as +0.0 does.
+    stored entries in the same order), and the chunk sums go to
+    :func:`_neumaier`.  This keeps the result independent of the total
+    row count's effect on numpy's internal blocking while costing one
+    pass.
     """
     source = _row_source(rows)
     count, dim = source.shape
-    state = state if state is not None else (np.zeros(dim), np.zeros(dim))
-    for start in range(0, count, _CHUNK):
-        _neumaier_add(state, source.sums(start, min(start + _CHUNK, count)))
-    return state[0] + state[1]
+    parts = (source.sums(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK))
+    return _neumaier(parts, dim)
 
 
 def _usable_cpus() -> int:
@@ -337,12 +331,10 @@ def _draws(rows, idx: np.ndarray, s: int) -> _Draws:
     slot = np.empty(count, dtype=np.intp)
     slot[drawn] = np.arange(drawn.size)
     weights = counts[drawn].astype(np.float64)
-    state = (np.zeros(dim), np.zeros(dim))
     buffer = np.empty((min(drawn.size, _CHUNK), dim), dtype=np.float64)
-    for lo in range(0, drawn.size, _CHUNK):
-        part = source.take_sums(drawn[lo : lo + _CHUNK], weights[lo : lo + _CHUNK], buffer)
-        _neumaier_add(state, part)
-    return _Draws(source, drawn, weights, slot[idx], (state[0] + state[1]) / s)
+    parts = (source.take_sums(drawn[lo : lo + _CHUNK], weights[lo : lo + _CHUNK], buffer)
+             for lo in range(0, drawn.size, _CHUNK))
+    return _Draws(source, drawn, weights, slot[idx], _neumaier(parts, dim) / s)
 
 
 def _cross_sums(g: _Draws, o: _Draws) -> np.ndarray:
@@ -365,21 +357,20 @@ def _mixed_sum(g: _Draws, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A'(diag(c) A - 2G) and A'c for g's centered drawn rows A, streamed.
 
     diag(c) A - 2G overwrites G (`cross`) block by block; the weighted row
-    sum A'c is one Neumaier sum over the same weighted rows.
+    sum A'c is the Neumaier sum of the same weighted rows' _CHUNK-row
+    column sums, as :func:`_neumaier_over_rows` would take them.
     """
-    dim = g.rows.shape[1]
-    state = (np.zeros(dim), np.zeros(dim))
-    mixed = None
+    parts, mixed = [], None
     for at, block in _centered_blocks(g.rows, g.shift, g.drawn):
         right = cross[at : at + block.shape[0]]
         for lo in range(0, block.shape[0], _CHUNK):
             weighted = block[lo : lo + _CHUNK] * g.counts[at + lo : at + lo + _CHUNK, None]
-            total = _neumaier_over_rows(weighted, state)
+            parts.append(np.sum(weighted, axis=0))
             part = right[lo : lo + _CHUNK]
             part *= -2.0
             part += weighted
         mixed = _add(mixed, _second_moment(block, right))
-    return mixed, total
+    return mixed, _neumaier(parts, g.rows.shape[1])
 
 
 def subsample_moments(data: Dataset, cfg: SubsampleConfig) -> PairMoments:

@@ -677,7 +677,7 @@ class TestTrainMemory:
 
     def _block(self, n1, n0):
         """The largest dense block of rows train reads, at d = DIM."""
-        return 8 * min(max(n1, n0), max(moments._BLOCK_ROWS, core._SCORE_BLOCK)) * self.DIM
+        return 8 * min(max(n1, n0), core._BLOCK_ROWS) * self.DIM
 
     def _peak(self, argv):
         codes = []
@@ -828,7 +828,7 @@ class TestExitCodes:
         assert returncode == code
         warning, *error = stderr.splitlines()
         assert warning == (f"pairrank: warning: densifying {index} columns; "
-                           "each block of rows and each evaluated class is held dense")
+                           f"each row held dense takes {8 * index} bytes")
         assert len(error) == (1 if code else 0)
         assert all(line.startswith("pairrank: data error: ") for line in error)
 

@@ -412,10 +412,11 @@ class TestRowSources:
         data = _SparseDataset(_CsrRows(offsets.offsets[:1501], offsets.indices, offsets.values, 5),
                               _CsrRows(offsets.offsets[1500:], offsets.indices, offsets.values, 5))
         dense = _densify(data)
+        w = rng.standard_normal(5)
         for got, want, rows in ((dense.positives, pos, data.positives),
                                 (dense.negatives, neg, data.negatives)):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-            assert np.array_equal(rows.dense(), got)
+            assert _same_bits(core._block_scores(rows, w), core._block_scores(got, w))
             assert not got.flags.writeable and not got.base.flags.writeable
             with pytest.raises(ValueError):
                 got.flags.writeable = True
@@ -444,7 +445,8 @@ class TestRowSources:
             matrix = np.zeros((0, dim))
         sparse, dense = _csr(matrix), _row_source(matrix)
         w = rng.standard_normal(dim)
-        assert _same_bits(sparse.scores(w), matrix @ w)
+        assert _same_bits(core._block_scores(sparse, w), matrix @ w)
+        assert _same_bits(core._block_scores(dense, w), matrix @ w)
         for lo, hi in [(0, rows), (0, min(rows, 512)), (min(rows, 512), min(rows, 1024))]:
             got, want = sparse.sums(lo, hi), np.sum(matrix[lo:hi], axis=0)
             assert np.array_equal(got, want)
@@ -469,13 +471,26 @@ class TestRowSources:
             idx = rng.integers(0, rows, 3 * rows)
             assert _same_bits(_draws(sparse, idx, idx.size).shift, _draws(matrix, idx, idx.size).shift)
 
-    def test_csr_scores_one_block_at_a_time(self):
+    @pytest.mark.parametrize("held", ["dense", "csr"])
+    def test_rows_score_one_block_at_a_time(self, held):
+        # 8197 rows: two whole blocks and five rows, at a width where one
+        # gemv over them can give other bits than the blocks' gemvs (it does
+        # on OpenBLAS 0.3.31).  A dense block is a view: no block buffer.
         rng = np.random.default_rng(458)
-        matrix = self._matrix(rng, 2 * core._SCORE_BLOCK + 5, 9)
-        w = rng.standard_normal(9)
-        blocks = [matrix[lo : lo + core._SCORE_BLOCK] @ w
-                  for lo in range(0, matrix.shape[0], core._SCORE_BLOCK)]
-        assert _same_bits(_csr(matrix).scores(w), np.concatenate(blocks))
+        matrix = self._matrix(rng, 2 * core._BLOCK_ROWS + 5, 123)
+        rows = matrix if held == "dense" else _csr(matrix)
+        w = rng.standard_normal(123)
+        blocks = [matrix[lo : lo + core._BLOCK_ROWS] @ w
+                  for lo in range(0, matrix.shape[0], core._BLOCK_ROWS)]
+        tracemalloc.start()
+        try:
+            got = core._block_scores(rows, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _same_bits(got, np.concatenate(blocks))
+        block = 8 * core._BLOCK_ROWS * matrix.shape[1]
+        assert (peak < got.nbytes + block) == (held == "dense")
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_csr_norm_of_a_block_leaving_the_square_range_is_prescaled(self, scale):

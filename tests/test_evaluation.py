@@ -289,11 +289,10 @@ class TestEvalReport:
         assert built == [3]
 
     def test_sparse_rows_score_like_their_dense_matrix(self, tmp_path):
-        # The positives span more than one 4096-row score block.  A sparse
-        # class is scored a block at a time, so its scores have the bits of
-        # its dense rows scored 4096 at a time; a class within one block, the
-        # bits of the dense class's one product.  Across blocks the two may
-        # part by rounding, within a few ulps of each score's absolute sum.
+        # The positives span more than one 4096-row score block.  Dense or
+        # sparse, a class is scored a block at a time, so both classes have
+        # the bits of their dense rows scored 4096 at a time, and a class
+        # within one block the bits of one product.
         rng = np.random.default_rng(513)
         data = random_dataset(rng, 20, 4200, 1300)
         keep = rng.random((data.n, 20)) < 0.3
@@ -302,14 +301,14 @@ class TestEvalReport:
                                          data.negatives * keep[data.n1 :]), path)
         sparse, _ = _read_dataset(path)
         dense = _densify(sparse)
-        assert sparse.n1 > core._SCORE_BLOCK >= sparse.n0
+        assert sparse.n1 > core._BLOCK_ROWS >= sparse.n0
         w = RankerWeights(w=rng.standard_normal(20))
         (pos, neg), (dense_pos, dense_neg) = _scores(sparse, w), _scores(dense, w)
-        blocks = np.concatenate([dense.positives[lo : lo + core._SCORE_BLOCK] @ w.w
-                                 for lo in range(0, dense.n1, core._SCORE_BLOCK)])
-        assert np.array_equal(pos, blocks) and np.array_equal(neg, dense_neg)
-        scale = np.abs(dense.positives) @ np.abs(w.w)
-        assert np.all(np.abs(pos - dense_pos) <= 4 * 20 * np.finfo(float).eps * scale)
+        blocks = np.concatenate([dense.positives[lo : lo + core._BLOCK_ROWS] @ w.w
+                                 for lo in range(0, dense.n1, core._BLOCK_ROWS)])
+        for got, want in ((pos, dense_pos), (neg, dense_neg), (pos, blocks),
+                          (neg, dense.negatives @ w.w)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         assert evaluate_ranker(sparse, w) == EvalReport(_auc(pos, neg), _phi(pos, neg))
 
     def test_zero_loss_ranker_reports_nonnegative_risk(self):

@@ -4,6 +4,7 @@ Usage, from the repository root::
 
     python tests/tools/untested_lines.py            # the whole tier-1 suite
     python tests/tools/untested_lines.py tests/test_solver.py -k Boundary
+    python -X dev tests/tools/untested_lines.py --continue-on-collection-errors  # as CI runs it
 
 Arguments go to pytest unchanged.  The suite runs in this interpreter under
 a ``sys.settrace`` line tracer (and ``threading.settrace`` for threads it
